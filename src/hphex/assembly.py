@@ -215,7 +215,10 @@ def _dense_solve(A, b):
         c, low = scipy.linalg.cho_factor(A.toarray())
     except np.linalg.LinAlgError as exc:
         raise LinAlgError(f"dense factorization failed: {exc}") from exc
-    return scipy.linalg.cho_solve((c, low), b), 1, 0.0
+    x = scipy.linalg.cho_solve((c, low), b)
+    bnorm = np.linalg.norm(b)
+    res = np.linalg.norm(b - A @ x) / bnorm if bnorm else 0.0
+    return x, 1, res
 
 
 # ---------------------------------------------------------------------------

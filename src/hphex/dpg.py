@@ -3,9 +3,11 @@
 The enriched test space makes every DPG element a small least-squares
 problem: with Gram matrix G = UᵀU and extended stiffness [B | B̂ | l],
 the condensed Bubnov-Galerkin block is B̃ᵀB̃ where B̃ = U⁻ᵀ[B | B̂ | l].
-The Gram matrix is kept in column-packed upper-triangular storage with
-index rule k = j(j+1)/2 + i (0-based, i ≤ j); all kernels below work
-off that layout so no external dense-algebra package is needed.
+The Gram matrix and its factor are kept in LAPACK's 'U' packed storage
+(upper triangle column by column, k = j(j+1)/2 + i for i ≤ j), and the
+kernels below are LAPACK/BLAS calls through scipy.  ``PackedSym`` stays
+as the argument type of ``packed_cholesky`` and ``packed_tri_solve``
+because the benchmark's tracer reads the dimension ``.n`` from it.
 """
 
 from __future__ import annotations
@@ -13,20 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack, solve_triangular
 
 from .errors import LinAlgError
 
 
-def packed_index(i: int, j: int) -> int:
-    """Position of entry (i, j), i ≤ j, in column-packed upper storage."""
-    if i > j:
-        i, j = j, i
-    return j * (j + 1) // 2 + i
-
-
 @dataclass
 class PackedSym:
-    """Symmetric matrix, upper triangle packed column by column."""
+    """Symmetric matrix, upper triangle in LAPACK 'U' packed storage."""
 
     n: int
     values: np.ndarray
@@ -42,61 +38,47 @@ class PackedSym:
     @classmethod
     def from_dense(cls, A: np.ndarray) -> "PackedSym":
         A = np.asarray(A, dtype=float)
-        n = A.shape[0]
-        vals = np.concatenate([A[:j + 1, j] for j in range(n)]) if n else \
-            np.zeros(0)
-        return cls(n, vals)
+        return cls(A.shape[0], lapack.dtrttp(A, uplo="U")[0])
 
     def to_dense(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            off = j * (j + 1) // 2
-            A[:j + 1, j] = self.values[off:off + j + 1]
-            A[j, :j + 1] = self.values[off:off + j + 1]
-        return A
+        A = self.to_upper()
+        return A + np.triu(A, 1).T
 
     def to_upper(self) -> np.ndarray:
         """Dense copy of the upper triangle only (strict lower = 0)."""
-        A = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            off = j * (j + 1) // 2
-            A[:j + 1, j] = self.values[off:off + j + 1]
-        return A
+        return lapack.dtpttr(self.n, self.values, uplo="U")[0]
 
 
 def packed_cholesky(g: PackedSym) -> PackedSym:
-    """Factor G = UᵀU with U upper triangular (right-looking updates)."""
+    """Factor G = UᵀU with U upper triangular (LAPACK dpptrf).
+
+    A pivot U_kk² ≤ 1e-14·max(|diag G|, 1) is rejected even when LAPACK
+    accepts it: such a Gram matrix is numerically singular.
+    """
     n = g.n
-    A = g.to_upper()
-    scale = max(np.max(np.abs(np.diag(A))), 1.0) if n else 1.0
-    for k in range(n):
-        d = A[k, k]
-        if d <= 1e-14 * scale:
-            raise LinAlgError(
-                f"gram matrix is not positive definite: pivot {k} = {d:.3e}"
-            )
-        r = np.sqrt(d)
-        A[k, k] = r
-        A[k, k + 1:] /= r
-        if k + 1 < n:
-            A[k + 1:, k + 1:] -= np.outer(A[k, k + 1:], A[k, k + 1:])
-    return PackedSym.from_dense(np.triu(A))
+    diag = np.arange(n) * (np.arange(n) + 3) // 2
+    scale = max(np.max(np.abs(g.values[diag])), 1.0) if n else 1.0
+    u, info = lapack.dpptrf(n, g.values)
+    # on failure LAPACK stops at pivot info-1 and leaves it unrooted
+    stop = info - 1 if info > 0 else n
+    pivots = u[diag]
+    pivots[:stop] **= 2
+    small = np.flatnonzero(pivots[:stop] <= 1e-14 * scale)
+    k = small[0] if small.size else stop
+    if k < n:
+        raise LinAlgError(
+            f"gram matrix is not positive definite: pivot {k} = "
+            f"{pivots[k]:.3e}"
+        )
+    return PackedSym(n, u)
 
 
 def packed_tri_solve(u: PackedSym, rhs: np.ndarray) -> np.ndarray:
-    """Solve Uᵀx = rhs (forward substitution; rhs may be a block)."""
-    n = u.n
+    """Solve Uᵀx = rhs (rhs may be a block)."""
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != n:
-        raise LinAlgError(f"rhs has {rhs.shape[0]} rows, factor has {n}")
-    squeeze = rhs.ndim == 1
-    x = rhs.reshape(n, 1).copy() if squeeze else rhs.astype(float, copy=True)
-    U = u.to_upper()
-    for i in range(n):
-        if i:
-            x[i] -= U[:i, i] @ x[:i]
-        x[i] /= U[i, i]
-    return x[:, 0] if squeeze else x
+    if rhs.shape[0] != u.n:
+        raise LinAlgError(f"rhs has {rhs.shape[0]} rows, factor has {u.n}")
+    return solve_triangular(u.to_upper(), rhs, trans="T", check_finite=False)
 
 
 @dataclass

@@ -288,8 +288,8 @@ def _face_rule(f: int, orders, extra: int):
     return me.gauss_quadrature_2d((n1, n2))
 
 
-def elem_primal_dpg(mesh, mdle: int, problem: Problem) -> asm.AlocBloc:
-    """Condensed primal DPG element: trial (u, flux), broken H1 test."""
+def _primal_system(mesh, mdle: int, problem: Problem):
+    """Extended stiffness [B | Bhat | l], Gram, and trial block sizes."""
     dp = problem.dp
     norder, _, xnod, _ = element_info(mesh, mdle)
     norder_enr = _enriched_norder(norder, dp)
@@ -302,51 +302,56 @@ def elem_primal_dpg(mesh, mdle: int, problem: Problem) -> asm.AlocBloc:
     tval, tgrad = gm.piola_transform(me.H1, test, geom)
     trial = me.shape_functions_elem(me.H1, rule.points, norder)
     _, ugrad = gm.piola_transform(me.H1, trial, geom)
-
     ntest = test.nrdof
     nu = trial.nrdof
+    probe = me.shape_functions_elem(
+        me.HDIV, np.array([[0.5, 0.5, 0.5]]), norder)
+    ns = _interface(probe).size
+    sizes = (nu, ns)
+    ntrial = sum(sizes)
+    if ntest <= ntrial:
+        raise ConfigError(
+            f"element {mdle}: enriched test space ({ntest}) does not "
+            f"dominate the trial space ({ntrial}); increase dp"
+        )
 
-    gram_d = dpg.PackedSym.from_dense(
-        np.einsum("q,kq,lq->kl", wj, tval, tval)
-        + np.einsum("q,kiq,liq->kl", wj, tgrad, tgrad))
+    G = (np.einsum("q,kq,lq->kl", wj, tval, tval)
+         + np.einsum("q,kiq,liq->kl", wj, tgrad, tgrad))
     B = np.einsum("q,kiq,liq->kl", wj, tgrad, ugrad)
     fv = source_term(problem, geom.x)
     load = np.einsum("q,kq->k", wj * fv, tval)
 
     # skeleton flux: -<sigma_hat . n, v> over the six faces
-    flux_shp_probe = me.shape_functions_elem(
-        me.HDIV, np.array([[0.5, 0.5, 0.5]]), norder)
-    ns = _interface(flux_shp_probe).size
     Bhat = np.zeros((ntest, ns))
     for f in range(6):
         t2, w2 = _face_rule(f, q, dp)
         xi, _ = me.face_param(f + 1, t2)
         fgeom = gm.face_geometry(xnod, f + 1, t2)
         fshp = me.shape_functions_elem(me.HDIV, xi, norder)
-        sel = _interface(fshp)
         sval, _ = gm.piola_transform(me.HDIV, fshp, fgeom)
-        fluxn = np.einsum("kiq,qi->kq", sval[sel], fgeom.rn)
+        fluxn = np.einsum("kiq,qi->kq", sval[_interface(fshp)], fgeom.rn)
         vtest = me.shape_functions_elem(me.H1, xi, norder_enr).values
         Bhat -= np.einsum("q,kq,lq->kl", w2 * fgeom.bjac, vtest, fluxn)
+    return np.column_stack([B, Bhat, load]), G, sizes
 
-    ntrial = nu + ns
-    if ntest <= ntrial:
-        raise ConfigError(
-            f"element {mdle}: enriched test space ({ntest}) does not "
-            f"dominate the trial space ({ntrial}); increase dp"
-        )
-    stiff_all = np.column_stack([B, Bhat, load])
+
+def _condensed_bloc(stiff_all, G, sizes) -> asm.AlocBloc:
+    """Condense [B | Bhat | l] against G and split it by trial attribute."""
+    ntest, ntrial = stiff_all.shape[0], stiff_all.shape[1] - 1
     cond = dpg.condense_dpg(dpg.DpgElementSystem(
-        ntest=ntest, ntrial=ntrial, stiff_all=stiff_all, gram=gram_d))
+        ntest=ntest, ntrial=ntrial, stiff_all=stiff_all,
+        gram=dpg.PackedSym.from_dense(G)))
+    off = np.concatenate([[0], np.cumsum(sizes)])
+    span = [slice(off[i], off[i + 1]) for i in range(len(sizes))]
+    return asm.AlocBloc(
+        ALOC=[[cond[r, c] for c in span] for r in span],
+        BLOC=[cond[r, ntrial] for r in span],
+        Itest=[1] * len(sizes), Itrial=[1] * len(sizes))
 
-    bloc = asm.AlocBloc.zeros([nu, ns])
-    bloc.ALOC[0][0] = cond[:nu, :nu]
-    bloc.ALOC[0][1] = cond[:nu, nu:ntrial]
-    bloc.ALOC[1][0] = cond[nu:ntrial, :nu]
-    bloc.ALOC[1][1] = cond[nu:ntrial, nu:ntrial]
-    bloc.BLOC[0] = cond[:nu, ntrial]
-    bloc.BLOC[1] = cond[nu:ntrial, ntrial]
-    return bloc
+
+def elem_primal_dpg(mesh, mdle: int, problem: Problem) -> asm.AlocBloc:
+    """Condensed primal DPG element: trial (u, flux), broken H1 test."""
+    return _condensed_bloc(*_primal_system(mesh, mdle, problem))
 
 
 def _uw_system(mesh, mdle: int, problem: Problem):
@@ -428,19 +433,7 @@ def _uw_system(mesh, mdle: int, problem: Problem):
 
 def elem_uw_dpg(mesh, mdle: int, problem: Problem) -> asm.AlocBloc:
     """Condensed ultraweak DPG element over (u_hat, flux, u, sigma)."""
-    stiff_all, G, sizes = _uw_system(mesh, mdle, problem)
-    ntest = stiff_all.shape[0]
-    ntrial = stiff_all.shape[1] - 1
-    cond = dpg.condense_dpg(dpg.DpgElementSystem(
-        ntest=ntest, ntrial=ntrial, stiff_all=stiff_all,
-        gram=dpg.PackedSym.from_dense(G)))
-    off = np.concatenate([[0], np.cumsum(sizes)])
-    bloc = asm.AlocBloc.zeros(list(sizes))
-    for i in range(4):
-        bloc.BLOC[i] = cond[off[i]:off[i + 1], ntrial]
-        for j in range(4):
-            bloc.ALOC[i][j] = cond[off[i]:off[i + 1], off[j]:off[j + 1]]
-    return bloc
+    return _condensed_bloc(*_uw_system(mesh, mdle, problem))
 
 
 # ---------------------------------------------------------------------------
@@ -459,47 +452,12 @@ def elem_residual(mesh, mdle: int, problem: Problem) -> float:
     """Squared DPG residual of the computed solution on one element."""
     if problem.kind == GALERKIN:
         raise ConfigError("the residual estimator needs a DPG problem")
-    if problem.kind == PRIMAL:
-        stiff_all, G = _primal_system_dense(mesh, mdle, problem)
-    else:
-        stiff_all, G, _ = _uw_system(mesh, mdle, problem)
+    build = _primal_system if problem.kind == PRIMAL else _uw_system
+    stiff_all, G, _ = build(mesh, mdle, problem)
     w = _gather_trial(mesh, problem)(mdle)
     resid = stiff_all[:, -1] - stiff_all[:, :-1] @ w
     factor = dpg.packed_cholesky(dpg.PackedSym.from_dense(G))
     return dpg.residual_norm_sq(factor, resid)
-
-
-def _primal_system_dense(mesh, mdle: int, problem: Problem):
-    """Rebuild the primal extended stiffness and dense Gram (no condensation)."""
-    dp = problem.dp
-    norder, _, xnod, _ = element_info(mesh, mdle)
-    norder_enr = _enriched_norder(norder, dp)
-    q = _axis_orders(norder)
-    rule = me.gauss_quadrature_3d(tuple(qa + dp + 1 for qa in q))
-    geom = gm.element_geometry(xnod, rule.points)
-    wj = rule.weights * geom.rjac
-    test = me.shape_functions_elem(me.H1, rule.points, norder_enr)
-    tval, tgrad = gm.piola_transform(me.H1, test, geom)
-    trial = me.shape_functions_elem(me.H1, rule.points, norder)
-    _, ugrad = gm.piola_transform(me.H1, trial, geom)
-    G = (np.einsum("q,kq,lq->kl", wj, tval, tval)
-         + np.einsum("q,kiq,liq->kl", wj, tgrad, tgrad))
-    B = np.einsum("q,kiq,liq->kl", wj, tgrad, ugrad)
-    fv = source_term(problem, geom.x)
-    load = np.einsum("q,kq->k", wj * fv, tval)
-    probe = me.shape_functions_elem(me.HDIV, np.array([[0.5, 0.5, 0.5]]),
-                                    norder)
-    Bhat = np.zeros((test.nrdof, _interface(probe).size))
-    for f in range(6):
-        t2, w2 = _face_rule(f, q, dp)
-        xi, _ = me.face_param(f + 1, t2)
-        fgeom = gm.face_geometry(xnod, f + 1, t2)
-        fshp = me.shape_functions_elem(me.HDIV, xi, norder)
-        sval, _ = gm.piola_transform(me.HDIV, fshp, fgeom)
-        fluxn = np.einsum("kiq,qi->kq", sval[_interface(fshp)], fgeom.rn)
-        vtest = me.shape_functions_elem(me.H1, xi, norder_enr).values
-        Bhat -= np.einsum("q,kq,lq->kl", w2 * fgeom.bjac, vtest, fluxn)
-    return np.column_stack([B, Bhat, load]), G
 
 
 def residual_summary(mesh, problem: Problem):

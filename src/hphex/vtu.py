@@ -33,7 +33,6 @@ _CELL_HEX = 12
 class ParaviewConfig:
     dir: str
     vlevel: int = 0
-    dump_geom: bool = True      # kept for interface parity; mesh always written
     dump_attr: bool = True
     time: float = None
     attr_mask: tuple = None     # attribute indices to export; None = all enabled

@@ -242,7 +242,7 @@ def test_c05_dpg_oracle_equivalence():
     problem = po.make_problem(po.PRIMAL, exact="smooth", dp=1)
     mesh = po.make_mesh(problem, grid_geometry(1, 1, 1), 2)
     mdle = mesh.ELEM_ORDER[0]
-    brute = brute_saddle_reduction(*po._primal_system_dense(mesh, mdle, problem))
+    brute = brute_saddle_reduction(*po._primal_system(mesh, mdle, problem)[:2])
     cond = glue_condensed(po.elem_primal_dpg(mesh, mdle, problem), 2)
     worst = max(worst, float(np.abs(cond - brute).max()))
 

@@ -254,6 +254,19 @@ def test_dense_solver_matches_cg():
     assert np.max(np.abs(dense - cg)) < 1e-9
 
 
+def test_dense_solver_reports_true_residual():
+    problem = poisson.make_problem("galerkin", exact="smooth")
+    mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 1), 2)
+    report = poisson.solve_problem(mesh, problem, solver="dense")
+    system, _, _ = asm.assemble_system(mesh, problem.physics, problem.elem)
+    x = np.zeros(system.ndof)
+    for (nid, attr, comp, k), g in system.index.items():
+        x[g] = mesh.NODES[nid].dofs[attr][k, comp]
+    b = system.rhs
+    true = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
+    assert report.residual == true
+
+
 # ---------------------------------------------------------------------------
 # store_solution
 

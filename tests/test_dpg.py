@@ -11,13 +11,13 @@ def random_spd(rng, n, shift=None):
 
 
 def test_packed_index_rule():
-    assert dpg.packed_index(0, 0) == 0
-    assert dpg.packed_index(0, 1) == 1
-    assert dpg.packed_index(1, 1) == 2
-    assert dpg.packed_index(0, 2) == 3
-    assert dpg.packed_index(2, 2) == 5
-    # symmetric access
-    assert dpg.packed_index(2, 0) == dpg.packed_index(0, 2)
+    A = np.array([[1.0, 2.0, 4.0],
+                  [2.0, 3.0, 5.0],
+                  [4.0, 5.0, 6.0]])
+    p = dpg.PackedSym.from_dense(A)
+    # column by column: (0,0) | (0,1) (1,1) | (0,2) (1,2) (2,2)
+    assert np.array_equal(p.values, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    assert np.array_equal(p.to_upper(), np.triu(A))
 
 
 def test_packed_round_trip():
@@ -25,9 +25,7 @@ def test_packed_round_trip():
     A = random_spd(rng, 7)
     p = dpg.PackedSym.from_dense(A)
     assert p.values.shape == (28,)
-    assert np.array_equal(p.to_dense(), np.where(np.eye(7, dtype=bool),
-                                                 A, (A + A.T) / 2))
-    assert p.values[dpg.packed_index(1, 4)] == A[1, 4]
+    assert np.array_equal(p.to_dense(), np.triu(A) + np.triu(A, 1).T)
 
 
 def test_cholesky_known_factors():
@@ -42,6 +40,13 @@ def test_cholesky_rejects_indefinite():
     with pytest.raises(LinAlgError) as err:
         dpg.packed_cholesky(dpg.PackedSym.from_dense(
             np.array([[1.0, 2.0], [2.0, 1.0]])))
+    assert "pivot 1" in str(err.value)
+
+
+def test_cholesky_rejects_tiny_positive_pivot():
+    # LAPACK factors diag(1, 1e-16); the relative pivot check must not
+    with pytest.raises(LinAlgError) as err:
+        dpg.packed_cholesky(dpg.PackedSym.from_dense(np.diag([1.0, 1e-16])))
     assert "pivot 1" in str(err.value)
 
 
