@@ -267,6 +267,20 @@ def _local_system(mesh, physics, elem_fn, mod):
     return Km[np.ix_(free, free)], bm[free], free
 
 
+def map_elements(work, items, workers: int = 1) -> list:
+    """[work(item) for item in items], on a pool of `workers` threads.
+
+    Results come back in the order of `items`, so anything summed from
+    them is summed in the same order for every worker count.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
+        return [work(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, items))
+
+
 def assemble_system(mesh, physics, elem_fn, istc: bool = True,
                     store: bool = True, workers: int = 1):
     """Build the global sparse system; returns (system, per-element data)."""
@@ -292,11 +306,7 @@ def assemble_system(mesh, physics, elem_fn, istc: bool = True,
                         dtype=int)
         return cond, gidx, free_keys
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(element_work, mods))
-    else:
-        results = [element_work(mod) for mod in mods]
+    results = map_elements(element_work, mods, workers)
 
     n = len(index)
     rows, cols, vals = [], [], []

@@ -106,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("-vlevel", dest="vlevel", type=int, default=0)
     ap.add_argument("-solver", dest="solver", default="cg",
                     choices=("cg", "dense"))
-    ap.add_argument("-workers", dest="workers", type=int, default=1)
+    ap.add_argument("-workers", dest="workers", type=int, default=1,
+                    help="threads for the element loops of assembly and "
+                         "of the residual estimate, at least 1")
     ap.add_argument("-exact", dest="exact", default=None,
                     choices=sorted(po.SOLUTIONS),
                     help="manufactured solution when NEXACT=1")
@@ -115,6 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv) -> RunConfig:
     ns = build_parser().parse_args(argv)
+    if ns.workers < 1:
+        raise ConfigError(f"-workers {ns.workers} must be at least 1")
     return RunConfig(**vars(ns))
 
 
@@ -167,6 +171,9 @@ def run_main(argv=None) -> int:
         cfg = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:          # argparse reports and exits
         return int(exc.code or 0)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     missing = _missing_file(cfg)
     if missing:
         flag, path = missing
@@ -321,7 +328,8 @@ def _menu_residual(state: CliState, out):
         print("residual estimate is not defined for the Bubnov-Galerkin "
               "discretization", file=out)
         return
-    vals, total = po.residual_summary(state.mesh, state.problem)
+    vals, total = po.residual_summary(state.mesh, state.problem,
+                                      state.config.workers)
     print(f"residual estimate: {math.sqrt(total):.6e} "
           f"over {len(vals)} elements", file=out)
 

@@ -32,6 +32,8 @@ list the family directed along the first face axis before the second.
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
+
 import numpy as np
 
 from .errors import ConfigError, OrderError, OrientationError
@@ -157,29 +159,38 @@ class QuadratureRule3D:
         return len(self.weights)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
 def gauss_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes/weights on [0,1]."""
+    """n-point Gauss-Legendre nodes/weights on [0,1] (cached, read-only)."""
     if not 1 <= n <= 16:
         raise ConfigError(f"quadrature count {n} outside [1,16]")
     t, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (t + 1.0), 0.5 * w
+    return _read_only(0.5 * (t + 1.0)), _read_only(0.5 * w)
+
+
+@lru_cache(maxsize=128)
+def _tensor_gauss(counts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss rule over len(counts) axes: ((n, d) points, weights)."""
+    xs, ws = zip(*(gauss_1d(c) for c in counts))
+    grids = np.meshgrid(*xs, indexing="ij")
+    pts = np.column_stack([g.ravel() for g in grids])
+    w = reduce(np.multiply.outer, ws).ravel()
+    return _read_only(pts), _read_only(w)
 
 
 def gauss_quadrature_2d(counts) -> tuple[np.ndarray, np.ndarray]:
     """Tensor rule on the unit square; returns ((n,2) points, weights)."""
-    x1, w1 = gauss_1d(counts[0])
-    x2, w2 = gauss_1d(counts[1])
-    p1, p2 = np.meshgrid(x1, x2, indexing="ij")
-    pts = np.column_stack([p1.ravel(), p2.ravel()])
-    return pts, np.outer(w1, w2).ravel()
+    return _tensor_gauss((int(counts[0]), int(counts[1])))
 
 
 def gauss_quadrature_3d(counts) -> QuadratureRule3D:
-    xs, ws = zip(*(gauss_1d(c) for c in counts))
-    px, py, pz = np.meshgrid(xs[0], xs[1], xs[2], indexing="ij")
-    pts = np.column_stack([px.ravel(), py.ravel(), pz.ravel()])
-    w = (ws[0][:, None, None] * ws[1][None, :, None] * ws[2][None, None, :]).ravel()
-    return QuadratureRule3D(pts, w)
+    return QuadratureRule3D(*_tensor_gauss(
+        (int(counts[0]), int(counts[1]), int(counts[2]))))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +252,9 @@ class ShapeSet:
     """
 
     def __init__(self, space, values, deriv, slots):
+        for a in (values, deriv):
+            if a is not None:
+                a.flags.writeable = False
         self.space = space
         self.values = values
         self.slots = slots
@@ -371,15 +385,16 @@ def _l2_recipe(norder):
     ]
 
 
-def shape_functions_elem(space: str, xi, norder) -> ShapeSet:
-    """Variable-order shape set for one element (19-entry order vector).
+_RECIPES = {H1: _h1_recipe, HCURL: _hcurl_recipe, HDIV: _hdiv_recipe,
+            L2: _l2_recipe}
 
-    This is the engine behind `shape_functions`; element routines call it
-    directly so that edge/face orders below the interior order select the
-    matching hierarchical subset.
+
+@lru_cache(maxsize=1024)
+def _recipe(space: str, norder: tuple):
+    """Per-axis maximum order and read-only (slots, families, indices).
+
+    Families are None for the scalar spaces; indices are (nrdof, 3).
     """
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    npts = xi.shape[0]
     edges, fcs, middle = _norder_parts(norder)
     pmax = [0, 0, 0]
     for e in range(12):
@@ -393,46 +408,65 @@ def shape_functions_elem(space: str, xi, norder) -> ShapeSet:
         pmax[ax] = max(pmax[ax], middle[ax])
         if not 1 <= pmax[ax] <= MAXP:
             raise OrderError(f"order {pmax[ax]} outside [1,{MAXP}]")
+    if space not in _RECIPES:
+        raise ConfigError(f"unknown space {space!r}")
+    rows = _RECIPES[space](norder)
+    slots = np.array([r[0] for r in rows], dtype=int)
+    if space in (H1, L2):
+        fam = None
+        idx = np.array([r[1:] for r in rows], dtype=int).reshape(-1, 3)
+    else:
+        fam = _read_only(np.array([r[1] for r in rows], dtype=int))
+        idx = np.array([r[2:] for r in rows], dtype=int).reshape(-1, 3)
+    return tuple(pmax), _read_only(slots), fam, _read_only(idx)
 
+
+@lru_cache(maxsize=1024)
+def _axis_bases(p: int, coords: bytes):
+    """Read-only (H, dH, P, dP) of order p at distinct 1D coordinates."""
+    x = np.frombuffer(coords)
+    H, dH = h1_basis_1d(p, x)
+    P, dP = legendre_shifted(p, x)
+    return tuple(_read_only(a) for a in (H, dH, P, dP))
+
+
+def shape_functions_elem(space: str, xi, norder) -> ShapeSet:
+    """Variable-order shape set for one element (19-entry order vector).
+
+    This is the engine behind `shape_functions`; element routines call it
+    directly so that edge/face orders below the interior order select the
+    matching hierarchical subset.  The order recipe and the 1D bases are
+    cached per (space, norder) and per (order, distinct coordinates); the
+    3D products are formed on every call.  All returned arrays are
+    read-only.
+    """
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    npts = xi.shape[0]
+    pmax, slots, fam, idx = _recipe(space, tuple(int(q) for q in norder))
+
+    # the 1D bases are elementwise in x: evaluating them at the distinct
+    # coordinates and gathering gives the same bits as evaluating at xi
     Hs, dHs, Ls, dLs = [], [], [], []
     for ax in range(3):
-        Hv, dHv = h1_basis_1d(pmax[ax], xi[:, ax])
-        Pv, dPv = legendre_shifted(pmax[ax], xi[:, ax])
-        Hs.append(Hv)
-        dHs.append(dHv)
-        Ls.append(Pv)
-        dLs.append(dPv)
+        coords, at = np.unique(xi[:, ax], return_inverse=True)
+        for out, tab in zip((Hs, dHs, Ls, dLs),
+                            _axis_bases(pmax[ax], coords.tobytes())):
+            out.append(tab[:, at])
 
     if space == H1:
-        rows = _h1_recipe(norder)
-        slots = np.array([r[0] for r in rows], dtype=int)
-        idx = np.array([r[1:] for r in rows], dtype=int).reshape(-1, 3)
         fx, fy, fz = Hs[0][idx[:, 0]], Hs[1][idx[:, 1]], Hs[2][idx[:, 2]]
         vals = fx * fy * fz
-        grad = np.empty((len(rows), 3, npts))
+        grad = np.empty((len(slots), 3, npts))
         grad[:, 0] = dHs[0][idx[:, 0]] * fy * fz
         grad[:, 1] = fx * dHs[1][idx[:, 1]] * fz
         grad[:, 2] = fx * fy * dHs[2][idx[:, 2]]
         return ShapeSet(H1, vals, grad, slots)
 
     if space == L2:
-        rows = _l2_recipe(norder)
-        slots = np.array([r[0] for r in rows], dtype=int)
-        idx = np.array([r[1:] for r in rows], dtype=int).reshape(-1, 3)
         vals = Ls[0][idx[:, 0]] * Ls[1][idx[:, 1]] * Ls[2][idx[:, 2]]
         return ShapeSet(L2, vals, None, slots)
 
-    if space == HCURL:
-        rows = _hcurl_recipe(norder)
-    elif space == HDIV:
-        rows = _hdiv_recipe(norder)
-    else:
-        raise ConfigError(f"unknown space {space!r}")
-
-    slots = np.array([r[0] for r in rows], dtype=int)
-    fam = np.array([r[1] for r in rows], dtype=int)
-    idx = np.array([r[2:] for r in rows], dtype=int).reshape(-1, 3)
-    nf = len(rows)
+    nf = len(slots)
     vals = np.zeros((nf, 3, npts))
     if space == HCURL:
         curl = np.zeros((nf, 3, npts))

@@ -460,10 +460,14 @@ def elem_residual(mesh, mdle: int, problem: Problem) -> float:
     return dpg.residual_norm_sq(factor, resid)
 
 
-def residual_summary(mesh, problem: Problem):
-    """Per-element squared residuals in natural order, plus their sum."""
-    vals = np.array([elem_residual(mesh, mdle, problem)
-                     for mdle in mesh.ELEM_ORDER])
+def residual_summary(mesh, problem: Problem, workers: int = 1):
+    """Per-element squared residuals in natural order, plus their sum.
+
+    The element loop runs on `workers` threads, like assembly.
+    """
+    vals = np.array(asm.map_elements(
+        lambda mdle: elem_residual(mesh, mdle, problem), mesh.ELEM_ORDER,
+        workers))
     return vals, float(vals.sum())
 
 

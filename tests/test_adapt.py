@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from hphex import adapt, poisson
+from hphex import conformity as cf
 from hphex.errors import ConfigError, MeshError
-from hphex.mesh import check_one_irregularity, traverse_active
+from hphex.mesh import (check_one_irregularity, close_mesh, refine_element,
+                        traverse_active)
 
 from conftest import grid_geometry
 
@@ -117,6 +119,19 @@ def test_loop_keeps_mesh_consistent():
     order = traverse_active(mesh)
     assert order == mesh.ELEM_ORDER and len(order) == mesh.NRELES
     assert history[-1].estimator < history[0].estimator
+
+
+def test_threaded_estimate_matches_serial():
+    problem = poisson.make_problem("uw", exact="smooth")
+    mesh = poisson.make_mesh(problem, grid_geometry(2, 1, 1), 1)
+    refine_element(mesh, 1)
+    close_mesh(mesh)
+    cf.update_gdof(mesh)
+    poisson.solve_problem(mesh, problem)
+    serial = adapt.estimate(mesh, problem, workers=1)
+    threaded = adapt.estimate(mesh, problem, workers=2)
+    assert threaded.mdles == serial.mdles
+    assert np.array_equal(threaded.indicators, serial.indicators)
 
 
 def test_history_csv_round_trip(tmp_path):

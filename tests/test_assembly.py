@@ -217,6 +217,14 @@ def test_threaded_assembly_matches_serial():
     assert np.array_equal(s1.rhs, s4.rhs)
 
 
+def test_workers_below_one_rejected():
+    mesh, problem = _patch()
+    for workers in (0, -1):
+        with pytest.raises(ConfigError, match="workers"):
+            asm.assemble_system(mesh, problem.physics, problem.elem,
+                                workers=workers)
+
+
 def test_galerkin_orthogonality_residual():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 2), 2)

@@ -1,7 +1,10 @@
 import io
 import pathlib
 
+import pytest
+
 from hphex import cli, masterel, vtu
+from hphex.errors import ConfigError
 
 from conftest import grid_geometry
 
@@ -44,6 +47,15 @@ def test_parse_defaults():
     assert cfg.prob == "galerkin"
     assert cfg.solver == "cg"
     assert cfg.p == 1 and cfg.dp is None and cfg.exact is None
+
+
+def test_workers_below_one_rejected(capsys):
+    for n in ("0", "-1"):
+        with pytest.raises(ConfigError, match="-workers"):
+            cli.parse_args(["-workers", n])
+        assert cli.run_main(argv("-job", "3", "-workers", n)) == 2
+        assert "-workers" in capsys.readouterr().err
+    assert "residual estimate" in cli.build_parser().format_help()
 
 
 def test_missing_physics_flag_exits_2(capsys):

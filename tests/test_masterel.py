@@ -216,6 +216,43 @@ def test_variable_order_selection():
     assert (part.slots == 12).sum() == 0
 
 
+def _fresh(space, xi, norder):
+    me._recipe.cache_clear()
+    me._axis_bases.cache_clear()
+    return me.shape_functions_elem(space, xi, norder)
+
+
+@pytest.mark.parametrize("space", me.SPACES)
+def test_cached_tables_match_fresh_evaluation(space):
+    norder = me.uniform_norder((3, 2, 4))
+    norder[0] = 2
+    t, _ = me.gauss_quadrature_2d((3, 4))
+    for xi in (me.gauss_quadrature_3d((4, 3, 5)).points,
+               me.face_param(4, t)[0]):
+        me.shape_functions_elem(space, xi, norder)     # fill the caches
+        cached = me.shape_functions_elem(space, xi, norder)
+        fresh = _fresh(space, xi, norder)
+        for name in ("values", "grad", "curl", "div", "slots"):
+            a, b = getattr(cached, name), getattr(fresh, name)
+            assert (a is None and b is None) or np.array_equal(a, b)
+        # one point at a time: no gather from shared distinct coordinates
+        for q in range(len(xi)):
+            one = me.shape_functions_elem(space, xi[q:q + 1], norder)
+            assert np.array_equal(one.values[..., 0], cached.values[..., q])
+
+
+def test_tables_are_read_only():
+    rule = me.gauss_quadrature_3d((2, 2, 2))
+    shp = me.shape_functions_elem(me.HCURL, rule.points,
+                                  me.uniform_norder((2, 2, 2)))
+    x, w = me.gauss_1d(3)
+    pts, w2 = me.gauss_quadrature_2d((2, 3))
+    for a in (shp.values, shp.curl, shp.slots, x, w, pts, w2,
+              rule.points, rule.weights):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 def test_face_param_examples():
     xi, dxidt = me.face_param(1, [(0.25, 0.75)])
     assert np.allclose(xi[0], (0.25, 0.75, 0.0))
