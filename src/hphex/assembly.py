@@ -16,7 +16,7 @@ numbered only when condensation is off.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -30,15 +30,12 @@ from .errors import ConfigError, LinAlgError, SolveError
 class AlocBloc:
     """Attribute-blocked element matrices.
 
-    ALOC[i][j] couples test attribute i with trial attribute j and is
-    read only when Itest[i] and Itrial[j] are both set; unflagged
-    blocks may hold anything.  BLOC[i] is the load for attribute i.
+    ALOC[i][j] couples test attribute i with trial attribute j;
+    BLOC[i] is the load for attribute i.
     """
 
     ALOC: list
     BLOC: list
-    Itest: list
-    Itrial: list
 
     @classmethod
     def zeros(cls, counts: list) -> "AlocBloc":
@@ -47,29 +44,24 @@ class AlocBloc:
             ALOC=[[np.zeros((counts[i], counts[j])) for j in range(n)]
                   for i in range(n)],
             BLOC=[np.zeros(counts[i]) for i in range(n)],
-            Itest=[1] * n,
-            Itrial=[1] * n,
         )
 
     def dense(self, attrs: list, counts: dict) -> tuple[np.ndarray, np.ndarray]:
-        """Assemble flagged blocks into one local (K, b) over `attrs`."""
+        """Assemble the blocks into one local (K, b) over `attrs`."""
         sizes = [counts[a] for a in attrs]
         offs = np.concatenate([[0], np.cumsum(sizes)])
         n = offs[-1]
         K = np.zeros((n, n))
         b = np.zeros(n)
         for ia, a in enumerate(attrs):
-            if self.Itest[a]:
-                blo = self.BLOC[a]
-                if blo.shape != (sizes[ia],):
-                    raise ConfigError(
-                        f"load block {a}: got {blo.shape}, expected "
-                        f"({sizes[ia]},)"
-                    )
-                b[offs[ia]:offs[ia + 1]] = blo
+            blo = self.BLOC[a]
+            if blo.shape != (sizes[ia],):
+                raise ConfigError(
+                    f"load block {a}: got {blo.shape}, expected "
+                    f"({sizes[ia]},)"
+                )
+            b[offs[ia]:offs[ia + 1]] = blo
             for ja, c in enumerate(attrs):
-                if not (self.Itest[a] and self.Itrial[c]):
-                    continue
                 blk = self.ALOC[a][c]
                 if blk.shape != (sizes[ia], sizes[ja]):
                     raise ConfigError(
@@ -88,15 +80,18 @@ class CondensedLocal:
     b: np.ndarray
     interface: np.ndarray       # indices of interface dofs in the input
     bubble: np.ndarray          # indices of bubble dofs in the input
-    factor: np.ndarray = None   # Cholesky factor of A_bb when stored
+    factor: np.ndarray = None   # Cholesky factor of A_bb
     K_ib: np.ndarray = None
     b_b: np.ndarray = None
-    recompute: object = None    # () -> (K, b) when factors are not stored
 
 
-def static_condense(K: np.ndarray, b: np.ndarray, bubble: np.ndarray,
-                    store: bool = True, recompute=None) -> CondensedLocal:
-    """Schur-eliminate the bubble dofs: A_ii − A_ib A_bb⁻¹ A_bi."""
+def static_condense(K: np.ndarray, b: np.ndarray,
+                    bubble: np.ndarray) -> CondensedLocal:
+    """Schur-eliminate the bubble dofs: A_ii − A_ib A_bb⁻¹ A_bi.
+
+    The factors are kept for `recover_bubbles`.  An all-false mask
+    returns (K, b) unchanged.
+    """
     bubble = np.asarray(bubble, dtype=bool)
     iface = np.flatnonzero(~bubble)
     bub = np.flatnonzero(bubble)
@@ -114,30 +109,16 @@ def static_condense(K: np.ndarray, b: np.ndarray, bubble: np.ndarray,
     Yi = Y[:, :-1]
     K_c = K[np.ix_(iface, iface)] - Yi.T @ Yi
     b_c = b[iface] - Yi.T @ Zb
-    return CondensedLocal(
-        K=K_c, b=b_c, interface=iface, bubble=bub,
-        factor=L if store else None,
-        K_ib=A_ib if store else None,
-        b_b=b[bub].copy() if store else None,
-        recompute=None if store else recompute,
-    )
+    return CondensedLocal(K=K_c, b=b_c, interface=iface, bubble=bub,
+                          factor=L, K_ib=A_ib, b_b=b[bub].copy())
 
 
 def recover_bubbles(cond: CondensedLocal, u_iface: np.ndarray) -> np.ndarray:
-    """u_b = A_bb⁻¹ (b_b − A_bi u_i), from stored factors or recomputed."""
+    """u_b = A_bb⁻¹ (b_b − A_bi u_i), from the stored factors."""
     if cond.bubble.size == 0:
         return np.zeros(0)
-    if cond.factor is not None:
-        L, A_ib, b_b = cond.factor, cond.K_ib, cond.b_b
-    else:
-        if cond.recompute is None:
-            raise SolveError("no stored factors and no recompute path")
-        K, b = cond.recompute()
-        A_bb = K[np.ix_(cond.bubble, cond.bubble)]
-        A_ib = K[np.ix_(cond.interface, cond.bubble)]
-        b_b = b[cond.bubble]
-        L = np.linalg.cholesky(A_bb)
-    rhs = b_b - A_ib.T @ u_iface
+    L = cond.factor
+    rhs = cond.b_b - cond.K_ib.T @ u_iface
     y = scipy.linalg.solve_triangular(L, rhs, lower=True)
     return scipy.linalg.solve_triangular(L.T, y, lower=False)
 
@@ -150,7 +131,6 @@ class SparseSystem:
     matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
     index: dict                 # (node, attr, comp, k) -> global dof
-    keys: list = field(default_factory=list)
 
     @property
     def ndof(self) -> int:
@@ -229,7 +209,6 @@ class SolveReport:
     ndof: int
     iterations: int
     residual: float
-    nreles: int
 
 
 def _sort_key(key):
@@ -282,8 +261,11 @@ def map_elements(work, items, workers: int = 1) -> list:
 
 
 def assemble_system(mesh, physics, elem_fn, istc: bool = True,
-                    store: bool = True, workers: int = 1):
-    """Build the global sparse system; returns (system, per-element data)."""
+                    workers: int = 1):
+    """Build the global sparse system; returns (system, per-element data).
+
+    With `istc` off no dof counts as a bubble, so nothing is condensed.
+    """
     physics = physics or mesh.physics
     mods = [cf.modified_element(mesh, physics, mdle)
             for mdle in mesh.ELEM_ORDER]
@@ -291,15 +273,8 @@ def assemble_system(mesh, physics, elem_fn, istc: bool = True,
 
     def element_work(mod):
         Ku, bu, free = _local_system(mesh, physics, elem_fn, mod)
-        bub_u = mod.bubble[free]
-        if istc:
-            def redo(mod=mod, free=free):
-                return _local_system(mesh, physics, elem_fn, mod)[:2]
-            cond = static_condense(Ku, bu, bub_u, store=store, recompute=redo)
-        else:
-            cond = CondensedLocal(K=Ku, b=bu,
-                                  interface=np.arange(bu.shape[0]),
-                                  bubble=np.zeros(0, dtype=int))
+        bubble = mod.bubble[free] if istc else np.zeros(bu.shape[0], bool)
+        cond = static_condense(Ku, bu, bubble)
         free_keys = [key for i, key in enumerate(mod.dof_nodes)
                      if not mod.dirichlet[i]]
         gidx = np.array([index[free_keys[i]] for i in cond.interface],
@@ -326,15 +301,18 @@ def assemble_system(mesh, physics, elem_fn, istc: bool = True,
         matrix = coo.tocsr()
     else:
         matrix = scipy.sparse.csr_matrix((n, n))
-    system = SparseSystem(matrix=matrix, rhs=rhs, index=index,
-                          keys=sorted(index, key=_sort_key))
+    system = SparseSystem(matrix=matrix, rhs=rhs, index=index)
     return system, mods, results
 
 
-def _write_dofs(mesh, physics, index, x):
+def _write_dofs(mesh, physics, pairs):
+    """Store ((node, attr, comp, k), value) pairs in the node dof arrays.
+
+    Each node's array for an attribute grows once, to its largest k.
+    """
     by_node = {}
-    for (nid, attr, comp, k), g in index.items():
-        by_node.setdefault((nid, attr), []).append((k, comp, x[g]))
+    for (nid, attr, comp, k), val in pairs:
+        by_node.setdefault((nid, attr), []).append((k, comp, val))
     for (nid, attr), items in by_node.items():
         node = mesh.NODES[nid]
         nc = physics.attrs[attr].ncomp
@@ -352,13 +330,12 @@ def _write_dofs(mesh, physics, index, x):
 
 
 def assemble_and_solve(mesh, physics, elem_fn, *, istc: bool = True,
-                       store: bool = True, solver: str = "cg",
-                       tol: float = 1e-12, maxit: int = None,
-                       workers: int = 1) -> SolveReport:
+                       solver: str = "cg", tol: float = 1e-12,
+                       maxit: int = None, workers: int = 1) -> SolveReport:
     """Element loop, global solve, and DOF storage (including bubbles)."""
     physics = physics or mesh.physics
-    system, mods, results = assemble_system(
-        mesh, physics, elem_fn, istc=istc, store=store, workers=workers)
+    system, _, results = assemble_system(
+        mesh, physics, elem_fn, istc=istc, workers=workers)
     if solver == "dense":
         x, iters, res = _dense_solve(system.matrix, system.rhs)
     elif solver == "cg":
@@ -366,29 +343,15 @@ def assemble_and_solve(mesh, physics, elem_fn, *, istc: bool = True,
                                  tol=tol, maxit=maxit)
     else:
         raise ConfigError(f"unknown solver {solver!r}")
-    _write_dofs(mesh, physics, system.index, x)
-
+    _write_dofs(mesh, physics,
+                ((key, x[g]) for key, g in system.index.items()))
     # bubble recovery, element by element in natural order
-    for mod, (cond, gidx, free_keys) in zip(mods, results):
-        if cond.bubble.size == 0:
-            continue
-        u_i = x[gidx]
-        u_b = recover_bubbles(cond, u_i)
-        node = mesh.NODES[mod.mdle]
-        node.dofs = node.dofs or {}
-        for val, ib in zip(u_b, cond.bubble):
-            nid, attr, comp, k = free_keys[ib]
-            nc = physics.attrs[attr].ncomp
-            dofs = node.dofs.get(attr)
-            if dofs is None or dofs.shape[0] <= k:
-                fresh = np.zeros((k + 1, nc))
-                if dofs is not None:
-                    fresh[:dofs.shape[0]] = dofs
-                dofs = fresh
-                node.dofs[attr] = dofs
-            dofs[k, comp] = val
-    return SolveReport(ndof=system.ndof, iterations=iters, residual=res,
-                       nreles=mesh.NRELES)
+    bubbles = []
+    for cond, gidx, free_keys in results:
+        u_b = recover_bubbles(cond, x[gidx])
+        bubbles.extend(zip((free_keys[i] for i in cond.bubble), u_b))
+    _write_dofs(mesh, physics, bubbles)
+    return SolveReport(ndof=system.ndof, iterations=iters, residual=res)
 
 
 def store_solution(mesh, mdle: int, attr: int, dofs: np.ndarray):

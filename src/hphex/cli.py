@@ -147,8 +147,11 @@ def build_state(cfg: RunConfig) -> CliState:
     exact = cfg.exact if cfg.exact is not None else _default_exact(cfg.job)
     if params.nexact == 0:
         exact = None
-    problem = po.make_problem(cfg.prob, exact=exact, dp=dp,
-                              maxnods=table.maxnods)
+    problem = po.make_problem(cfg.prob, exact=exact, dp=dp)
+    if problem.istc and not params.istc_flag:
+        raise ConfigError(
+            f"ISTC_FLAG 0 asks for no condensation, but -prob {cfg.prob} "
+            "needs its element interiors condensed")
     _adopt_nicknames(problem, table, cfg.prob)
     mesh = po.make_mesh(problem, geometry, cfg.p)
     return CliState(config=cfg, params=params, problem=problem, mesh=mesh)
@@ -335,11 +338,10 @@ def _menu_residual(state: CliState, out):
 
 
 def _solve(state: CliState) -> asm.SolveReport:
-    cfg, params = state.config, state.params
-    istc = bool(params.istc_flag) or state.problem.istc
+    cfg = state.config
     rep = po.solve_problem(state.mesh, state.problem, solver=cfg.solver,
-                           workers=cfg.workers, istc=istc,
-                           store=bool(params.store_stc))
+                           workers=cfg.workers,
+                           istc=bool(state.params.istc_flag))
     state.report = rep
     return rep
 
@@ -429,8 +431,7 @@ def _job_patch(state: CliState) -> int:
     failures = 0
     for kind in (po.GALERKIN, po.PRIMAL, po.UW):
         problem = po.make_problem(kind, exact="linear",
-                                  dp=cfg.dp if cfg.dp is not None else 1,
-                                  maxnods=state.problem.physics.maxnods)
+                                  dp=cfg.dp if cfg.dp is not None else 1)
         mesh = po.make_mesh(problem, geometry, 1)
         po.solve_problem(mesh, problem, solver="dense",
                          workers=cfg.workers)

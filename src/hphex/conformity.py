@@ -221,7 +221,6 @@ class ModifiedElement:
     dirichlet_values: np.ndarray
     bubble: np.ndarray          # bool mask: interior (middle-node) dofs
     local_counts: dict          # attr -> local row count
-    modified_counts: dict       # attr -> modified column count
 
 
 def _case_of(mesh, nid):
@@ -271,7 +270,7 @@ def _parent_group(mesh, space, parent):
     return group, (p1, p2, qs[0], qs[1], qs[2], qs[3])
 
 
-def _child_order_for(mesh, nid, case, space):
+def _child_order_for(mesh, nid):
     node = mesh.NODES[nid]
     if node.kind == "VERTEX":
         return None
@@ -316,7 +315,7 @@ def _scalar_expansion(mesh, mdle, space, interface_only, col_index, col_meta):
         case, parent = _case_of(mesh, nid)
         _assert_unconstrained(mesh, (parent.id,), f"node {nid}")
         group, parent_order = _parent_group(mesh, space, parent)
-        child_order = _child_order_for(mesh, nid, case, space)
+        child_order = _child_order_for(mesh, nid)
         M = constraint_coefficients(space, case, parent_order, child_order)
         if M.shape[0] != count:
             raise MeshError(
@@ -333,7 +332,6 @@ def modified_element(mesh, physics, mdle: int) -> ModifiedElement:
     """Constraint expansion, Dirichlet data, and bubble partition for one element."""
     physics = physics or mesh.physics
     attr_rows = {}
-    attr_cols = {}
     blocks = []
     dof_nodes = []
     for attr in physics.enabled_attrs():
@@ -349,13 +347,12 @@ def modified_element(mesh, physics, mdle: int) -> ModifiedElement:
                 Cs[i, j] = v
         blocks.append(np.kron(Cs, np.eye(nc)) if nc > 1 else Cs)
         attr_rows[attr] = len(rows) * nc
-        attr_cols[attr] = len(col_meta) * nc
         for nid, k in col_meta:
             for c in range(nc):
                 dof_nodes.append((nid, attr, c, k))
 
     nrow = sum(attr_rows.values())
-    ncol = sum(attr_cols.values())
+    ncol = len(dof_nodes)
     C = np.zeros((nrow, ncol))
     r = c = 0
     for attr, block in zip(physics.enabled_attrs(), blocks):
@@ -378,7 +375,7 @@ def modified_element(mesh, physics, mdle: int) -> ModifiedElement:
     return ModifiedElement(
         mdle=mdle, attrs=physics.enabled_attrs(), C=C, dof_nodes=dof_nodes,
         dirichlet=dirichlet, dirichlet_values=values, bubble=bubble,
-        local_counts=attr_rows, modified_counts=attr_cols,
+        local_counts=attr_rows,
     )
 
 
@@ -415,7 +412,7 @@ def gather_solution(mesh, mdle: int, attr: int) -> np.ndarray:
         else:
             case, parent = _case_of(mesh, nid)
             group, parent_order = _parent_group(mesh, space, parent)
-            child_order = _child_order_for(mesh, nid, case, space)
+            child_order = _child_order_for(mesh, nid)
             M = constraint_coefficients(space, case, parent_order, child_order)
             gvals = np.zeros((len(group), nc))
             by_node = {}

@@ -25,8 +25,8 @@ class GeometryData:
     dxdxi : (n, 3, 3) Jacobian J
     dxidx : (n, 3, 3) inverse Jacobian
     rjac : (n,) det J
-    rn, bjac, dxdt : outward unit normal (n, 3), surface Jacobian (n,),
-        and physical tangents (n, 3, 2); present only for face points.
+    rn, bjac : outward unit normal (n, 3) and surface Jacobian (n,);
+        present only for face points.
     """
 
     x: np.ndarray
@@ -35,7 +35,6 @@ class GeometryData:
     rjac: np.ndarray
     rn: np.ndarray | None = None
     bjac: np.ndarray | None = None
-    dxdt: np.ndarray | None = None
 
 
 _NORD1 = me.uniform_norder((1, 1, 1))
@@ -69,7 +68,6 @@ def face_geometry(vertex_coords, face: int, t) -> GeometryData:
         raise GeometryError(f"degenerate face {face}: zero surface Jacobian")
     geom.rn = cross / bjac[:, None]
     geom.bjac = bjac
-    geom.dxdt = dxdt
     return geom
 
 

@@ -20,7 +20,6 @@ the middle-node forest, initial elements first, sons in octant order.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,6 @@ from .errors import (
     RefinementError,
 )
 from .geometry import element_geometry
-
-log = logging.getLogger(__name__)
 
 VERTEX, EDGE, FACE, MIDDLE = "VERTEX", "EDGE", "FACE", "MIDDLE"
 HREF, PREF, PUNREF = "HREF", "PREF", "PUNREF"
@@ -74,8 +71,8 @@ class Node:
 
     __slots__ = (
         "id", "kind", "order", "active", "father", "sons", "interior",
-        "ref_kind", "bcond", "case", "coords", "verts", "edges",
-        "elem_nodes", "bid", "bflags", "dofs",
+        "bcond", "coords", "verts", "edges", "elem_nodes", "bid", "bflags",
+        "dofs",
     )
 
     def __init__(self, nid, kind, order=0, father=0):
@@ -86,9 +83,7 @@ class Node:
         self.father = father
         self.sons = []
         self.interior = []
-        self.ref_kind = 0
         self.bcond = 0
-        self.case = 0
         self.coords = None
         self.verts = ()
         self.edges = ()
@@ -132,29 +127,39 @@ def read_geometry(path) -> GeometryFile:
         pos += n
         return out
 
+    def ints(n, what):
+        try:
+            return [int(t) for t in take(n)]
+        except ValueError as exc:
+            raise MeshError(f"{path}: bad {what}: {exc}") from None
+
+    def count(keyword):
+        kw, tok = take(2)
+        if kw != keyword:
+            raise MeshError(f"{path}: expected {keyword}")
+        try:
+            n = int(tok)
+        except ValueError:
+            raise MeshError(f"{path}: {keyword} must be an integer, "
+                            f"got {tok!r}") from None
+        if n < 0:
+            raise MeshError(f"{path}: {keyword} {n} is negative")
+        return n
+
     kw, ver = take(2)
     if kw != "HEXMESH" or ver != "1":
         raise MeshError(f"{path}: expected 'HEXMESH 1' header, got {kw!r} {ver!r}")
-    kw, n = take(2)
-    if kw != "NPOINTS":
-        raise MeshError(f"{path}: expected NPOINTS")
-    npts = int(n)
+    npts = count("NPOINTS")
     try:
         points = np.array([float(t) for t in take(3 * npts)]).reshape(npts, 3)
     except ValueError as exc:
         raise MeshError(f"{path}: bad coordinate: {exc}")
-    kw, m = take(2)
-    if kw != "NELEMS":
-        raise MeshError(f"{path}: expected NELEMS")
-    nel = int(m)
-    elems = np.array([int(t) for t in take(8 * nel)], dtype=int).reshape(nel, 8)
+    nel = count("NELEMS")
+    elems = np.array(ints(8 * nel, "point index"), dtype=int).reshape(nel, 8)
     if (elems < 1).any() or (elems > npts).any():
         raise MeshError(f"{path}: point index outside 1..{npts}")
-    kw, k = take(2)
-    if kw != "NBFACES":
-        raise MeshError(f"{path}: expected NBFACES")
-    nbf = int(k)
-    raw = [int(t) for t in take(3 * nbf)]
+    nbf = count("NBFACES")
+    raw = ints(3 * nbf, "boundary face entry")
     bfaces = [(raw[3 * i], raw[3 * i + 1], raw[3 * i + 2]) for i in range(nbf)]
     for el, fc, bid in bfaces:
         if not 1 <= el <= nel:
@@ -167,15 +172,13 @@ def read_geometry(path) -> GeometryFile:
 
 
 class Mesh:
-    def __init__(self, physics, maxnods):
+    def __init__(self, physics):
         self.physics = physics
-        self.MAXNODS = int(maxnods)
         self.NODES = [None]
         self.ELEMS = [None]
         self.ELEM_ORDER = []
         self.NRELES = 0
         self.revision = 0
-        self._capacity_warned = False
         self._skeleton_cache = (-1, None)
 
     # -- node table ---------------------------------------------------
@@ -188,14 +191,7 @@ class Mesh:
         return self.NODES[nid]
 
     def _new_node(self, kind, order=0, father=0) -> Node:
-        nid = len(self.NODES)
-        if nid > self.MAXNODS and not self._capacity_warned:
-            log.warning(
-                "node table grew past MAXNODS=%d; allocating on the fly",
-                self.MAXNODS,
-            )
-            self._capacity_warned = True
-        node = Node(nid, kind, order=order, father=father)
+        node = Node(len(self.NODES), kind, order=order, father=father)
         self.NODES.append(node)
         return node
 
@@ -289,16 +285,14 @@ def generate_initial_mesh(geometry: GeometryFile, physics, initial_order,
     """
     px, py, pz = me.check_order_triple(initial_order)
     p = (px, py, pz)
-    mesh = Mesh(physics, physics.maxnods)
+    mesh = Mesh(physics)
     nrelis = len(geometry.elems)
     if nrelis < 1:
         raise MeshError("geometry defines no elements")
     all_attrs = tuple(range(physics.nr_physa))
-    case_mask = (1 << physics.nr_physa) - 1
 
     for iel in range(1, nrelis + 1):
-        mid = mesh._new_node(MIDDLE, order=me.encode_order(px, py, pz))
-        mid.case = case_mask
+        mesh._new_node(MIDDLE, order=me.encode_order(px, py, pz))
         mesh.ELEMS.append(InitialElement(
             shape="BRIC",
             nodes=[],
@@ -311,7 +305,6 @@ def generate_initial_mesh(geometry: GeometryFile, physics, initial_order,
     for xyz in geometry.points:
         v = mesh._new_node(VERTEX)
         v.coords = np.array(xyz, dtype=float)
-        v.case = case_mask
         vert_ids.append(v.id)
 
     edge_map = {}   # sorted vert pair -> (ordered pair, id)
@@ -333,7 +326,6 @@ def generate_initial_mesh(geometry: GeometryFile, physics, initial_order,
             if hit is None:
                 node = mesh._new_node(EDGE, order=p[me.EDGE_AXIS[e]])
                 node.verts = (a, b)
-                node.case = case_mask
                 edge_map[key] = ((a, b), node.id)
                 ledges.append(node.id)
             else:
@@ -354,7 +346,6 @@ def generate_initial_mesh(geometry: GeometryFile, physics, initial_order,
                 node = mesh._new_node(FACE, order=me.encode_face_order(p[a1], p[a2]))
                 node.verts = quad
                 node.edges = tuple(ledges[e] for e in me.FACE_EDGES[f])
-                node.case = case_mask
                 face_map[key] = (quad, node.id, [(iel, f + 1)])
                 lfaces.append(node.id)
             else:
@@ -417,10 +408,8 @@ def _refine_edge(mesh: Mesh, eid: int):
     hi.verts = (mid.id, vb)
     for son in (lo, hi, mid):
         son.bcond = edge.bcond
-        son.case = edge.case
     edge.sons = [lo.id, hi.id, mid.id]
     edge.active = False
-    edge.ref_kind = 1
 
 
 def _refine_face(mesh: Mesh, fid: int):
@@ -471,13 +460,11 @@ def _refine_face(mesh: Mesh, fid: int):
     for nid in quad_ids + [ie1lo, ie1hi, ie2lo, ie2hi, X]:
         son = mesh.NODES[nid]
         son.bcond = face.bcond
-        son.case = face.case
         if son.kind == FACE:
             son.bid = face.bid
             son.bflags = None if face.bflags is None else face.bflags.copy()
     face.sons = quad_ids + [ie1lo, ie1hi, ie2lo, ie2hi, X]
     face.active = False
-    face.ref_kind = 1
 
 
 def _others(ax):
@@ -493,7 +480,6 @@ def _refine_middle(mesh: Mesh, mdle: int):
 
     ctr = mesh._new_node(VERTEX, father=mdle)
     ctr.coords = 0.125 * sum(mesh.NODES[v].coords for v in gv)
-    ctr.case = node.case
     X = ctr.id
 
     def face_center(ax, side):
@@ -505,7 +491,6 @@ def _refine_middle(mesh: Mesh, mdle: int):
                             (1, (X, face_center(ax, 1)))):
             e = mesh._new_node(EDGE, order=p[ax], father=mdle)
             e.verts = verts
-            e.case = node.case
             iedges.append(e.id)
 
     def lat_vert(c):
@@ -568,7 +553,6 @@ def _refine_middle(mesh: Mesh, mdle: int):
                     span_edge(o1, 0, 0), span_edge(o1, 0, 1),
                     span_edge(o2, 0, 0), span_edge(o2, 1, 0),
                 )
-                fnode.case = node.case
                 plane.append(fnode.id)
         ifaces.append(plane)
 
@@ -595,13 +579,11 @@ def _refine_middle(mesh: Mesh, mdle: int):
             sfaces.append(lat_face(m_ax, o[m_ax] + me.FACE_SIDE[f], o[a1], o[a2]))
         son = mesh._new_node(MIDDLE, order=node.order, father=mdle)
         son.elem_nodes = tuple(sverts + sedges + sfaces)
-        son.case = node.case
         son_ids.append(son.id)
 
     node.sons = son_ids
     node.interior = [fid for plane in ifaces for fid in plane] + iedges + [X]
     node.active = False
-    node.ref_kind = ISO_KREF
 
 
 def refine_element(mesh: Mesh, mdle: int, kref: int = ISO_KREF):

@@ -9,7 +9,7 @@ attributes, in declaration order, components innermost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -39,11 +39,10 @@ class PhysicsAttr:
 
 
 class PhysicsTable:
-    """Ordered attribute list plus the anticipated node capacity."""
+    """Ordered attribute list with global component offsets."""
 
-    def __init__(self, attrs, maxnods: int = 100000):
+    def __init__(self, attrs):
         self.attrs = list(attrs)
-        self.maxnods = int(maxnods)
         rank = -1
         for a in self.attrs:
             r = _SPACE_RANK[a.space]
@@ -99,12 +98,6 @@ class Parameters:
     exgeom: int = 0
     nord_add: int = 1
     istc_flag: int = 1
-    store_stc: int = 1
-    herm_stc: int = 0
-    maxp: int = 9
-    nrcoms: int = 1
-    n_coms: int = 1
-    nrrhs: int = 1
 
 
 _CONTROL_KEYS = {
@@ -112,13 +105,19 @@ _CONTROL_KEYS = {
     "EXGEOM": "exgeom",
     "NORD_ADD": "nord_add",
     "ISTC_FLAG": "istc_flag",
-    "STORE_STC": "store_stc",
-    "HERM_STC": "herm_stc",
 }
+
+# keys accepted only at the one value the solver implements
+_FIXED_KEYS = {"STORE_STC": 1, "HERM_STC": 0}
 
 
 def read_control(path) -> Parameters:
-    """Parse a key-value control file ("<KEY> <VALUE>" lines, '#' comments)."""
+    """Parse a key-value control file ("<KEY> <VALUE>" lines, '#' comments).
+
+    STORE_STC and HERM_STC are accepted only at 1 and 0: condensation
+    factors are always stored, in plain symmetric form.  Any other value
+    raises rather than being ignored.
+    """
     params = Parameters()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -129,12 +128,20 @@ def read_control(path) -> Parameters:
             if len(parts) != 2:
                 raise ConfigError(f"{path}:{lineno}: expected '<KEY> <VALUE>'")
             key, value = parts
-            if key not in _CONTROL_KEYS:
+            if key not in _CONTROL_KEYS and key not in _FIXED_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown control key {key!r}")
             try:
-                setattr(params, _CONTROL_KEYS[key], int(value))
+                ival = int(value)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: non-integer value {value!r}")
+            if key in _FIXED_KEYS:
+                if ival != _FIXED_KEYS[key]:
+                    raise ConfigError(
+                        f"{path}:{lineno}: {key} must be {_FIXED_KEYS[key]}: "
+                        "condensation factors are always stored, in plain "
+                        "symmetric form")
+            else:
+                setattr(params, _CONTROL_KEYS[key], ival)
     if params.exgeom != 0:
         raise ConfigError("EXGEOM=1 (exact-geometry elements) is not supported")
     if params.nord_add < 0:
@@ -146,7 +153,9 @@ def read_physics(path) -> PhysicsTable:
     """Parse the physics file.
 
     Layout: line 1 "<MAXNODS> [comment]", line 2 "<NR_PHYSA> [comment]",
-    then NR_PHYSA lines "<nick> <space> <ncomp> [comment]".
+    then NR_PHYSA lines "<nick> <space> <ncomp> [comment]".  MAXNODS
+    must be an integer but is otherwise unused: the node table grows as
+    needed.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -160,7 +169,7 @@ def read_physics(path) -> PhysicsTable:
         except ValueError:
             raise ConfigError(f"{path}: expected integer {what}, got {tok!r}")
 
-    maxnods = _leading_int(lines[0], "MAXNODS")
+    _leading_int(lines[0], "MAXNODS")
     nr_physa = _leading_int(lines[1], "NR_PHYSA")
     body = lines[2:]
     if len(body) < nr_physa:
@@ -178,7 +187,7 @@ def read_physics(path) -> PhysicsTable:
         except ValueError:
             raise ConfigError(f"{path}: bad component count in {ln!r}")
         attrs.append(PhysicsAttr(nick, space, ncomp))
-    return PhysicsTable(attrs, maxnods)
+    return PhysicsTable(attrs)
 
 
 def encode_bc(face_flags) -> int:

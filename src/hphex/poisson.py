@@ -10,8 +10,10 @@ Three discretizations of -div(grad u) = f on hexahedral meshes:
   space is H1 x H(div) at the enriched order.
 
 Every element routine returns an AlocBloc over the problem's attribute
-layout; the DPG routines build the rectangular extended stiffness, factor
-the Gram matrix, and hand back the condensed trial-space system.
+layout: one dense block per (test, trial) attribute pair and one load
+block per attribute.  The DPG routines build the rectangular extended
+stiffness, factor the Gram matrix, and hand back the condensed
+trial-space system.
 """
 
 from __future__ import annotations
@@ -177,8 +179,8 @@ class Problem:
         raise ConfigError(f"unknown problem kind {self.kind!r}")
 
 
-def make_problem(kind: str, exact: Optional[str] = "smooth", dp: int = 1,
-                 maxnods: int = 200000) -> Problem:
+def make_problem(kind: str, exact: Optional[str] = "smooth",
+                 dp: int = 1) -> Problem:
     if kind not in KINDS:
         raise ConfigError(f"unknown problem kind {kind!r}; choose from {KINDS}")
     if not 1 <= dp <= 3:
@@ -194,7 +196,7 @@ def make_problem(kind: str, exact: Optional[str] = "smooth", dp: int = 1,
                  PhysicsAttr("sight", "normal", 1, is_trace=True),
                  PhysicsAttr("u", "discon", 1),
                  PhysicsAttr("sig", "discon", 3)]
-    physics = PhysicsTable(attrs, maxnods=maxnods)
+    physics = PhysicsTable(attrs)
     if sol is None:
         physics.attrs[0].homogeneous_dirichlet = True
     return Problem(kind=kind, physics=physics, exact=sol, dp=dp)
@@ -345,8 +347,7 @@ def _condensed_bloc(stiff_all, G, sizes) -> asm.AlocBloc:
     span = [slice(off[i], off[i + 1]) for i in range(len(sizes))]
     return asm.AlocBloc(
         ALOC=[[cond[r, c] for c in span] for r in span],
-        BLOC=[cond[r, ntrial] for r in span],
-        Itest=[1] * len(sizes), Itrial=[1] * len(sizes))
+        BLOC=[cond[r, ntrial] for r in span])
 
 
 def elem_primal_dpg(mesh, mdle: int, problem: Problem) -> asm.AlocBloc:
@@ -520,13 +521,11 @@ def compute_exact_error(mesh, problem: Problem):
 
 def solve_problem(mesh, problem: Problem, *, solver: str = "cg",
                   tol: float = 1e-12, maxit: int = None, workers: int = 1,
-                  istc: bool = None, store: bool = True) -> asm.SolveReport:
+                  istc: bool = True) -> asm.SolveReport:
     """Refresh Dirichlet data, assemble, solve, and store all DOFs."""
-    if istc is None:
-        istc = True
     if problem.istc and not istc:
         raise ConfigError("DPG problems require interior condensation")
     cf.update_Ddof(mesh, problem.physics, problem.dirichlet_fn())
     return asm.assemble_and_solve(
-        mesh, problem.physics, problem.elem, istc=istc, store=store,
+        mesh, problem.physics, problem.elem, istc=istc,
         solver=solver, tol=tol, maxit=maxit, workers=workers)

@@ -33,25 +33,11 @@ _CELL_HEX = 12
 class ParaviewConfig:
     dir: str
     vlevel: int = 0
-    dump_attr: bool = True
-    time: float = None
-    attr_mask: tuple = None     # attribute indices to export; None = all enabled
-    comp_mask: dict = None      # attr -> component indices; None = all
 
     def __post_init__(self):
         if not 0 <= self.vlevel <= MAX_VLEVEL:
             raise ConfigError(
                 f"vlevel {self.vlevel} outside 0..{MAX_VLEVEL}")
-
-    def selected(self, physics):
-        for attr in physics.enabled_attrs():
-            if self.attr_mask is not None and attr not in self.attr_mask:
-                continue
-            ncomp = physics.attrs[attr].ncomp
-            comps = range(ncomp)
-            if self.comp_mask and attr in self.comp_mask:
-                comps = [c for c in self.comp_mask[attr] if 0 <= c < ncomp]
-            yield attr, list(comps)
 
 
 def upscale_samples(vlevel: int):
@@ -112,23 +98,17 @@ def export_vtu(mesh, config: ParaviewConfig, basename: str) -> str:
     physics = mesh.physics
 
     coords = []
-    data = {}
-    if config.dump_attr:
-        for attr, comps in config.selected(physics):
-            nick = physics.attrs[attr].nick
-            for c in comps:
-                data[(attr, c)] = (f"{nick}_{c}", [])
+    attrs = physics.enabled_attrs()
+    data = {(attr, c): (f"{physics.attrs[attr].nick}_{c}", [])
+            for attr in attrs for c in range(physics.attrs[attr].ncomp)}
     for mdle in mesh.ELEM_ORDER:
         _, _, xnod, _ = element_info(mesh, mdle)
         geom = gm.element_geometry(xnod, pts)
         coords.append(geom.x)
-        if config.dump_attr:
-            cache = {}
-            for attr, comps in config.selected(physics):
-                if attr not in cache:
-                    cache[attr] = _evaluate_attr(mesh, mdle, attr, pts, geom)
-                for c in comps:
-                    data[(attr, c)][1].append(cache[attr][c])
+        for attr in attrs:
+            values = _evaluate_attr(mesh, mdle, attr, pts, geom)
+            for c, vals in values.items():
+                data[(attr, c)][1].append(vals)
 
     nel = len(mesh.ELEM_ORDER)
     path = os.path.join(config.dir, basename + ".vtu")
@@ -183,8 +163,7 @@ class PvdSeries:
     def add(self, mesh, config: ParaviewConfig, basename: str,
             time: float = None) -> str:
         path = export_vtu(mesh, config, basename)
-        stamp = time if time is not None else (
-            config.time if config.time is not None else len(self.snapshots))
+        stamp = time if time is not None else len(self.snapshots)
         self.snapshots.append((float(stamp), os.path.basename(path)))
         self._write_index()
         return path

@@ -29,17 +29,17 @@ def grid_geometry(nx, ny, nz, lengths=(1.0, 1.0, 1.0)) -> GeometryFile:
                         np.array(elems, dtype=int), [])
 
 
-def galerkin_physics(maxnods=100000) -> PhysicsTable:
-    return PhysicsTable([PhysicsAttr("field", "contin", 1)], maxnods)
+def galerkin_physics() -> PhysicsTable:
+    return PhysicsTable([PhysicsAttr("field", "contin", 1)])
 
 
-def uw_physics(maxnods=100000) -> PhysicsTable:
+def uw_physics() -> PhysicsTable:
     return PhysicsTable([
         PhysicsAttr("Ut", "contin", 1),
         PhysicsAttr("St", "normal", 1),
         PhysicsAttr("u", "discon", 1),
         PhysicsAttr("s", "discon", 3),
-    ], maxnods)
+    ])
 
 
 @pytest.fixture

@@ -438,7 +438,7 @@ def test_c12_mesh_structure_fuzz():
     bad = []
     for seq in range(200):
         rng = np.random.default_rng(5000 + seq)
-        table = PhysicsTable([PhysicsAttr("u", "contin", 1)], 100000)
+        table = PhysicsTable([PhysicsAttr("u", "contin", 1)])
         mesh = generate_initial_mesh(grid_geometry(1, 1, 1), table, (2, 2, 2))
         nrelis = mesh.NRELIS
         for _ in range(6):

@@ -82,6 +82,30 @@ def test_physics_file_must_match_problem_kind(capsys):
     assert "physics file" in capsys.readouterr().err
 
 
+def test_malformed_geometry_exits_1(tmp_path, capsys):
+    geo = tmp_path / "bad.geometry"
+    text = (INPUTS / "cube.geometry").read_text()
+    geo.write_text(text.replace("NPOINTS", "NPOINTS x", 1))
+    rc = cli.run_main(["-file-control", str(INPUTS / "control"),
+                       "-file-phys", str(INPUTS / "physics_galerkin"),
+                       "-file-geometry", str(geo), "-job", "3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NPOINTS" in err
+
+
+@pytest.mark.parametrize("kind", ["primal", "uw"])
+def test_dpg_without_condensation_rejected(tmp_path, capsys, kind):
+    ctl = tmp_path / "control"
+    ctl.write_text("NEXACT 1\nISTC_FLAG 0\n")
+    rc = cli.run_main(["-file-control", str(ctl),
+                       "-file-phys", str(INPUTS / f"physics_{kind}"),
+                       "-file-geometry", str(INPUTS / "cube.geometry"),
+                       "-prob", kind, "-job", "3"])
+    assert rc == 1
+    assert "ISTC_FLAG" in capsys.readouterr().err
+
+
 def test_physics_nicknames_adopted():
     st = state_for()
     assert st.problem.physics.attrs[0].nick == "temp"

@@ -162,6 +162,23 @@ def test_read_geometry_errors(tmp_path):
         ms.read_geometry(path)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("NPOINTS 8", "NPOINTS x"),
+    ("NPOINTS 8", "NPOINTS -8"),
+    ("NELEMS 1", "NELEMS 1.0"),
+    ("NELEMS 1", "NELEMS -1"),
+    ("1 2 3 4 5 6 7 8", "1 2 3 4 5 6 7 8.5"),
+    ("NBFACES 2", "NBFACES -2"),
+    ("1 2 1\n", "1 two 1\n"),
+])
+def test_read_geometry_malformed_numbers(tmp_path, old, new):
+    path = tmp_path / "bad.geo"
+    assert old in GEO_TEXT
+    path.write_text(GEO_TEXT.replace(old, new))
+    with pytest.raises(MeshError):
+        ms.read_geometry(path)
+
+
 # ---------------------------------------------------------------------------
 # traversal and h-refinement
 

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from hphex import physics as ph
@@ -26,7 +28,6 @@ def test_read_physics_galerkin(tmp_path):
     path = tmp_path / "physics"
     path.write_text(GALERKIN_FILE)
     table = ph.read_physics(path)
-    assert table.maxnods == 100000
     assert table.nr_physa == 1
     assert table.attrs[0].nick == "field"
     assert table.attrs[0].space == "contin"
@@ -70,7 +71,30 @@ def test_read_control(tmp_path):
     assert params.nexact == 1
     assert params.istc_flag == 0
     assert params.nord_add == 1  # default when absent
-    assert params.maxp == 9
+
+
+def test_read_shipped_control():
+    path = pathlib.Path(__file__).resolve().parents[1] / "inputs" / "control"
+    params = ph.read_control(path)
+    assert (params.nexact, params.nord_add, params.istc_flag) == (1, 1, 1)
+
+
+def test_read_control_fixed_keys(tmp_path):
+    path = tmp_path / "control"
+    path.write_text("NEXACT 1\nSTORE_STC 1\nHERM_STC 0\n")
+    assert ph.read_control(path).nexact == 1
+    for line, key in (("STORE_STC 0", "STORE_STC"),
+                      ("HERM_STC 1", "HERM_STC")):
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=f"{key} must be .*stored"):
+            ph.read_control(path)
+
+
+def test_read_physics_first_line_must_be_integer(tmp_path):
+    path = tmp_path / "physics"
+    path.write_text(GALERKIN_FILE.replace("100000", "abc", 1))
+    with pytest.raises(ConfigError, match="MAXNODS"):
+        ph.read_physics(path)
 
 
 def test_read_control_rejects_exact_geometry(tmp_path):

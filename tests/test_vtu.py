@@ -40,13 +40,12 @@ def test_lattice_cells_cover_unit_cube():
 
 def test_geometry_only_export(tmp_path):
     mesh, _ = solved()
-    cfg = vtu.ParaviewConfig(dir=str(tmp_path), vlevel=0, dump_attr=False)
+    cfg = vtu.ParaviewConfig(dir=str(tmp_path), vlevel=0)
     path = vtu.export_vtu(mesh, cfg, "geom")
-    points, cells, types, data = vtu.read_vtu(path)
+    points, cells, types, _ = vtu.read_vtu(path)
     assert points.shape == (8, 3)
     assert cells.shape == (1, 8)
     assert list(types) == [12]
-    assert data == {}
 
 
 def test_point_data_matches_direct_evaluation(tmp_path):
@@ -98,14 +97,6 @@ def test_vector_attribute_written_with_three_components(tmp_path):
     assert data["sig_0"].shape == (8,)
     assert np.max(np.abs(data["sig_0"] - 1.0)) < 1e-9
     assert np.max(np.abs(data["sig_1"])) < 1e-9
-
-
-def test_attr_and_comp_masks(tmp_path):
-    mesh, _ = solved(kind="uw", order=1)
-    cfg = vtu.ParaviewConfig(dir=str(tmp_path), vlevel=0,
-                             attr_mask=(2, 3), comp_mask={3: [1, 2]})
-    _, _, _, data = vtu.read_vtu(vtu.export_vtu(mesh, cfg, "masked"))
-    assert sorted(data) == ["sig_1", "sig_2", "u_0"]
 
 
 def test_missing_directory_rejected(tmp_path):
