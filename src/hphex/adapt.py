@@ -158,7 +158,7 @@ def adaptive_loop(mesh, problem, marking: MarkingConfig, tol: float,
             refine_element(mesh, mdle, kref)
         close_mesh(mesh)
         cf.update_gdof(mesh)
-        cf.update_Ddof(mesh, problem.physics, problem.dirichlet_fn())
+        cf.update_Ddof(mesh, problem.dirichlet_fn())
         if not check_one_irregularity(mesh):
             raise MeshError("closure left the mesh more than 1-irregular")
     return history

@@ -1,11 +1,12 @@
 """Global assembly, static condensation, and linear solve.
 
 The element loop visits active elements in natural order exactly once.
-Each element routine returns attribute-blocked matrices (AlocBloc);
-assembly expands them through the constrained-approximation matrix C,
-moves Dirichlet columns to the load, optionally eliminates interior
-(bubble) DOFs by a Schur complement, and scatters into one sparse
-symmetric system over the surviving global unknowns.
+Each element routine returns one dense local system (K, b), rows and
+columns in the mesh's attribute order; assembly expands it through the
+constrained-approximation matrix C, moves Dirichlet columns to the
+load, optionally eliminates interior (bubble) DOFs by a Schur
+complement, and scatters into one sparse symmetric system over the
+surviving global unknowns.
 
 Global DOF numbering: nodes in id order, attributes in exact-sequence
 order within a node, vector components innermost.  Only modified
@@ -24,52 +25,6 @@ import scipy.sparse
 
 from . import conformity as cf
 from .errors import ConfigError, LinAlgError, SolveError
-
-
-@dataclass
-class AlocBloc:
-    """Attribute-blocked element matrices.
-
-    ALOC[i][j] couples test attribute i with trial attribute j;
-    BLOC[i] is the load for attribute i.
-    """
-
-    ALOC: list
-    BLOC: list
-
-    @classmethod
-    def zeros(cls, counts: list) -> "AlocBloc":
-        n = len(counts)
-        return cls(
-            ALOC=[[np.zeros((counts[i], counts[j])) for j in range(n)]
-                  for i in range(n)],
-            BLOC=[np.zeros(counts[i]) for i in range(n)],
-        )
-
-    def dense(self, attrs: list, counts: dict) -> tuple[np.ndarray, np.ndarray]:
-        """Assemble the blocks into one local (K, b) over `attrs`."""
-        sizes = [counts[a] for a in attrs]
-        offs = np.concatenate([[0], np.cumsum(sizes)])
-        n = offs[-1]
-        K = np.zeros((n, n))
-        b = np.zeros(n)
-        for ia, a in enumerate(attrs):
-            blo = self.BLOC[a]
-            if blo.shape != (sizes[ia],):
-                raise ConfigError(
-                    f"load block {a}: got {blo.shape}, expected "
-                    f"({sizes[ia]},)"
-                )
-            b[offs[ia]:offs[ia + 1]] = blo
-            for ja, c in enumerate(attrs):
-                blk = self.ALOC[a][c]
-                if blk.shape != (sizes[ia], sizes[ja]):
-                    raise ConfigError(
-                        f"stiffness block ({a},{c}): got {blk.shape}, "
-                        f"expected ({sizes[ia]}, {sizes[ja]})"
-                    )
-                K[offs[ia]:offs[ia + 1], offs[ja]:offs[ja + 1]] = blk
-        return K, b
 
 
 @dataclass
@@ -144,8 +99,10 @@ class SparseSystem:
 def cg_solve(A, b, tol: float = 1e-12, maxit: int = None):
     """Jacobi-preconditioned conjugate gradient.
 
-    Returns (x, iterations, relative residual).  The matrix must be
-    symmetric positive definite; failure to reach tol raises.
+    Stops when the recurrence residual falls to tol and returns
+    (x, iterations, ‖b − Ax‖/‖b‖), the true relative residual of x.  The
+    matrix must be symmetric positive definite; failure to reach tol
+    raises.
     """
     n = b.shape[0]
     if n == 0:
@@ -169,9 +126,8 @@ def cg_solve(A, b, tol: float = 1e-12, maxit: int = None):
         alpha = rz / (p @ q)
         x += alpha * p
         r -= alpha * q
-        res = np.linalg.norm(r) / bnorm
-        if res <= tol:
-            return x, it, res
+        if np.linalg.norm(r) / bnorm <= tol:
+            return x, it, np.linalg.norm(b - A @ x) / bnorm
         z = inv_d * r
         rz_new = r @ z
         p = z + (rz_new / rz) * p
@@ -228,15 +184,14 @@ def _number_dofs(mods, istc: bool) -> dict:
     return {key: g for g, key in enumerate(sorted(keys, key=_sort_key))}
 
 
-def _local_system(mesh, physics, elem_fn, mod):
-    aloc = elem_fn(mesh, mod.mdle)
-    attrs = mod.attrs
-    K, b = aloc.dense(attrs, mod.local_counts)
+def _local_system(mesh, elem_fn, mod):
+    K, b = elem_fn(mesh, mod.mdle)
     C = mod.C
-    if K.shape[0] != C.shape[0]:
+    n = C.shape[0]
+    if K.shape != (n, n) or b.shape != (n,):
         raise ConfigError(
-            f"element {mod.mdle}: elem_fn produced {K.shape[0]} rows, "
-            f"modified element expects {C.shape[0]}"
+            f"element {mod.mdle}: elem_fn produced K {K.shape} and b "
+            f"{b.shape}, modified element expects ({n}, {n}) and ({n},)"
         )
     Km = C.T @ K @ C
     bm = C.T @ b
@@ -260,19 +215,17 @@ def map_elements(work, items, workers: int = 1) -> list:
         return list(pool.map(work, items))
 
 
-def assemble_system(mesh, physics, elem_fn, istc: bool = True,
-                    workers: int = 1):
+def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1):
     """Build the global sparse system; returns (system, per-element data).
 
     With `istc` off no dof counts as a bubble, so nothing is condensed.
     """
-    physics = physics or mesh.physics
-    mods = [cf.modified_element(mesh, physics, mdle)
+    mods = [cf.modified_element(mesh, mdle)
             for mdle in mesh.ELEM_ORDER]
     index = _number_dofs(mods, istc)
 
     def element_work(mod):
-        Ku, bu, free = _local_system(mesh, physics, elem_fn, mod)
+        Ku, bu, free = _local_system(mesh, elem_fn, mod)
         bubble = mod.bubble[free] if istc else np.zeros(bu.shape[0], bool)
         cond = static_condense(Ku, bu, bubble)
         free_keys = [key for i, key in enumerate(mod.dof_nodes)
@@ -305,7 +258,7 @@ def assemble_system(mesh, physics, elem_fn, istc: bool = True,
     return system, mods, results
 
 
-def _write_dofs(mesh, physics, pairs):
+def _write_dofs(mesh, pairs):
     """Store ((node, attr, comp, k), value) pairs in the node dof arrays.
 
     Each node's array for an attribute grows once, to its largest k.
@@ -315,7 +268,7 @@ def _write_dofs(mesh, physics, pairs):
         by_node.setdefault((nid, attr), []).append((k, comp, val))
     for (nid, attr), items in by_node.items():
         node = mesh.NODES[nid]
-        nc = physics.attrs[attr].ncomp
+        nc = mesh.physics.attrs[attr].ncomp
         kmax = max(k for k, _, _ in items)
         node.dofs = node.dofs or {}
         dofs = node.dofs.get(attr)
@@ -329,13 +282,12 @@ def _write_dofs(mesh, physics, pairs):
             dofs[k, comp] = val
 
 
-def assemble_and_solve(mesh, physics, elem_fn, *, istc: bool = True,
+def assemble_and_solve(mesh, elem_fn, *, istc: bool = True,
                        solver: str = "cg", tol: float = 1e-12,
                        maxit: int = None, workers: int = 1) -> SolveReport:
     """Element loop, global solve, and DOF storage (including bubbles)."""
-    physics = physics or mesh.physics
     system, _, results = assemble_system(
-        mesh, physics, elem_fn, istc=istc, workers=workers)
+        mesh, elem_fn, istc=istc, workers=workers)
     if solver == "dense":
         x, iters, res = _dense_solve(system.matrix, system.rhs)
     elif solver == "cg":
@@ -343,40 +295,12 @@ def assemble_and_solve(mesh, physics, elem_fn, *, istc: bool = True,
                                  tol=tol, maxit=maxit)
     else:
         raise ConfigError(f"unknown solver {solver!r}")
-    _write_dofs(mesh, physics,
-                ((key, x[g]) for key, g in system.index.items()))
+    _write_dofs(mesh, ((key, x[g]) for key, g in system.index.items()))
     # bubble recovery, element by element in natural order
     bubbles = []
     for cond, gidx, free_keys in results:
         u_b = recover_bubbles(cond, x[gidx])
         bubbles.extend(zip((free_keys[i] for i in cond.bubble), u_b))
-    _write_dofs(mesh, physics, bubbles)
+    _write_dofs(mesh, bubbles)
     return SolveReport(ndof=system.ndof, iterations=iters, residual=res)
 
-
-def store_solution(mesh, mdle: int, attr: int, dofs: np.ndarray):
-    """Write one element's local coefficients into the owning nodes.
-
-    Constrained nodes own nothing and are skipped; shared nodes are
-    simply overwritten (identical values on both sides by conformity).
-    """
-    physics = mesh.physics
-    a = physics.attrs[attr]
-    slots, _ = cf.scalar_slot_counts(mesh, mdle, a.fe_space, a.is_trace)
-    nc = a.ncomp
-    total = sum(c for _, c in slots)
-    dofs = np.asarray(dofs, dtype=float)
-    if dofs.shape != (total, nc):
-        raise ConfigError(
-            f"element {mdle} attr {attr}: got {dofs.shape}, "
-            f"expected ({total}, {nc})"
-        )
-    pos = 0
-    for nid, count in slots:
-        if count == 0:
-            continue
-        if not cf.is_constrained(mesh, nid):
-            node = mesh.NODES[nid]
-            node.dofs = node.dofs or {}
-            node.dofs[attr] = dofs[pos:pos + count].copy()
-        pos += count

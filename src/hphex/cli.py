@@ -247,12 +247,12 @@ def _dispatch(state: CliState, choice: int, inp, out):
             _dump_elements(mesh, out)
         elif choice == 20:
             adapt.global_href(mesh)
-            cf.update_Ddof(mesh, problem.physics, problem.dirichlet_fn())
+            cf.update_Ddof(mesh, problem.dirichlet_fn())
             print(f"global h-refinement: NRELES={mesh.NRELES}", file=out)
         elif choice == 21:
             msh.global_refinement(mesh, msh.PREF)
             cf.update_gdof(mesh)
-            cf.update_Ddof(mesh, problem.physics, problem.dirichlet_fn())
+            cf.update_Ddof(mesh, problem.dirichlet_fn())
             print("global p-refinement: all orders raised by one", file=out)
         elif choice == 22:
             _menu_refine_one(state, inp, out)
@@ -313,8 +313,7 @@ def _menu_refine_one(state: CliState, inp, out):
     msh.refine_element(state.mesh, mdle, msh.get_isoref(state.mesh, mdle))
     msh.close_mesh(state.mesh)
     cf.update_gdof(state.mesh)
-    cf.update_Ddof(state.mesh, state.problem.physics,
-                   state.problem.dirichlet_fn())
+    cf.update_Ddof(state.mesh, state.problem.dirichlet_fn())
     print(f"refined {mdle}: NRELES={state.mesh.NRELES}", file=out)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import masterel as me
 from .errors import ConfigError, IrregularityError, MeshError, SolveError
@@ -214,13 +215,11 @@ def constraint_coefficients(space: str, case: str, parent_order,
 @dataclass
 class ModifiedElement:
     mdle: int
-    attrs: list                 # participating attribute indices
     C: np.ndarray               # local dofs x modified dofs
     dof_nodes: list             # per modified dof: (node id, attr, comp, k)
     dirichlet: np.ndarray       # bool mask over modified dofs
     dirichlet_values: np.ndarray
     bubble: np.ndarray          # bool mask: interior (middle-node) dofs
-    local_counts: dict          # attr -> local row count
 
 
 def _case_of(mesh, nid):
@@ -328,14 +327,16 @@ def _scalar_expansion(mesh, mdle, space, interface_only, col_index, col_meta):
     return rows
 
 
-def modified_element(mesh, physics, mdle: int) -> ModifiedElement:
-    """Constraint expansion, Dirichlet data, and bubble partition for one element."""
-    physics = physics or mesh.physics
-    attr_rows = {}
+def modified_element(mesh, mdle: int) -> ModifiedElement:
+    """Constraint expansion, Dirichlet data, and bubble partition for one element.
+
+    The rows of C follow the local dofs attribute by attribute, in the
+    order of the mesh's physics table.
+    """
+    physics = mesh.physics
     blocks = []
     dof_nodes = []
-    for attr in physics.enabled_attrs():
-        a = physics.attrs[attr]
+    for attr, a in enumerate(physics.attrs):
         space = a.fe_space
         col_index, col_meta = {}, []
         rows = _scalar_expansion(mesh, mdle, space, a.is_trace,
@@ -346,19 +347,12 @@ def modified_element(mesh, physics, mdle: int) -> ModifiedElement:
             for j, v in row:
                 Cs[i, j] = v
         blocks.append(np.kron(Cs, np.eye(nc)) if nc > 1 else Cs)
-        attr_rows[attr] = len(rows) * nc
         for nid, k in col_meta:
             for c in range(nc):
                 dof_nodes.append((nid, attr, c, k))
 
-    nrow = sum(attr_rows.values())
+    C = scipy.linalg.block_diag(*blocks)
     ncol = len(dof_nodes)
-    C = np.zeros((nrow, ncol))
-    r = c = 0
-    for attr, block in zip(physics.enabled_attrs(), blocks):
-        C[r:r + block.shape[0], c:c + block.shape[1]] = block
-        r += block.shape[0]
-        c += block.shape[1]
 
     dirichlet = np.zeros(ncol, dtype=bool)
     values = np.zeros(ncol)
@@ -373,9 +367,8 @@ def modified_element(mesh, physics, mdle: int) -> ModifiedElement:
         if nid == mdle:
             bubble[i] = True
     return ModifiedElement(
-        mdle=mdle, attrs=physics.enabled_attrs(), C=C, dof_nodes=dof_nodes,
+        mdle=mdle, C=C, dof_nodes=dof_nodes,
         dirichlet=dirichlet, dirichlet_values=values, bubble=bubble,
-        local_counts=attr_rows,
     )
 
 
@@ -515,7 +508,7 @@ def _face_projection(mesh, node, dirichlet_fn, comp_slots, attr, nc):
         dofs[:, comp] = np.linalg.solve(K, rhs)
 
 
-def update_Ddof(mesh, physics, dirichlet_fn=None):
+def update_Ddof(mesh, dirichlet_fn=None):
     """Interpolate Dirichlet data onto masked H1 DOFs.
 
     dirichlet_fn maps (n, 3) points to (values (n,), gradients (n, 3));
@@ -524,7 +517,7 @@ def update_Ddof(mesh, physics, dirichlet_fn=None):
     solve seminorm projections in parameter coordinates at quadrature
     order p+2.
     """
-    physics = physics or mesh.physics
+    physics = mesh.physics
     for attr, a in enumerate(physics.attrs):
         comp_slots = [c for c in range(a.ncomp)]
         gbits = [physics.global_comp(attr, c) for c in comp_slots]

@@ -81,36 +81,17 @@ def packed_tri_solve(u: PackedSym, rhs: np.ndarray) -> np.ndarray:
     return solve_triangular(u.to_upper(), rhs, trans="T", check_finite=False)
 
 
-@dataclass
-class DpgElementSystem:
-    """One element's enriched-test system: G (packed) and [B | B̂ | l]."""
-
-    ntest: int
-    ntrial: int
-    stiff_all: np.ndarray
-    gram: PackedSym
-
-    def __post_init__(self):
-        if self.stiff_all.shape != (self.ntest, self.ntrial + 1):
-            raise LinAlgError(
-                f"stiff_all shape {self.stiff_all.shape} does not match "
-                f"({self.ntest}, {self.ntrial + 1})"
-            )
-        if self.gram.n != self.ntest:
-            raise LinAlgError(
-                f"gram dimension {self.gram.n} does not match ntest {self.ntest}"
-            )
-
-
-def condense_dpg(sys: DpgElementSystem) -> np.ndarray:
+def condense_dpg(stiff_all: np.ndarray, gram: PackedSym) -> np.ndarray:
     """(ntrial+1)² condensed block [[BᵀG⁻¹B, BᵀG⁻¹l], [lᵀG⁻¹B, lᵀG⁻¹l]].
 
-    The caller keeps the last column as the load and discards the last
-    row.  The upper triangle is computed once and mirrored, so the
-    output is exactly symmetric.
+    `stiff_all` is [B | B̂ | l] with one row per test dof, `gram` the
+    packed Gram matrix G over the same test dofs.  The caller keeps the
+    last column as the load and discards the last row.  The upper
+    triangle is computed once and mirrored, so the output is exactly
+    symmetric.
     """
-    factor = packed_cholesky(sys.gram)
-    btilde = packed_tri_solve(factor, sys.stiff_all)
+    factor = packed_cholesky(gram)
+    btilde = packed_tri_solve(factor, stiff_all)
     cond = btilde.T @ btilde
     cond = np.triu(cond)
     cond = cond + cond.T - np.diag(np.diag(cond))

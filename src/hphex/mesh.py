@@ -187,8 +187,12 @@ class Mesh:
     def NRELIS(self) -> int:
         return len(self.ELEMS) - 1
 
-    def node(self, nid: int) -> Node:
-        return self.NODES[nid]
+    def element(self, mdle: int) -> Node:
+        """The active middle node `mdle`; MeshError for any other id."""
+        node = self.NODES[mdle] if 0 < mdle < len(self.NODES) else None
+        if node is None or node.kind != MIDDLE or not node.active:
+            raise MeshError(f"node {mdle} is not an active element")
+        return node
 
     def _new_node(self, kind, order=0, father=0) -> Node:
         node = Node(len(self.NODES), kind, order=order, father=father)
@@ -205,12 +209,6 @@ class Mesh:
         """Brute-force scan (used by invariants checks, not the solver path)."""
         return [n.id for n in self.NODES[1:] if n is not None
                 and n.kind == MIDDLE and n.active]
-
-    def elem_nodes(self, mdle: int) -> list:
-        node = self.NODES[mdle]
-        if node.kind != MIDDLE:
-            raise MeshError(f"node {mdle} is not a middle node")
-        return list(node.elem_nodes) + [mdle]
 
     def skeleton_in_use(self) -> set:
         """Ids of all nodes referenced by active elements (including middles)."""
@@ -589,11 +587,7 @@ def _refine_middle(mesh: Mesh, mdle: int):
 def refine_element(mesh: Mesh, mdle: int, kref: int = ISO_KREF):
     if kref != ISO_KREF:
         raise RefinementError(f"refinement flag {kref} unsupported; only 111")
-    node = mesh.NODES[mdle]
-    if node.kind != MIDDLE:
-        raise MeshError(f"node {mdle} is not a middle node")
-    if not node.active:
-        raise MeshError(f"element {mdle} is not active")
+    node = mesh.element(mdle)
     for eid in node.elem_nodes[8:20]:
         _refine_edge(mesh, eid)
     for fid in node.elem_nodes[20:26]:
@@ -604,9 +598,7 @@ def refine_element(mesh: Mesh, mdle: int, kref: int = ISO_KREF):
 
 
 def get_isoref(mesh: Mesh, mdle: int) -> int:
-    node = mesh.NODES[mdle]
-    if node.kind != MIDDLE:
-        raise MeshError(f"node {mdle} is not a middle node")
+    mesh.element(mdle)
     return ISO_KREF
 
 
@@ -706,9 +698,7 @@ def adaptive_pref(mesh: Mesh, targets, rule: str = MIN_RULE):
         raise ConfigError(f"unknown order rule {rule!r}")
     agg = min if rule == MIN_RULE else max
     for mdle, want in targets:
-        node = mesh.NODES[mdle]
-        if node.kind != MIDDLE or not node.active:
-            raise MeshError(f"p-refinement target {mdle} is not an active element")
+        node = mesh.element(mdle)
         px, py, pz = me.check_order_triple(want)
         node.order = me.encode_order(px, py, pz)
         node.dofs = None
@@ -808,14 +798,10 @@ def element_info(mesh: Mesh, mdle: int):
     6 face, middle), 18 orientation flags (all zero), the 8 vertex
     coordinates, and the 27 node ids.
     """
-    node = mesh.NODES[mdle]
-    if node.kind != MIDDLE:
-        raise MeshError(f"node {mdle} is not a middle node")
-    if not node.active:
-        raise MeshError(f"element {mdle} is not active")
+    node = mesh.element(mdle)
     norder = [mesh.NODES[eid].order for eid in node.elem_nodes[8:20]]
     norder += [mesh.NODES[fid].order for fid in node.elem_nodes[20:26]]
     norder.append(node.order)
     orientations = [0] * 18
     xnod = mesh.vertex_coords(node.elem_nodes[0:8])
-    return norder, orientations, xnod, mesh.elem_nodes(mdle)
+    return norder, orientations, xnod, list(node.elem_nodes) + [mdle]

@@ -24,7 +24,6 @@ class PhysicsAttr:
     space: str
     ncomp: int
     is_trace: bool = False          # discretized as interface restriction only
-    enabled: bool = True            # participates in assembly
     homogeneous_dirichlet: bool = False  # skip Dirichlet data interpolation
 
     def __post_init__(self):
@@ -85,9 +84,6 @@ class PhysicsTable:
                 "are not defined"
             )
         a.is_trace = flag
-
-    def enabled_attrs(self) -> list[int]:
-        return [i for i, a in enumerate(self.attrs) if a.enabled]
 
 
 @dataclass
@@ -153,7 +149,7 @@ def read_physics(path) -> PhysicsTable:
     """Parse the physics file.
 
     Layout: line 1 "<MAXNODS> [comment]", line 2 "<NR_PHYSA> [comment]",
-    then NR_PHYSA lines "<nick> <space> <ncomp> [comment]".  MAXNODS
+    then NR_PHYSA >= 1 lines "<nick> <space> <ncomp> [comment]".  MAXNODS
     must be an integer but is otherwise unused: the node table grows as
     needed.
     """
@@ -171,6 +167,8 @@ def read_physics(path) -> PhysicsTable:
 
     _leading_int(lines[0], "MAXNODS")
     nr_physa = _leading_int(lines[1], "NR_PHYSA")
+    if nr_physa < 1:
+        raise ConfigError(f"{path}: NR_PHYSA must be at least 1, got {nr_physa}")
     body = lines[2:]
     if len(body) < nr_physa:
         raise ConfigError(

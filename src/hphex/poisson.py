@@ -9,11 +9,11 @@ Three discretizations of -div(grad u) = f on hexahedral meshes:
   skeleton carries an H1 trace and a normal trace, and the broken test
   space is H1 x H(div) at the enriched order.
 
-Every element routine returns an AlocBloc over the problem's attribute
-layout: one dense block per (test, trial) attribute pair and one load
-block per attribute.  The DPG routines build the rectangular extended
-stiffness, factor the Gram matrix, and hand back the condensed
-trial-space system.
+Every element routine returns one dense local system (K, b) whose rows
+and columns run over the problem's attributes in declaration order,
+the row order of the constraint matrix C of the modified element.  The
+DPG routines build the rectangular extended stiffness, factor the Gram
+matrix, and hand back the condensed trial-space system.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class Problem:
     def dirichlet_fn(self):
         return self.exact.dirichlet if self.exact is not None else None
 
-    def elem(self, mesh, mdle: int) -> asm.AlocBloc:
+    def elem(self, mesh, mdle: int) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == GALERKIN:
             return elem_galerkin(mesh, mdle, self)
         if self.kind == PRIMAL:
@@ -220,7 +220,7 @@ def make_mesh(problem: Problem, geometry, order):
     bc = [(bid, problem.dirichlet_attr, 0, 1) for bid in sorted(bids)]
     mesh = generate_initial_mesh(geometry, problem.physics, order,
                                  bc_assignments=bc)
-    cf.update_Ddof(mesh, problem.physics, problem.dirichlet_fn())
+    cf.update_Ddof(mesh, problem.dirichlet_fn())
     return mesh
 
 
@@ -265,7 +265,7 @@ def _interface(shapes: me.ShapeSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # element routines
 
-def elem_galerkin(mesh, mdle: int, problem: Problem) -> asm.AlocBloc:
+def elem_galerkin(mesh, mdle: int, problem: Problem):
     """(grad u, grad v) and (f, v) for the continuous Galerkin field."""
     norder, _, xnod, _ = element_info(mesh, mdle)
     qx, qy, qz = _axis_orders(norder)
@@ -277,10 +277,7 @@ def elem_galerkin(mesh, mdle: int, problem: Problem) -> asm.AlocBloc:
     K = np.einsum("q,kiq,liq->kl", wj, grad, grad)
     fv = source_term(problem, geom.x)
     b = np.einsum("q,kq->k", wj * fv, val)
-    bloc = asm.AlocBloc.zeros([shp.nrdof])
-    bloc.ALOC[0][0] = K
-    bloc.BLOC[0] = b
-    return bloc
+    return K, b
 
 
 def _face_rule(f: int, orders, extra: int):
@@ -291,7 +288,7 @@ def _face_rule(f: int, orders, extra: int):
 
 
 def _primal_system(mesh, mdle: int, problem: Problem):
-    """Extended stiffness [B | Bhat | l], Gram, and trial block sizes."""
+    """Extended stiffness [B | Bhat | l] and Gram matrix."""
     dp = problem.dp
     norder, _, xnod, _ = element_info(mesh, mdle)
     norder_enr = _enriched_norder(norder, dp)
@@ -309,8 +306,7 @@ def _primal_system(mesh, mdle: int, problem: Problem):
     probe = me.shape_functions_elem(
         me.HDIV, np.array([[0.5, 0.5, 0.5]]), norder)
     ns = _interface(probe).size
-    sizes = (nu, ns)
-    ntrial = sum(sizes)
+    ntrial = nu + ns
     if ntest <= ntrial:
         raise ConfigError(
             f"element {mdle}: enriched test space ({ntest}) does not "
@@ -334,29 +330,23 @@ def _primal_system(mesh, mdle: int, problem: Problem):
         fluxn = np.einsum("kiq,qi->kq", sval[_interface(fshp)], fgeom.rn)
         vtest = me.shape_functions_elem(me.H1, xi, norder_enr).values
         Bhat -= np.einsum("q,kq,lq->kl", w2 * fgeom.bjac, vtest, fluxn)
-    return np.column_stack([B, Bhat, load]), G, sizes
+    return np.column_stack([B, Bhat, load]), G
 
 
-def _condensed_bloc(stiff_all, G, sizes) -> asm.AlocBloc:
-    """Condense [B | Bhat | l] against G and split it by trial attribute."""
-    ntest, ntrial = stiff_all.shape[0], stiff_all.shape[1] - 1
-    cond = dpg.condense_dpg(dpg.DpgElementSystem(
-        ntest=ntest, ntrial=ntrial, stiff_all=stiff_all,
-        gram=dpg.PackedSym.from_dense(G)))
-    off = np.concatenate([[0], np.cumsum(sizes)])
-    span = [slice(off[i], off[i + 1]) for i in range(len(sizes))]
-    return asm.AlocBloc(
-        ALOC=[[cond[r, c] for c in span] for r in span],
-        BLOC=[cond[r, ntrial] for r in span])
+def _condensed(stiff_all, G):
+    """Condense [B | Bhat | l] against G into the trial system (K, b)."""
+    n = stiff_all.shape[1] - 1
+    cond = dpg.condense_dpg(stiff_all, dpg.PackedSym.from_dense(G))
+    return cond[:n, :n], cond[:n, n]
 
 
-def elem_primal_dpg(mesh, mdle: int, problem: Problem) -> asm.AlocBloc:
+def elem_primal_dpg(mesh, mdle: int, problem: Problem):
     """Condensed primal DPG element: trial (u, flux), broken H1 test."""
-    return _condensed_bloc(*_primal_system(mesh, mdle, problem))
+    return _condensed(*_primal_system(mesh, mdle, problem))
 
 
 def _uw_system(mesh, mdle: int, problem: Problem):
-    """Extended stiffness [B | Bhat | l], Gram, and trial block sizes."""
+    """Extended stiffness [B | Bhat | l] and Gram matrix."""
     dp = problem.dp
     norder, _, xnod, _ = element_info(mesh, mdle)
     norder_enr = _enriched_norder(norder, dp)
@@ -429,24 +419,21 @@ def _uw_system(mesh, mdle: int, problem: Problem):
     G[nv:, :nv] = cross.T
     G[nv:, nv:] = (np.einsum("q,kq,lq->kl", wj, tdiv, tdiv)
                    + 2.0 * np.einsum("q,kiq,liq->kl", wj, tau, tau))
-    return stiff_all, G, sizes
+    return stiff_all, G
 
 
-def elem_uw_dpg(mesh, mdle: int, problem: Problem) -> asm.AlocBloc:
+def elem_uw_dpg(mesh, mdle: int, problem: Problem):
     """Condensed ultraweak DPG element over (u_hat, flux, u, sigma)."""
-    return _condensed_bloc(*_uw_system(mesh, mdle, problem))
+    return _condensed(*_uw_system(mesh, mdle, problem))
 
 
 # ---------------------------------------------------------------------------
 # residual estimator and exact errors
 
-def _gather_trial(mesh, problem: Problem) -> Callable:
-    def w_of(mdle: int) -> np.ndarray:
-        parts = []
-        for attr in problem.physics.enabled_attrs():
-            parts.append(cf.gather_solution(mesh, mdle, attr).reshape(-1))
-        return np.concatenate(parts)
-    return w_of
+def _gather_trial(mesh, mdle: int) -> np.ndarray:
+    """The element's trial coefficients, attribute by attribute."""
+    return np.concatenate([cf.gather_solution(mesh, mdle, attr).reshape(-1)
+                           for attr in range(mesh.physics.nr_physa)])
 
 
 def elem_residual(mesh, mdle: int, problem: Problem) -> float:
@@ -454,8 +441,8 @@ def elem_residual(mesh, mdle: int, problem: Problem) -> float:
     if problem.kind == GALERKIN:
         raise ConfigError("the residual estimator needs a DPG problem")
     build = _primal_system if problem.kind == PRIMAL else _uw_system
-    stiff_all, G, _ = build(mesh, mdle, problem)
-    w = _gather_trial(mesh, problem)(mdle)
+    stiff_all, G = build(mesh, mdle, problem)
+    w = _gather_trial(mesh, mdle)
     resid = stiff_all[:, -1] - stiff_all[:, :-1] @ w
     factor = dpg.packed_cholesky(dpg.PackedSym.from_dense(G))
     return dpg.residual_norm_sq(factor, resid)
@@ -525,7 +512,7 @@ def solve_problem(mesh, problem: Problem, *, solver: str = "cg",
     """Refresh Dirichlet data, assemble, solve, and store all DOFs."""
     if problem.istc and not istc:
         raise ConfigError("DPG problems require interior condensation")
-    cf.update_Ddof(mesh, problem.physics, problem.dirichlet_fn())
+    cf.update_Ddof(mesh, problem.dirichlet_fn())
     return asm.assemble_and_solve(
-        mesh, problem.physics, problem.elem, istc=istc,
+        mesh, problem.elem, istc=istc,
         solver=solver, tol=tol, maxit=maxit, workers=workers)

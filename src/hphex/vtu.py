@@ -98,7 +98,7 @@ def export_vtu(mesh, config: ParaviewConfig, basename: str) -> str:
     physics = mesh.physics
 
     coords = []
-    attrs = physics.enabled_attrs()
+    attrs = range(physics.nr_physa)
     data = {(attr, c): (f"{physics.attrs[attr].nick}_{c}", [])
             for attr in attrs for c in range(physics.attrs[attr].ncomp)}
     for mdle in mesh.ELEM_ORDER:

@@ -66,21 +66,9 @@ def irregular_two_block(problem, order):
     refine_element(mesh, mesh.ELEM_ORDER[0], 111)
     close_mesh(mesh)
     cf.update_gdof(mesh)
-    cf.update_Ddof(mesh, problem.physics, problem.dirichlet_fn())
+    cf.update_Ddof(mesh, problem.dirichlet_fn())
     assert check_one_irregularity(mesh)
     return mesh
-
-
-def glue_condensed(bloc, nattr):
-    """Dense [K | b] from the per-attribute condensed blocks."""
-    sizes = [bloc.ALOC[i][i].shape[0] for i in range(nattr)]
-    off = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    full = np.zeros((off[-1], off[-1] + 1))
-    for i in range(nattr):
-        for j in range(nattr):
-            full[off[i]:off[i + 1], off[j]:off[j + 1]] = bloc.ALOC[i][j]
-        full[off[i]:off[i + 1], -1] = bloc.BLOC[i]
-    return full
 
 
 def brute_saddle_reduction(stiff_all, G):
@@ -242,16 +230,15 @@ def test_c05_dpg_oracle_equivalence():
     problem = po.make_problem(po.PRIMAL, exact="smooth", dp=1)
     mesh = po.make_mesh(problem, grid_geometry(1, 1, 1), 2)
     mdle = mesh.ELEM_ORDER[0]
-    brute = brute_saddle_reduction(*po._primal_system(mesh, mdle, problem)[:2])
-    cond = glue_condensed(po.elem_primal_dpg(mesh, mdle, problem), 2)
+    brute = brute_saddle_reduction(*po._primal_system(mesh, mdle, problem))
+    cond = np.column_stack(po.elem_primal_dpg(mesh, mdle, problem))
     worst = max(worst, float(np.abs(cond - brute).max()))
 
     problem = po.make_problem(po.UW, exact="smooth", dp=1)
     mesh = po.make_mesh(problem, grid_geometry(1, 1, 1), 2)
     mdle = mesh.ELEM_ORDER[0]
-    stiff_all, G, _ = po._uw_system(mesh, mdle, problem)
-    brute = brute_saddle_reduction(stiff_all, G)
-    cond = glue_condensed(po.elem_uw_dpg(mesh, mdle, problem), 4)
+    brute = brute_saddle_reduction(*po._uw_system(mesh, mdle, problem))
+    cond = np.column_stack(po.elem_uw_dpg(mesh, mdle, problem))
     worst = max(worst, float(np.abs(cond - brute).max()))
 
     ok = worst < 1e-10

@@ -107,15 +107,31 @@ def test_dense_fallback_limit():
         asm._dense_solve(A, np.ones(n))
 
 
+def test_cg_reports_true_residual():
+    A = _five_point(10)
+    b = np.random.default_rng(3).standard_normal(100)
+    x, _, res = asm.cg_solve(A, b, tol=1e-10)
+    assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+
+
 # ---------------------------------------------------------------------------
-# AlocBloc shape contract
+# local system shape contract
 
 
-def test_wrong_block_shape_raises():
-    bloc = asm.AlocBloc.zeros([2])
-    bloc.ALOC[0][0] = np.zeros((3, 3))
-    with pytest.raises(ConfigError):
-        bloc.dense([0], {0: 2})
+def test_wrong_local_system_shape_raises():
+    mesh, problem = _patch(order=2)
+
+    def short_K(mesh, mdle):
+        K, b = problem.elem(mesh, mdle)
+        return K[:-1, :-1], b
+
+    def short_b(mesh, mdle):
+        K, b = problem.elem(mesh, mdle)
+        return K, b[:-1]
+
+    for elem_fn in (short_K, short_b):
+        with pytest.raises(ConfigError, match="element 1: "):
+            asm.assemble_system(mesh, elem_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +170,9 @@ def test_istc_on_off_identical():
 def test_numbering_and_determinism():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 1), 2)
-    cf.update_Ddof(mesh, problem.physics, problem.dirichlet_fn())
-    sys1, _, _ = asm.assemble_system(mesh, problem.physics, problem.elem)
-    sys2, _, _ = asm.assemble_system(mesh, problem.physics, problem.elem)
+    cf.update_Ddof(mesh, problem.dirichlet_fn())
+    sys1, _, _ = asm.assemble_system(mesh, problem.elem)
+    sys2, _, _ = asm.assemble_system(mesh, problem.elem)
     assert np.array_equal(sys1.matrix.data, sys2.matrix.data)
     assert np.array_equal(sys1.rhs, sys2.rhs)
     # numbered by node id, then attribute, then dof, comps innermost
@@ -169,11 +185,9 @@ def test_numbering_and_determinism():
 def test_threaded_assembly_matches_serial():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 2), 2)
-    cf.update_Ddof(mesh, problem.physics, problem.dirichlet_fn())
-    s1, _, _ = asm.assemble_system(mesh, problem.physics, problem.elem,
-                                   workers=1)
-    s4, _, _ = asm.assemble_system(mesh, problem.physics, problem.elem,
-                                   workers=4)
+    cf.update_Ddof(mesh, problem.dirichlet_fn())
+    s1, _, _ = asm.assemble_system(mesh, problem.elem, workers=1)
+    s4, _, _ = asm.assemble_system(mesh, problem.elem, workers=4)
     assert np.array_equal(s1.matrix.data, s4.matrix.data)
     assert np.array_equal(s1.rhs, s4.rhs)
 
@@ -182,15 +196,14 @@ def test_workers_below_one_rejected():
     mesh, problem = _patch()
     for workers in (0, -1):
         with pytest.raises(ConfigError, match="workers"):
-            asm.assemble_system(mesh, problem.physics, problem.elem,
-                                workers=workers)
+            asm.assemble_system(mesh, problem.elem, workers=workers)
 
 
 def test_galerkin_orthogonality_residual():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 2), 2)
     poisson.solve_problem(mesh, problem, tol=1e-13)
-    sys, _, _ = asm.assemble_system(mesh, problem.physics, problem.elem)
+    sys, _, _ = asm.assemble_system(mesh, problem.elem)
     x = np.empty(sys.ndof)
     for key, g in sys.index.items():
         nid, attr, comp, k = key
@@ -227,28 +240,10 @@ def test_dense_solver_reports_true_residual():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 1), 2)
     report = poisson.solve_problem(mesh, problem, solver="dense")
-    system, _, _ = asm.assemble_system(mesh, problem.physics, problem.elem)
+    system, _, _ = asm.assemble_system(mesh, problem.elem)
     x = np.zeros(system.ndof)
     for (nid, attr, comp, k), g in system.index.items():
         x[g] = mesh.NODES[nid].dofs[attr][k, comp]
     b = system.rhs
     true = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
     assert report.residual == true
-
-
-# ---------------------------------------------------------------------------
-# store_solution
-
-
-def test_store_solution_round_trip():
-    mesh, problem = _patch(grid=(2, 1, 1), order=2)
-    poisson.solve_problem(mesh, problem)
-    ref = cf.gather_solution(mesh, 1, 0)
-    asm.store_solution(mesh, 1, 0, ref)
-    assert np.allclose(cf.gather_solution(mesh, 1, 0), ref, atol=1e-14)
-
-
-def test_store_solution_shape_mismatch():
-    mesh, _ = _patch(order=2)
-    with pytest.raises(ConfigError):
-        asm.store_solution(mesh, 1, 0, np.zeros((5, 1)))

@@ -231,6 +231,20 @@ def test_menu_refine_rejects_garbage_id():
     assert st.mesh.NRELES == 1
 
 
+def test_menu_refine_rejects_invalid_element_ids():
+    st = state_for()
+    for bad in (0, 99999):
+        nodes = len(st.mesh.NODES)
+        out = run_menu(st, f"22\n{bad}\n0\n")
+        assert f"error: node {bad} is not an active element" in out
+        assert st.mesh.NRELES == 1 and len(st.mesh.NODES) == nodes
+    run_menu(st, f"22\n{st.mesh.ELEM_ORDER[0]}\n0\n")
+    nodes = len(st.mesh.NODES)
+    out = run_menu(st, "22\n-1\n0\n")    # -1 would index the newest node
+    assert "error: node -1 is not an active element" in out
+    assert st.mesh.NRELES == 8 and len(st.mesh.NODES) == nodes
+
+
 def test_menu_malformed_and_unknown_ids():
     st = state_for()
     out = run_menu(st, "abc\n99\n0\n")

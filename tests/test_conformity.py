@@ -200,7 +200,7 @@ def test_conforming_element_gives_identity():
     physics.set_trace(0)
     physics.set_trace(1)
     mesh = build(grid_geometry(1, 1, 1), physics)
-    mod = cf.modified_element(mesh, mesh.physics, 1)
+    mod = cf.modified_element(mesh, 1)
     n = mod.C.shape[0]
     assert mod.C.shape == (n, n)
     assert np.array_equal(mod.C, np.eye(n))
@@ -218,7 +218,7 @@ def test_hanging_face_rows_lowest_order():
                  galerkin_physics(), order=(1, 1, 1))
     refine_element(mesh, 1)
     son = mesh.NODES[1].sons[1]  # octant touching the shared face
-    mod = cf.modified_element(mesh, mesh.physics, son)
+    mod = cf.modified_element(mesh, son)
     nloc = mod.C.shape[0]
     assert nloc == 8 and mod.C.shape[1] < 2 * nloc
     sums = mod.C.sum(axis=1)
@@ -239,14 +239,14 @@ def test_two_level_hanging_is_rejected():
     refine_element(mesh, son)  # no closure: mesh is now 2-irregular
     with pytest.raises(IrregularityError):
         for mdle in mesh.ELEM_ORDER:
-            cf.modified_element(mesh, mesh.physics, mdle)
+            cf.modified_element(mesh, mdle)
 
 
 def test_dirichlet_values_flow_into_modified_element():
     mesh = build(grid_geometry(1, 1, 1), galerkin_physics())
     set_bcond(mesh, 0, 0, 0, 1)
-    cf.update_Ddof(mesh, mesh.physics, _linear_fn)
-    mod = cf.modified_element(mesh, mesh.physics, 1)
+    cf.update_Ddof(mesh, _linear_fn)
+    mod = cf.modified_element(mesh, 1)
     for i in np.flatnonzero(mod.dirichlet):
         nid, attr, comp, k = mod.dof_nodes[i]
         node = mesh.NODES[nid]
@@ -297,19 +297,6 @@ def test_gather_before_solve_raises():
         cf.gather_solution(mesh, 1, 0)
 
 
-def test_gather_disabled_attr_still_works():
-    mesh = build(grid_geometry(1, 1, 1), galerkin_physics(), order=(1, 1, 1))
-    mesh.physics.attrs[0].enabled = False
-    for nid in mesh.skeleton_in_use():
-        node = mesh.NODES[nid]
-        if node.kind == "VERTEX":
-            node.dofs = {0: np.array([[2.0 * node.coords[0]]])}
-    local = cf.gather_solution(mesh, 1, 0)
-    assert local.shape == (8, 1)
-    assert np.max(np.abs(local[:, 0] - 2.0 * mesh.vertex_coords(
-        mesh.NODES[1].elem_nodes[:8])[:, 0])) < 1e-13
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet data
 
@@ -317,7 +304,7 @@ def test_gather_disabled_attr_still_works():
 def test_ddof_linear_data_lands_on_vertices():
     mesh = build(grid_geometry(2, 2, 2), galerkin_physics())
     set_bcond(mesh, 0, 0, 0, 1)
-    cf.update_Ddof(mesh, mesh.physics, _linear_fn)
+    cf.update_Ddof(mesh, _linear_fn)
     for node in mesh.NODES[1:]:
         if not node.bcond or node.dofs is None:
             continue
@@ -333,7 +320,7 @@ def test_ddof_linear_data_lands_on_vertices():
 def test_ddof_quadratic_edge_projection_is_exact():
     mesh = build(grid_geometry(1, 1, 1), galerkin_physics())
     set_bcond(mesh, 0, 0, 0, 1)
-    cf.update_Ddof(mesh, mesh.physics, _quadratic_fn)
+    cf.update_Ddof(mesh, _quadratic_fn)
     checked = 0
     for node in mesh.NODES[1:]:
         if node.kind != "EDGE":
@@ -363,7 +350,7 @@ def test_ddof_face_projection_reproduces_biquadratic():
 
     mesh = build(grid_geometry(1, 1, 1), galerkin_physics(), order=(3, 3, 3))
     set_bcond(mesh, 0, 0, 0, 1)
-    cf.update_Ddof(mesh, mesh.physics, fn)
+    cf.update_Ddof(mesh, fn)
     # reconstruct on the z=0 face and compare pointwise
     fid = None
     for node in mesh.NODES[1:]:
@@ -405,7 +392,7 @@ def test_ddof_homogeneous_zeroes_without_data():
     physics.attrs[0].homogeneous_dirichlet = True
     mesh = build(grid_geometry(1, 1, 1), physics)
     set_bcond(mesh, 0, 0, 0, 1)
-    cf.update_Ddof(mesh, mesh.physics)  # no function needed
+    cf.update_Ddof(mesh)  # no function needed
     corner = mesh.NODES[1].elem_nodes[0]
     assert np.array_equal(mesh.NODES[corner].dofs[0], np.zeros((1, 1)))
 
@@ -414,14 +401,14 @@ def test_ddof_normal_trace_data_unsupported():
     mesh = build(grid_geometry(1, 1, 1), uw_physics())
     set_bcond(mesh, 0, 1, 0, 1)  # flux trace attribute
     with pytest.raises(ConfigError):
-        cf.update_Ddof(mesh, mesh.physics, _linear_fn)
+        cf.update_Ddof(mesh, _linear_fn)
 
 
 def test_ddof_requires_function_for_inhomogeneous_data():
     mesh = build(grid_geometry(1, 1, 1), galerkin_physics())
     set_bcond(mesh, 0, 0, 0, 1)
     with pytest.raises(ConfigError):
-        cf.update_Ddof(mesh, mesh.physics)
+        cf.update_Ddof(mesh)
 
 
 # ---------------------------------------------------------------------------

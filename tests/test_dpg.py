@@ -77,12 +77,8 @@ def test_tri_solve_examples():
 
 
 def test_condense_scalar_example():
-    sys = dpg.DpgElementSystem(
-        ntest=1, ntrial=1,
-        stiff_all=np.array([[2.0, 8.0]]),
-        gram=dpg.PackedSym.from_dense(np.array([[4.0]])),
-    )
-    cond = dpg.condense_dpg(sys)
+    cond = dpg.condense_dpg(np.array([[2.0, 8.0]]),
+                            dpg.PackedSym.from_dense(np.array([[4.0]])))
     assert cond.shape == (2, 2)
     assert abs(cond[0, 0] - 1.0) < 1e-14
     assert abs(cond[0, 1] - 4.0) < 1e-14
@@ -93,13 +89,8 @@ def test_condense_matches_saddle_oracle():
     B = rng.standard_normal((6, 3))
     ell = rng.standard_normal(6)
     G = random_spd(rng, 6)
-    sys = dpg.DpgElementSystem(
-        ntest=6, ntrial=3,
-        stiff_all=np.hstack([B, ell[:, None]]),
-        gram=dpg.PackedSym.from_dense(G),
-    )
-    cond = dpg.condense_dpg(sys)
     full = np.hstack([B, ell[:, None]])
+    cond = dpg.condense_dpg(full, dpg.PackedSym.from_dense(G))
     oracle = full.T @ np.linalg.solve(G, full)
     assert np.max(np.abs(cond - oracle)) < 1e-10
     assert np.array_equal(cond, cond.T)  # mirroring is exact
@@ -110,12 +101,9 @@ def test_condensed_blocks_are_psd():
     for _ in range(10):
         m = rng.integers(4, 12)
         n = rng.integers(1, m)
-        sys = dpg.DpgElementSystem(
-            ntest=int(m), ntrial=int(n),
-            stiff_all=rng.standard_normal((int(m), int(n) + 1)),
-            gram=dpg.PackedSym.from_dense(random_spd(rng, int(m))),
-        )
-        cond = dpg.condense_dpg(sys)
+        cond = dpg.condense_dpg(
+            rng.standard_normal((int(m), int(n) + 1)),
+            dpg.PackedSym.from_dense(random_spd(rng, int(m))))
         assert np.linalg.eigvalsh(cond[:n, :n]).min() >= -1e-12
 
 
@@ -130,13 +118,5 @@ def test_residual_vanishes_for_exact_trial():
 
 
 def test_inconsistent_shapes_rejected():
-    with pytest.raises(LinAlgError):
-        dpg.DpgElementSystem(
-            ntest=3, ntrial=3, stiff_all=np.zeros((3, 3)),
-            gram=dpg.PackedSym.from_dense(np.eye(3)),
-        )
-    with pytest.raises(LinAlgError):
-        dpg.DpgElementSystem(
-            ntest=3, ntrial=2, stiff_all=np.zeros((3, 3)),
-            gram=dpg.PackedSym.from_dense(np.eye(2)),
-        )
+    with pytest.raises(LinAlgError, match="rhs has 3 rows, factor has 2"):
+        dpg.condense_dpg(np.zeros((3, 3)), dpg.PackedSym.from_dense(np.eye(2)))

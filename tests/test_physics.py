@@ -54,6 +54,15 @@ def test_read_physics_out_of_order(tmp_path):
         ph.read_physics(path)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_read_physics_needs_an_attribute(tmp_path, count):
+    path = tmp_path / "physics"
+    path.write_text(f"100 x\n{count} x\nfield contin 1\nflux normal 1\n")
+    with pytest.raises(ConfigError, match=f"NR_PHYSA must be at least 1, "
+                                          f"got {count}"):
+        ph.read_physics(path)
+
+
 def test_read_physics_malformed(tmp_path):
     path = tmp_path / "physics"
     path.write_text("100 x\n2 x\na contin 1\n")

@@ -95,8 +95,7 @@ def test_galerkin_element_p1_frozen_values():
     problem.exact = poisson.ManufacturedSolution(
         "unit-load", u=lambda x: np.zeros(len(x)),
         grad=lambda x: np.zeros((len(x), 3)), f=lambda x: np.ones(len(x)))
-    bloc = poisson.elem_galerkin(mesh, 1, problem)
-    K, b = bloc.ALOC[0][0], bloc.BLOC[0]
+    K, b = poisson.elem_galerkin(mesh, 1, problem)
     assert K.shape == (8, 8)
     assert np.max(np.abs(K.sum(axis=1))) < 1e-13
     assert np.allclose(np.diag(K), 1.0 / 3.0, atol=1e-14)
@@ -108,7 +107,7 @@ def test_galerkin_element_symmetric():
     # stretch the element so the Jacobian is not the identity
     for v in mesh.NODES[1].elem_nodes[0:8]:
         mesh.NODES[v].coords = mesh.NODES[v].coords * np.array([2.0, 0.7, 1.3])
-    K = poisson.elem_galerkin(mesh, 1, problem).ALOC[0][0]
+    K, _ = poisson.elem_galerkin(mesh, 1, problem)
     assert np.max(np.abs(K - K.T)) < 1e-12
 
 
@@ -118,26 +117,17 @@ def test_galerkin_element_symmetric():
 
 def test_primal_blocks_symmetric():
     mesh, problem = make("primal", order=2)
-    bloc = poisson.elem_primal_dpg(mesh, 1, problem)
-    assert np.array_equal(bloc.ALOC[0][1], bloc.ALOC[1][0].T)
-    assert np.max(np.abs(bloc.ALOC[0][0] - bloc.ALOC[0][0].T)) < 1e-12
+    K, _ = poisson.elem_primal_dpg(mesh, 1, problem)
+    assert np.array_equal(K, K.T)
 
 
 def test_primal_condensation_matches_saddle_oracle():
     mesh, problem = make("primal", exact="smooth", order=2)
-    stiff_all, G = poisson._primal_system(mesh, 1, problem)[:2]
+    stiff_all, G = poisson._primal_system(mesh, 1, problem)
     brute = stiff_all.T @ np.linalg.solve(G, stiff_all)
-    bloc = poisson.elem_primal_dpg(mesh, 1, problem)
-    nu = bloc.ALOC[0][0].shape[0]
-    ns = bloc.ALOC[1][1].shape[0]
-    cond = np.zeros((nu + ns, nu + ns + 1))
-    cond[:nu, :nu] = bloc.ALOC[0][0]
-    cond[:nu, nu:nu + ns] = bloc.ALOC[0][1]
-    cond[nu:, :nu] = bloc.ALOC[1][0]
-    cond[nu:, nu:nu + ns] = bloc.ALOC[1][1]
-    cond[:nu, -1] = bloc.BLOC[0]
-    cond[nu:, -1] = bloc.BLOC[1]
-    assert np.max(np.abs(cond - brute[:nu + ns, :])) < 1e-10
+    K, b = poisson.elem_primal_dpg(mesh, 1, problem)
+    n = K.shape[0]
+    assert np.max(np.abs(np.column_stack([K, b]) - brute[:n, :])) < 1e-10
 
 
 def test_primal_requires_test_space_domination():
@@ -173,10 +163,16 @@ def test_primal_patch_irregular_mesh():
 
 def test_uw_test_space_count_frozen():
     mesh, problem = make("uw", order=1)  # stored middle order 2
-    stiff_all, G, sizes = poisson._uw_system(mesh, 1, problem)
+    stiff_all, G = poisson._uw_system(mesh, 1, problem)
+    norder = element_info(mesh, 1)[0]
+    sizes = tuple(
+        int(me.layout_counts(a.fe_space, norder,
+                             include_middle=not a.is_trace).sum()) * a.ncomp
+        for a in problem.physics.attrs)
     assert stiff_all.shape[0] == 64 + 108
     assert G.shape == (172, 172)
     assert sizes == (26, 24, 8, 24)
+    assert stiff_all.shape == (172, 83)
 
 
 def test_uw_gram_spd_up_to_p3():
@@ -184,7 +180,7 @@ def test_uw_gram_spd_up_to_p3():
         problem = poisson.make_problem("uw")
         mesh = poisson.make_mesh(
             problem, grid_geometry(1, 1, 1, lengths=(1.4, 0.8, 1.1)), p)
-        _, G, _ = poisson._uw_system(mesh, 1, problem)
+        _, G = poisson._uw_system(mesh, 1, problem)
         dpg.packed_cholesky(dpg.PackedSym.from_dense(G))  # must not raise
 
 
@@ -235,10 +231,8 @@ def test_uw_patch_irregular_mesh():
 
 def test_uw_condensed_blocks_symmetric():
     mesh, problem = make("uw", order=1)
-    bloc = poisson.elem_uw_dpg(mesh, 1, problem)
-    for i in range(4):
-        for j in range(4):
-            assert np.array_equal(bloc.ALOC[i][j], bloc.ALOC[j][i].T)
+    K, _ = poisson.elem_uw_dpg(mesh, 1, problem)
+    assert np.array_equal(K, K.T)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +271,7 @@ def test_error_of_zero_solution_is_solution_norm():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 2), 1)
     problem.physics.attrs[0].homogeneous_dirichlet = True
-    cf.update_Ddof(mesh, problem.physics)
+    cf.update_Ddof(mesh)
     poisson.solve_problem(mesh, poisson.Problem(
         "galerkin", problem.physics, None))  # f=0 -> u_h = 0
     problem.physics.attrs[0].homogeneous_dirichlet = False
@@ -296,18 +290,3 @@ def test_h1_error_halves_with_mesh_size():
         errs.append(poisson.compute_exact_error(mesh, problem)[0])
     assert 1.5 < errs[0] / errs[1] < 2.6
 
-
-# ---------------------------------------------------------------------------
-# attribute flag plumbing
-
-
-def test_disable_reenable_is_bitwise_identical():
-    from hphex import assembly as asm
-    mesh, problem = make("primal", exact="smooth", grid=(2, 1, 1), order=2)
-    cf.update_Ddof(mesh, problem.physics, problem.dirichlet_fn())
-    s1, _, _ = asm.assemble_system(mesh, problem.physics, problem.elem)
-    problem.physics.attrs[1].enabled = False
-    problem.physics.attrs[1].enabled = True
-    s2, _, _ = asm.assemble_system(mesh, problem.physics, problem.elem)
-    assert np.array_equal(s1.matrix.data, s2.matrix.data)
-    assert np.array_equal(s1.rhs, s2.rhs)
