@@ -33,7 +33,7 @@ def grid2():
 
 
 def solution_at(mesh, mdle, xi):
-    norder, _, xnod, _ = element_info(mesh, mdle)
+    norder, xnod, _ = element_info(mesh, mdle)
     geom = gm.element_geometry(xnod, xi)
     shp = me.shape_functions_elem(me.H1, xi, norder)
     val, _ = gm.piola_transform(me.H1, shp, geom)
@@ -61,7 +61,7 @@ def main():
         target = np.array([0.5, t, t])
         vals = []
         for mdle in mesh.ELEM_ORDER:
-            _, _, xnod, _ = element_info(mesh, mdle)
+            _, xnod, _ = element_info(mesh, mdle)
             lo, hi = xnod.min(axis=0), xnod.max(axis=0)
             if ((lo - 1e-12 <= target).all() and (target <= hi + 1e-12).all()
                     and (np.isclose(lo[0], 0.5) or np.isclose(hi[0], 0.5))):

@@ -15,8 +15,7 @@ import numpy as np
 from . import conformity as cf
 from . import poisson
 from .errors import ConfigError, MeshError
-from .mesh import (ISO_KREF, check_one_irregularity, close_mesh, get_isoref,
-                   refine_element)
+from .mesh import check_one_irregularity, close_mesh, refine_element
 
 GREEDY = "greedy"
 DOERFLER = "doerfler"
@@ -62,9 +61,8 @@ class MarkingConfig:
             raise ConfigError(f"marking coefficient {self.perc} outside (0,1]")
 
 
-def mark_elements(errors: ErrorSummary, config: MarkingConfig,
-                  mesh=None) -> list:
-    """Elements to refine, as (mdle, kref) pairs.
+def mark_elements(errors: ErrorSummary, config: MarkingConfig) -> list:
+    """Ids of the elements to refine.
 
     Greedy marks every element whose indicator exceeds perc*error_max.
     Doerfler sorts indicators in descending order and takes the shortest
@@ -88,9 +86,7 @@ def mark_elements(errors: ErrorSummary, config: MarkingConfig,
         hits = np.flatnonzero(csum > target)
         take = hits[0] + 1 if hits.size else len(order)
         chosen = mdles[order[:take]]
-    if mesh is not None:
-        return [(int(m), get_isoref(mesh, int(m))) for m in chosen]
-    return [(int(m), ISO_KREF) for m in chosen]
+    return [int(m) for m in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +150,8 @@ def adaptive_loop(mesh, problem, marking: MarkingConfig, tol: float,
             on_step(mesh, problem, row, errors)
         if est <= tol or step == max_steps:
             break
-        for mdle, kref in mark_elements(errors, marking, mesh):
-            refine_element(mesh, mdle, kref)
+        for mdle in mark_elements(errors, marking):
+            refine_element(mesh, mdle)
         close_mesh(mesh)
         cf.update_gdof(mesh)
         cf.update_Ddof(mesh, problem.dirichlet_fn())

@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("-perc", dest="perc", type=float, default=0.5)
     ap.add_argument("-tol", dest="tol", type=float, default=0.0,
                     help="adaptive stopping tolerance on the estimator")
-    ap.add_argument("-maxsteps", dest="maxsteps", type=int, default=3)
+    ap.add_argument("-maxsteps", dest="maxsteps", type=int, default=3,
+                    help="levels of job 1, solves of job 2, at least 1")
     ap.add_argument("-paraview-dir", dest="paraview_dir", metavar="DIR")
     ap.add_argument("-vlevel", dest="vlevel", type=int, default=0)
     ap.add_argument("-solver", dest="solver", default="cg",
@@ -117,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv) -> RunConfig:
     ns = build_parser().parse_args(argv)
-    if ns.workers < 1:
-        raise ConfigError(f"-workers {ns.workers} must be at least 1")
+    for flag, value in (("-workers", ns.workers), ("-maxsteps", ns.maxsteps)):
+        if value < 1:
+            raise ConfigError(f"{flag} {value} must be at least 1")
     return RunConfig(**vars(ns))
 
 
@@ -250,7 +252,7 @@ def _dispatch(state: CliState, choice: int, inp, out):
             cf.update_Ddof(mesh, problem.dirichlet_fn())
             print(f"global h-refinement: NRELES={mesh.NRELES}", file=out)
         elif choice == 21:
-            msh.global_refinement(mesh, msh.PREF)
+            msh.global_pref(mesh)
             cf.update_gdof(mesh)
             cf.update_Ddof(mesh, problem.dirichlet_fn())
             print("global p-refinement: all orders raised by one", file=out)
@@ -310,7 +312,7 @@ def _menu_refine_one(state: CliState, inp, out):
     except ValueError:
         print(f"not a node id: {line!r}", file=out)
         return
-    msh.refine_element(state.mesh, mdle, msh.get_isoref(state.mesh, mdle))
+    msh.refine_element(state.mesh, mdle)
     msh.close_mesh(state.mesh)
     cf.update_gdof(state.mesh)
     cf.update_Ddof(state.mesh, state.problem.dirichlet_fn())

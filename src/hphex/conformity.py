@@ -281,7 +281,7 @@ def _child_order_for(mesh, nid):
 def scalar_slot_counts(mesh, mdle, space, interface_only=False):
     """[(node id, scalar dof count)] over the element's 27 slots."""
     from .mesh import element_info
-    norder, _, _, nodes = element_info(mesh, mdle)
+    norder, _, nodes = element_info(mesh, mdle)
     counts = me.layout_counts(space, norder,
                               include_middle=not interface_only)
     return [(nodes[s], int(counts[s])) for s in range(27)], norder

@@ -18,11 +18,8 @@ class MeshError(HphexError):
 
 
 class OrientationError(MeshError):
-    """Entity orientation other than 0 requested (unsupported)."""
-
-
-class RefinementError(MeshError):
-    """Unsupported refinement flag or refinement of an ineligible node."""
+    """Neighbours disagree on the direction of a shared edge or face:
+    only orientation 0 is supported."""
 
 
 class IrregularityError(MeshError):

@@ -36,7 +36,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import ConfigError, OrderError, OrientationError
+from .errors import ConfigError, OrderError
 
 MAXP = 9
 
@@ -520,11 +520,8 @@ _LEVI = [[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
          [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]]
 
 
-def shape_functions(space, xi, order, edge_orient=None, face_orient=None) -> ShapeSet:
-    """Uniform-order shape set with orientation flags (only 0 supported)."""
-    for flags, n, what in ((edge_orient, 12, "edge"), (face_orient, 6, "face")):
-        if flags is not None and any(int(o) != 0 for o in flags):
-            raise OrientationError(f"nonzero {what} orientation not supported")
+def shape_functions(space, xi, order) -> ShapeSet:
+    """Shape set at a uniform order triple."""
     return shape_functions_elem(space, xi, uniform_norder(order))
 
 

@@ -6,7 +6,7 @@ middle-node id doubles as the element id.  The first NRELIS slots are
 the initial elements' middle nodes, so initial element i has middle
 node i.
 
-h-refinement is isotropic only (kref=111).  Refining an element splits
+h-refinement is isotropic only.  Refining an element splits
 its edges into halves (with a midpoint vertex), its faces into
 quadrants (with four interior edges and a center vertex), and the
 interior into 8 octants (with 12 mid-plane faces, 6 axis edges through
@@ -31,14 +31,10 @@ from .errors import (
     MeshError,
     OrderError,
     OrientationError,
-    RefinementError,
 )
 from .geometry import element_geometry
 
 VERTEX, EDGE, FACE, MIDDLE = "VERTEX", "EDGE", "FACE", "MIDDLE"
-HREF, PREF, PUNREF = "HREF", "PREF", "PUNREF"
-MIN_RULE, MAX_RULE = "MIN", "MAX"
-ISO_KREF = 111
 
 # transverse (side) coordinates -> local edge, per axis
 _EDGE_BY_AXIS_SIDES = {}
@@ -71,8 +67,7 @@ class Node:
 
     __slots__ = (
         "id", "kind", "order", "active", "father", "sons", "interior",
-        "bcond", "coords", "verts", "edges", "elem_nodes", "bid", "bflags",
-        "dofs",
+        "bcond", "coords", "verts", "edges", "elem_nodes", "bid", "dofs",
     )
 
     def __init__(self, nid, kind, order=0, father=0):
@@ -89,21 +84,11 @@ class Node:
         self.edges = ()
         self.elem_nodes = ()
         self.bid = None
-        self.bflags = None
         self.dofs = None
 
     def __repr__(self):  # pragma: no cover - debugging aid
         state = "act" if self.active else "ref"
         return f"<Node {self.id} {self.kind} p={self.order} {state}>"
-
-
-@dataclass
-class InitialElement:
-    shape: str
-    nodes: list            # 27 ids: 8 vertices, 12 edges, 6 faces, middle
-    neighbors: list        # per face: element id (>0) or -boundary_id (<=0)
-    phys: tuple            # supported attribute indices
-    bcond: list            # [attr][comp] -> encoded 6-digit face mask
 
 
 @dataclass
@@ -175,17 +160,13 @@ class Mesh:
     def __init__(self, physics):
         self.physics = physics
         self.NODES = [None]
-        self.ELEMS = [None]
+        self.NRELIS = 0
         self.ELEM_ORDER = []
         self.NRELES = 0
         self.revision = 0
         self._skeleton_cache = (-1, None)
 
     # -- node table ---------------------------------------------------
-
-    @property
-    def NRELIS(self) -> int:
-        return len(self.ELEMS) - 1
 
     def element(self, mdle: int) -> Node:
         """The active middle node `mdle`; MeshError for any other id."""
@@ -236,39 +217,26 @@ class Mesh:
     # -- boundary conditions ---------------------------------------------
 
     def set_boundary_flag(self, boundary_id: int, attr: int, comp: int, flag: int):
-        from .physics import decode_bc, encode_bc  # deferred: physics is higher level
+        """Make one component Dirichlet (flag 1) or free (flag 0) on every
+        exterior face with this boundary id.
 
-        gcomp = self.physics.global_comp(attr, comp)
+        Bit `global_comp(attr, comp)` of an exterior face's `bcond` is the
+        boundary-condition record.  Vertex and edge masks are then
+        rederived as the OR over the exterior faces that hold them.
+        """
+        if flag not in (0, 1):
+            raise ConfigError(f"BC flag {flag} must be 0 (free) or 1 (Dirichlet)")
+        bit = 1 << self.physics.global_comp(attr, comp)
         for node in self.NODES[1:]:
-            if node.kind == FACE and node.bid == boundary_id:
-                node.bflags[gcomp] = flag
-        for iel in range(1, self.NRELIS + 1):
-            elem = self.ELEMS[iel]
-            for f in range(6):
-                if elem.neighbors[f] == -boundary_id:
-                    digits = decode_bc(elem.bcond[attr][comp])
-                    digits[f] = flag
-                    elem.bcond[attr][comp] = encode_bc(digits)
-        self.derive_dirichlet_masks()
-
-    def derive_dirichlet_masks(self):
-        for node in self.NODES[1:]:
-            if node.kind != MIDDLE:
+            if node.kind in (VERTEX, EDGE):
                 node.bcond = 0
-        for node in self.NODES[1:]:
-            if node.kind != FACE or node.bid is None:
+        for face in self.NODES[1:]:
+            if face.kind != FACE or face.bid is None:
                 continue
-            mask = 0
-            for c, flag in enumerate(node.bflags):
-                if flag == 1:
-                    mask |= 1 << c
-            if not mask:
-                continue
-            node.bcond |= mask
-            for v in node.verts:
-                self.NODES[v].bcond |= mask
-            for e in node.edges:
-                self.NODES[e].bcond |= mask
+            if face.bid == boundary_id:
+                face.bcond = face.bcond | bit if flag else face.bcond & ~bit
+            for nid in face.verts + face.edges:
+                self.NODES[nid].bcond |= face.bcond
         self._touch()
 
 
@@ -287,17 +255,8 @@ def generate_initial_mesh(geometry: GeometryFile, physics, initial_order,
     nrelis = len(geometry.elems)
     if nrelis < 1:
         raise MeshError("geometry defines no elements")
-    all_attrs = tuple(range(physics.nr_physa))
-
     for iel in range(1, nrelis + 1):
         mesh._new_node(MIDDLE, order=me.encode_order(px, py, pz))
-        mesh.ELEMS.append(InitialElement(
-            shape="BRIC",
-            nodes=[],
-            neighbors=[0] * 6,
-            phys=all_attrs,
-            bcond=[[0] * a.ncomp for a in physics.attrs],
-        ))
 
     vert_ids = []
     for xyz in geometry.points:
@@ -357,9 +316,7 @@ def generate_initial_mesh(geometry: GeometryFile, physics, initial_order,
                 hit[2].append((iel, f + 1))
                 lfaces.append(hit[1])
 
-        mid = mesh.NODES[iel]
-        mid.elem_nodes = tuple(gv + ledges + lfaces)
-        mesh.ELEMS[iel].nodes = list(mid.elem_nodes) + [iel]
+        mesh.NODES[iel].elem_nodes = tuple(gv + ledges + lfaces)
 
     listed = {(el, fc): bid for el, fc, bid in geometry.bfaces}
     for quad, fid, refs in face_map.values():
@@ -370,18 +327,12 @@ def generate_initial_mesh(geometry: GeometryFile, physics, initial_order,
                     f"interior face between elements {ela} and {elb} listed "
                     "as a boundary face"
                 )
-            mesh.ELEMS[ela].neighbors[fa - 1] = elb
-            mesh.ELEMS[elb].neighbors[fb - 1] = ela
         else:
-            (el, fc), = refs
-            bid = listed.pop((el, fc), 0)
-            mesh.ELEMS[el].neighbors[fc - 1] = -bid
-            fnode = mesh.NODES[fid]
-            fnode.bid = bid
-            fnode.bflags = np.zeros(physics.nrindex, dtype=np.int8)
+            mesh.NODES[fid].bid = listed.pop(refs[0], 0)
     if listed:
         raise MeshError(f"boundary faces not on the mesh boundary: {sorted(listed)}")
 
+    mesh.NRELIS = nrelis
     mesh.ELEM_ORDER = list(range(1, nrelis + 1))
     mesh.NRELES = nrelis
     mesh._touch()
@@ -453,14 +404,11 @@ def _refine_face(mesh: Mesh, fid: int):
         q = mesh._new_node(FACE, order=face.order, father=fid)
         q.verts = verts
         q.edges = edges
+        q.bid = face.bid
         quad_ids.append(q.id)
 
     for nid in quad_ids + [ie1lo, ie1hi, ie2lo, ie2hi, X]:
-        son = mesh.NODES[nid]
-        son.bcond = face.bcond
-        if son.kind == FACE:
-            son.bid = face.bid
-            son.bflags = None if face.bflags is None else face.bflags.copy()
+        mesh.NODES[nid].bcond = face.bcond
     face.sons = quad_ids + [ie1lo, ie1hi, ie2lo, ie2hi, X]
     face.active = False
 
@@ -584,9 +532,8 @@ def _refine_middle(mesh: Mesh, mdle: int):
     node.active = False
 
 
-def refine_element(mesh: Mesh, mdle: int, kref: int = ISO_KREF):
-    if kref != ISO_KREF:
-        raise RefinementError(f"refinement flag {kref} unsupported; only 111")
+def refine_element(mesh: Mesh, mdle: int):
+    """Split the active element `mdle` into 8 octants."""
     node = mesh.element(mdle)
     for eid in node.elem_nodes[8:20]:
         _refine_edge(mesh, eid)
@@ -595,11 +542,6 @@ def refine_element(mesh: Mesh, mdle: int, kref: int = ISO_KREF):
     _refine_middle(mesh, mdle)
     mesh._touch()
     traverse_active(mesh)
-
-
-def get_isoref(mesh: Mesh, mdle: int) -> int:
-    mesh.element(mdle)
-    return ISO_KREF
 
 
 def traverse_active(mesh: Mesh) -> list:
@@ -642,7 +584,7 @@ def close_mesh(mesh: Mesh):
             return
         for m in marked:
             if mesh.NODES[m].active:
-                refine_element(mesh, m, ISO_KREF)
+                refine_element(mesh, m)
 
 
 def check_one_irregularity(mesh: Mesh) -> bool:
@@ -652,54 +594,47 @@ def check_one_irregularity(mesh: Mesh) -> bool:
 # ---------------------------------------------------------------------------
 # p-refinement
 
-def _iter_real_nodes(mesh):
+def global_pref(mesh: Mesh):
+    """Raise every edge, face and middle order by one.
+
+    OrderError, with no node changed, if an order would pass MAXP.
+    """
     for node in mesh.NODES[1:]:
-        if node is not None:
-            yield node
-
-
-def global_refinement(mesh: Mesh, kind: str):
-    if kind == HREF:
-        for m in list(traverse_active(mesh)):
-            refine_element(mesh, m, ISO_KREF)
-        return
-    if kind not in (PREF, PUNREF):
-        raise ConfigError(f"unknown global refinement kind {kind!r}")
-    step = 1 if kind == PREF else -1
-    for node in _iter_real_nodes(mesh):
         if node.kind == EDGE:
-            if not 1 <= node.order + step <= me.MAXP:
-                raise OrderError(f"edge {node.id}: order {node.order + step} "
-                                 f"outside [1,{me.MAXP}]")
+            orders = (node.order,)
         elif node.kind == FACE:
-            for q in me.decode_face_order(node.order):
-                if not 1 <= q + step <= me.MAXP:
-                    raise OrderError(f"face {node.id}: order outside [1,{me.MAXP}]")
+            orders = me.decode_face_order(node.order)
         elif node.kind == MIDDLE:
-            for q in me.decode_order(node.order):
-                if not 1 <= q + step <= me.MAXP:
-                    raise OrderError(f"middle {node.id}: order outside [1,{me.MAXP}]")
-    for node in _iter_real_nodes(mesh):
+            orders = me.decode_order(node.order)
+        else:
+            continue
+        if max(orders) >= me.MAXP:
+            raise OrderError(f"{node.kind.lower()} {node.id}: order "
+                             f"{max(orders) + 1} outside [1,{me.MAXP}]")
+    for node in mesh.NODES[1:]:
         if node.kind == EDGE:
-            node.order += step
+            node.order += 1
         elif node.kind == FACE:
             p1, p2 = me.decode_face_order(node.order)
-            node.order = me.encode_face_order(p1 + step, p2 + step)
+            node.order = me.encode_face_order(p1 + 1, p2 + 1)
         elif node.kind == MIDDLE:
             px, py, pz = me.decode_order(node.order)
-            node.order = me.encode_order(px + step, py + step, pz + step)
+            node.order = me.encode_order(px + 1, py + 1, pz + 1)
         node.dofs = None
     mesh._touch()
 
 
-def adaptive_pref(mesh: Mesh, targets, rule: str = MIN_RULE):
-    """Set middle orders, then re-balance face and edge orders by min/max rule."""
-    if rule not in (MIN_RULE, MAX_RULE):
-        raise ConfigError(f"unknown order rule {rule!r}")
-    agg = min if rule == MIN_RULE else max
-    for mdle, want in targets:
-        node = mesh.element(mdle)
-        px, py, pz = me.check_order_triple(want)
+def adaptive_pref(mesh: Mesh, targets):
+    """Set middle orders, then give each face and edge the minimum order
+    that the active elements sharing it ask for.
+
+    `targets` holds (mdle, (px, py, pz)) pairs.  Every pair is checked
+    before any node changes: MeshError for an id that is not an active
+    element, OrderError for an order outside [1, MAXP].
+    """
+    checked = [(mesh.element(mdle), me.check_order_triple(want))
+               for mdle, want in targets]
+    for node, (px, py, pz) in checked:
         node.order = me.encode_order(px, py, pz)
         node.dofs = None
 
@@ -714,7 +649,7 @@ def adaptive_pref(mesh: Mesh, targets, rule: str = MIN_RULE):
             )
     for fid, pairs in face_contrib.items():
         fnode = mesh.NODES[fid]
-        new = me.encode_face_order(agg(q[0] for q in pairs), agg(q[1] for q in pairs))
+        new = me.encode_face_order(min(q[0] for q in pairs), min(q[1] for q in pairs))
         if new != fnode.order:
             fnode.order = new
             fnode.dofs = None
@@ -731,7 +666,7 @@ def adaptive_pref(mesh: Mesh, targets, rule: str = MIN_RULE):
                 )
     for eid, ps in edge_contrib.items():
         enode = mesh.NODES[eid]
-        new = agg(ps)
+        new = min(ps)
         if new != enode.order:
             enode.order = new
             enode.dofs = None
@@ -782,26 +717,25 @@ def _push_orders_to_constrained_sons(mesh: Mesh):
                     queue.append(eid)
 
 
-def execute_pref(mesh: Mesh, mdles, rule: str = MIN_RULE):
+def execute_pref(mesh: Mesh, mdles):
     """Isotropic p-refinement of the listed elements by one order."""
     targets = []
     for m in mdles:
-        px, py, pz = me.decode_order(mesh.NODES[m].order)
+        px, py, pz = me.decode_order(mesh.element(m).order)
         targets.append((m, (px + 1, py + 1, pz + 1)))
-    adaptive_pref(mesh, targets, rule=rule)
+    adaptive_pref(mesh, targets)
 
 
 def element_info(mesh: Mesh, mdle: int):
     """Snapshot for element computation.
 
-    Returns (norder, orientations, xnod, node_list): 19 orders (12 edge,
-    6 face, middle), 18 orientation flags (all zero), the 8 vertex
-    coordinates, and the 27 node ids.
+    Returns (norder, xnod, node_list): 19 orders (12 edge, 6 face,
+    middle), the 8 vertex coordinates, and the 27 node ids.  Every
+    entity has orientation 0, so none is returned.
     """
     node = mesh.element(mdle)
     norder = [mesh.NODES[eid].order for eid in node.elem_nodes[8:20]]
     norder += [mesh.NODES[fid].order for fid in node.elem_nodes[20:26]]
     norder.append(node.order)
-    orientations = [0] * 18
     xnod = mesh.vertex_coords(node.elem_nodes[0:8])
-    return norder, orientations, xnod, list(node.elem_nodes) + [mdle]
+    return norder, xnod, list(node.elem_nodes) + [mdle]

@@ -1,4 +1,4 @@
-"""Physics attributes, global parameters, BC encoding, and input-file parsers.
+"""Physics attributes, global parameters, boundary flags, and input-file parsers.
 
 A problem is described by a list of physics attributes, each living in
 one space of the exact sequence and carrying one or more components.
@@ -56,7 +56,6 @@ class PhysicsTable:
         for a in self.attrs:
             self._offsets.append(off)
             off += a.ncomp
-        self.nrindex = off
 
     @property
     def nr_physa(self) -> int:
@@ -76,14 +75,14 @@ class PhysicsTable:
             raise ConfigError(f"component {comp} out of range for attribute {attr}")
         return self._offsets[attr] + comp
 
-    def set_trace(self, attr: int, flag: bool = True):
+    def set_trace(self, attr: int):
         a = self.attrs[attr]
-        if flag and a.space == DISCON:
+        if a.space == DISCON:
             raise ConfigError(
                 f"attribute {a.nick!r}: traces of discontinuous variables "
                 "are not defined"
             )
-        a.is_trace = flag
+        a.is_trace = True
 
 
 @dataclass
@@ -188,38 +187,10 @@ def read_physics(path) -> PhysicsTable:
     return PhysicsTable(attrs)
 
 
-def encode_bc(face_flags) -> int:
-    """Pack 6 per-face BC digits base-10; face 1 is the least significant digit."""
-    flags = list(face_flags)
-    if len(flags) != 6:
-        raise ConfigError("encode_bc expects 6 face flags")
-    code = 0
-    for f in range(5, -1, -1):
-        d = int(flags[f])
-        if not 0 <= d <= 9:
-            raise ConfigError(f"BC digit {d} outside 0..9")
-        code = code * 10 + d
-    return code
-
-
-def decode_bc(code: int) -> list[int]:
-    if code < 0 or code > 999999:
-        raise ConfigError(f"BC code {code} outside 0..999999")
-    out = []
-    for _ in range(6):
-        out.append(code % 10)
-        code //= 10
-    return out
-
-
 def set_bcond(mesh, boundary_id: int, attr: int, comp: int, flag: int):
-    """Apply a BC flag to every exterior face matching a boundary id.
+    """Make one component Dirichlet (flag 1) or free (flag 0) on every
+    exterior face with a boundary id; ConfigError for any other flag.
 
-    Flag 1 marks the component Dirichlet; flags 2..9 are stored verbatim
-    and treated as free by assembly.  Node-level Dirichlet masks are
-    rederived afterwards.
+    Vertex and edge Dirichlet masks are rederived afterwards.
     """
-    if not 0 <= flag <= 9:
-        raise ConfigError(f"BC flag {flag} outside 0..9")
-    mesh.physics.global_comp(attr, comp)  # validates indices
     mesh.set_boundary_flag(boundary_id, attr, comp, flag)

@@ -28,7 +28,7 @@ from . import conformity as cf
 from . import dpg
 from . import geometry as gm
 from . import masterel as me
-from .errors import ConfigError
+from .errors import ConfigError, OrderError
 from .mesh import element_info, generate_initial_mesh
 from .physics import PhysicsAttr, PhysicsTable
 
@@ -208,12 +208,17 @@ def make_mesh(problem: Problem, geometry, order):
     For the ultraweak problem the stored element order is the requested
     order plus one: the L2 spaces of the exact sequence live one degree
     below the H1 space on the same node, so the shift makes "order p"
-    mean degree-p field variables for every kind.
+    mean degree-p field variables for every kind, and p is at most
+    MAXP - 1.
     """
     if np.isscalar(order) and 1 <= int(order) <= me.MAXP:
         order = (int(order),) * 3
     px, py, pz = me.check_order_triple(order)
     if problem.kind == UW:
+        if max(px, py, pz) == me.MAXP:
+            raise OrderError(
+                f"ultraweak order p={me.MAXP} exceeds {me.MAXP - 1}: the "
+                f"element stores p+1, and orders stop at {me.MAXP}")
         px, py, pz = px + 1, py + 1, pz + 1
     order = (px, py, pz)
     bids = {0} | {int(b) for _, _, b in geometry.bfaces}
@@ -267,7 +272,7 @@ def _interface(shapes: me.ShapeSet) -> np.ndarray:
 
 def elem_galerkin(mesh, mdle: int, problem: Problem):
     """(grad u, grad v) and (f, v) for the continuous Galerkin field."""
-    norder, _, xnod, _ = element_info(mesh, mdle)
+    norder, xnod, _ = element_info(mesh, mdle)
     qx, qy, qz = _axis_orders(norder)
     rule = me.gauss_quadrature_3d((qx + 1, qy + 1, qz + 1))
     geom = gm.element_geometry(xnod, rule.points)
@@ -290,7 +295,7 @@ def _face_rule(f: int, orders, extra: int):
 def _primal_system(mesh, mdle: int, problem: Problem):
     """Extended stiffness [B | Bhat | l] and Gram matrix."""
     dp = problem.dp
-    norder, _, xnod, _ = element_info(mesh, mdle)
+    norder, xnod, _ = element_info(mesh, mdle)
     norder_enr = _enriched_norder(norder, dp)
     q = _axis_orders(norder)
     rule = me.gauss_quadrature_3d(tuple(qa + dp + 1 for qa in q))
@@ -348,7 +353,7 @@ def elem_primal_dpg(mesh, mdle: int, problem: Problem):
 def _uw_system(mesh, mdle: int, problem: Problem):
     """Extended stiffness [B | Bhat | l] and Gram matrix."""
     dp = problem.dp
-    norder, _, xnod, _ = element_info(mesh, mdle)
+    norder, xnod, _ = element_info(mesh, mdle)
     norder_enr = _enriched_norder(norder, dp)
     q = _axis_orders(norder)
     rule = me.gauss_quadrature_3d(tuple(qa + dp + 1 for qa in q))
@@ -473,7 +478,7 @@ def compute_exact_error(mesh, problem: Problem):
     e_grad2 = 0.0
     e_l22 = 0.0
     for mdle in mesh.ELEM_ORDER:
-        norder, _, xnod, _ = element_info(mesh, mdle)
+        norder, xnod, _ = element_info(mesh, mdle)
         q = _axis_orders(norder)
         rule = me.gauss_quadrature_3d(tuple(qa + 2 for qa in q))
         geom = gm.element_geometry(xnod, rule.points)

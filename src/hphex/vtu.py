@@ -69,7 +69,7 @@ def _evaluate_attr(mesh, mdle, attr, pts, geom):
     physics = mesh.physics
     a = physics.attrs[attr]
     space = a.fe_space
-    norder, _, _, _ = element_info(mesh, mdle)
+    norder = element_info(mesh, mdle)[0]
     shapes = me.shape_functions_elem(space, pts, norder)
     val, _ = gm.piola_transform(space, shapes, geom)
     coef = cf.gather_solution(mesh, mdle, attr)
@@ -102,7 +102,7 @@ def export_vtu(mesh, config: ParaviewConfig, basename: str) -> str:
     data = {(attr, c): (f"{physics.attrs[attr].nick}_{c}", [])
             for attr in attrs for c in range(physics.attrs[attr].ncomp)}
     for mdle in mesh.ELEM_ORDER:
-        _, _, xnod, _ = element_info(mesh, mdle)
+        _, xnod, _ = element_info(mesh, mdle)
         geom = gm.element_geometry(xnod, pts)
         coords.append(geom.x)
         for attr in attrs:

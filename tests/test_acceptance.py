@@ -35,7 +35,7 @@ def report(cid, label, ok, detail, started, budget):
 
 def eval_h1_at(mesh, mdle, pts):
     """Values of the first H1 attribute at master points of one element."""
-    norder, _, xnod, _ = element_info(mesh, mdle)
+    norder, xnod, _ = element_info(mesh, mdle)
     geom = gm.element_geometry(xnod, pts)
     shp = me.shape_functions_elem(me.H1, pts, norder)
     val, _ = gm.piola_transform(me.H1, shp, geom)
@@ -44,7 +44,7 @@ def eval_h1_at(mesh, mdle, pts):
 
 def eval_uw_at(mesh, mdle, pts):
     """(x, u, sigma) of the ultraweak field variables at master points."""
-    norder, _, xnod, _ = element_info(mesh, mdle)
+    norder, xnod, _ = element_info(mesh, mdle)
     geom = gm.element_geometry(xnod, pts)
     shp = me.shape_functions_elem(me.L2, pts, norder)
     val, _ = gm.piola_transform(me.L2, shp, geom)
@@ -63,7 +63,7 @@ def irregular_two_block(problem, order):
     """Two-element block with the left element refined once."""
     mesh = po.make_mesh(problem, grid_geometry(2, 1, 1, lengths=(2, 1, 1)),
                         order)
-    refine_element(mesh, mesh.ELEM_ORDER[0], 111)
+    refine_element(mesh, mesh.ELEM_ORDER[0])
     close_mesh(mesh)
     cf.update_gdof(mesh)
     cf.update_Ddof(mesh, problem.dirichlet_fn())
@@ -275,7 +275,7 @@ def test_c07_hanging_node_conformity():
 
     boxes = {}
     for m in mesh.ELEM_ORDER:
-        _, _, xnod, _ = element_info(mesh, m)
+        _, xnod, _ = element_info(mesh, m)
         boxes[m] = (xnod.min(axis=0), xnod.max(axis=0))
 
     def value_from_side(x, side):
@@ -283,7 +283,7 @@ def test_c07_hanging_node_conformity():
             touch = math.isclose(hi[0], 1.0) if side == "left" \
                 else math.isclose(lo[0], 1.0)
             if touch and (lo - 1e-12 <= x).all() and (x <= hi + 1e-12).all():
-                norder, _, xnod, _ = element_info(mesh, m)
+                norder, xnod, _ = element_info(mesh, m)
                 xi = np.atleast_2d((x - lo) / (hi - lo))
                 geom = gm.element_geometry(xnod, xi)
                 shp = me.shape_functions_elem(me.H1, xi, norder)
@@ -316,15 +316,15 @@ def test_c08_marking_oracles():
         perc = float(rng.uniform(0.05, 0.95))
         errors = adapt.ErrorSummary(mdles, vals)
 
-        got = {m for m, _ in adapt.mark_elements(
-            errors, adapt.MarkingConfig(adapt.GREEDY, perc))}
+        got = set(adapt.mark_elements(
+            errors, adapt.MarkingConfig(adapt.GREEDY, perc)))
         want = {m for m, v in zip(mdles, vals) if v > perc * vals.max()}
         if got != want:
             bad += 1
             continue
 
-        marked = [m for m, _ in adapt.mark_elements(
-            errors, adapt.MarkingConfig(adapt.DOERFLER, perc))]
+        marked = adapt.mark_elements(
+            errors, adapt.MarkingConfig(adapt.DOERFLER, perc))
         take = {m: v for m, v in zip(mdles, vals)}
         total = vals.sum()
         ssum = sum(take[m] for m in marked)
@@ -352,8 +352,8 @@ def test_c09_adaptive_boundary_layer():
 
     def on_step(mesh, problem, row, errors):
         if row.step == 1:
-            for mdle, _ in adapt.mark_elements(errors, marking, mesh):
-                _, _, xnod, _ = element_info(mesh, mdle)
+            for mdle in adapt.mark_elements(errors, marking):
+                _, xnod, _ = element_info(mesh, mdle)
                 step1_boxes.append((xnod[:, 0].min(), xnod[:, 0].max()))
 
     hist = adapt.adaptive_loop(mesh, problem, marking, tol=0.0, max_steps=5,
@@ -431,7 +431,7 @@ def test_c12_mesh_structure_fuzz():
         for _ in range(6):
             active = mesh.ELEM_ORDER
             if rng.integers(0, 3) < 2 and mesh.NRELES < 150:
-                refine_element(mesh, active[rng.integers(0, len(active))], 111)
+                refine_element(mesh, active[rng.integers(0, len(active))])
                 close_mesh(mesh)
             else:
                 picks = [active[i] for i in rng.choice(

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from hphex import cli, masterel, vtu
-from hphex.errors import ConfigError
+from hphex.errors import ConfigError, OrderError
 
 from conftest import grid_geometry
 
@@ -56,6 +56,25 @@ def test_workers_below_one_rejected(capsys):
         assert cli.run_main(argv("-job", "3", "-workers", n)) == 2
         assert "-workers" in capsys.readouterr().err
     assert "residual estimate" in cli.build_parser().format_help()
+
+
+def test_maxsteps_below_one_rejected(tmp_path, capsys):
+    for n in ("0", "-3"):
+        with pytest.raises(ConfigError, match="-maxsteps"):
+            cli.parse_args(["-maxsteps", n])
+        assert cli.run_main(argv("-job", "1", "-maxsteps", n,
+                                 "-paraview-dir", str(tmp_path))) == 2
+        assert "-maxsteps" in capsys.readouterr().err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+def test_uw_order_at_maxp_names_the_limit(capsys):
+    p = str(masterel.MAXP)
+    with pytest.raises(OrderError, match=f"p={p} exceeds {masterel.MAXP - 1}"):
+        state_for("-prob", "uw", "-p", p, phys="physics_uw")
+    assert cli.run_main(argv("-prob", "uw", "-p", p, "-job", "1",
+                             phys="physics_uw")) == 1
+    assert f"p={p} exceeds" in capsys.readouterr().err
 
 
 def test_missing_physics_flag_exits_2(capsys):

@@ -286,7 +286,7 @@ def test_gather_reproduces_linear_field_across_hanging_face():
             node.dofs = {0: np.array([[node.coords[0]]])}
     for mdle in mesh.ELEM_ORDER:
         local = cf.gather_solution(mesh, mdle, 0)
-        _, _, xnod, _ = element_info(mesh, mdle)
+        _, xnod, _ = element_info(mesh, mdle)
         assert local.shape == (8, 1)
         assert np.max(np.abs(local[:, 0] - xnod[:, 0])) < 1e-12
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hphex import masterel as me
-from hphex.errors import ConfigError, OrderError, OrientationError
+from hphex.errors import ConfigError, OrderError
 
 
 def test_gauss_1d_exactness():
@@ -263,14 +263,6 @@ def test_face_param_examples():
     assert np.allclose(dxidt[0], 0.0)
     with pytest.raises(ConfigError):
         me.face_param(7, [(0.0, 0.0)])
-
-
-def test_nonzero_orientation_rejected():
-    xi = np.array([[0.5, 0.5, 0.5]])
-    with pytest.raises(OrientationError):
-        me.shape_functions("H1", xi, (2, 2, 2), edge_orient=[1] + [0] * 11)
-    with pytest.raises(OrientationError):
-        me.shape_functions("HDIV", xi, (2, 2, 2), face_orient=[0, 0, 2, 0, 0, 0])
 
 
 def test_edge_tables_consistent():

@@ -3,7 +3,7 @@ import pytest
 
 from hphex import masterel as me
 from hphex import mesh as ms
-from hphex.errors import MeshError, OrderError, OrientationError, RefinementError
+from hphex.errors import MeshError, OrderError, OrientationError
 
 from conftest import galerkin_physics, grid_geometry
 
@@ -54,14 +54,13 @@ def test_two_element_entity_sharing(two_block_geo):
     assert got["FACE"] == 11
     assert got["MIDDLE"] == 2
     # middle ids coincide with element indices
-    assert mesh.ELEMS[1].nodes[-1] == 1
-    assert mesh.ELEMS[2].nodes[-1] == 2
+    assert mesh.NODES[1].kind == "MIDDLE"
+    assert mesh.NODES[2].kind == "MIDDLE"
     # the shared face is the same node in both elements
     f1 = mesh.NODES[1].elem_nodes[20 + 3]  # face 4 of element 1 (x = max)
     f2 = mesh.NODES[2].elem_nodes[20 + 5]  # face 6 of element 2 (x = min)
     assert f1 == f2
-    assert mesh.ELEMS[1].neighbors[3] == 2
-    assert mesh.ELEMS[2].neighbors[5] == 1
+    assert mesh.NODES[f1].bid is None   # interior, not a boundary face
 
 
 def test_structured_grid_counts():
@@ -111,7 +110,7 @@ def test_interior_face_listed_rejected(two_block_geo):
 def test_boundary_ids_assigned(two_block_geo):
     geo = ms.GeometryFile(two_block_geo.points, two_block_geo.elems, [(1, 6, 2)])
     mesh = ms.generate_initial_mesh(geo, galerkin_physics(), (1, 1, 1))
-    assert mesh.ELEMS[1].neighbors[5] == -2
+    assert mesh.NODES[mesh.NODES[1].elem_nodes[20 + 5]].bid == 2
     assert len(mesh.boundary_faces(2)) == 1
     assert len(mesh.boundary_faces()) == 10
 
@@ -227,21 +226,11 @@ def test_refine_twice_counts():
 
 def test_refine_errors():
     mesh = build()
-    with pytest.raises(RefinementError):
-        ms.refine_element(mesh, 1, kref=110)
     ms.refine_element(mesh, 1)
     with pytest.raises(MeshError):
         ms.refine_element(mesh, 1)  # now inactive
     with pytest.raises(MeshError):
         ms.refine_element(mesh, mesh.NODES[1].elem_nodes[0])  # a vertex
-
-
-def test_get_isoref():
-    mesh = build()
-    assert ms.get_isoref(mesh, 1) == 111
-    assert ms.get_isoref(mesh, 1) == 111
-    with pytest.raises(MeshError):
-        ms.get_isoref(mesh, mesh.NODES[1].elem_nodes[8])
 
 
 def test_node_ids_and_coords_stable_under_refinement():
@@ -259,7 +248,7 @@ def test_son_geometry_is_trilinear_subdivision():
     mesh = build()
     ms.refine_element(mesh, 1)
     sons = mesh.NODES[1].sons
-    norder, orients, xnod, nodes = ms.element_info(mesh, sons[0])
+    norder, xnod, nodes = ms.element_info(mesh, sons[0])
     assert xnod.min() == 0.0 and xnod.max() == 0.5
     assert np.allclose(sorted(map(tuple, xnod)), sorted(map(tuple, 0.5 * me.VERT_COORDS)))
     # the element center vertex is a corner of every octant
@@ -324,7 +313,8 @@ def test_close_mesh_two_levels(two_block_geo):
 
 def test_close_mesh_noop_on_uniform():
     mesh = build(2, 2, 1)
-    ms.global_refinement(mesh, ms.HREF)
+    for m in list(mesh.ELEM_ORDER):
+        ms.refine_element(mesh, m)
     before = mesh.NRELES
     ms.close_mesh(mesh)
     assert mesh.NRELES == before
@@ -382,7 +372,7 @@ def test_random_refinement_sequences_stay_consistent():
 
 def test_global_pref_punref():
     mesh = build(2, 1, 1)
-    ms.global_refinement(mesh, ms.PREF)
+    ms.global_pref(mesh)
     for node in mesh.NODES[1:]:
         if node.kind == "EDGE":
             assert node.order == 3
@@ -390,40 +380,33 @@ def test_global_pref_punref():
             assert node.order == 33
         elif node.kind == "MIDDLE":
             assert node.order == 333
-    ms.global_refinement(mesh, ms.PUNREF)
-    assert mesh.NODES[1].order == 222
-    ms.global_refinement(mesh, ms.PUNREF)
-    with pytest.raises(OrderError):
-        ms.global_refinement(mesh, ms.PUNREF)
 
 
 def test_global_pref_at_ceiling():
     mesh = build(1, 1, 1, order=(9, 9, 9))
     with pytest.raises(OrderError):
-        ms.global_refinement(mesh, ms.PREF)
+        ms.global_pref(mesh)
 
 
 def test_adaptive_pref_min_max(two_block_geo):
-    for rule, expect_face, expect_edge in ((ms.MIN_RULE, 22, 2),
-                                           (ms.MAX_RULE, 33, 3)):
-        mesh = ms.generate_initial_mesh(two_block_geo, galerkin_physics(),
-                                        (2, 2, 2))
-        ms.adaptive_pref(mesh, [(2, (3, 3, 3))], rule=rule)
-        assert mesh.NODES[2].order == 333
-        assert mesh.NODES[1].order == 222
-        shared = mesh.NODES[1].elem_nodes[20 + 3]
-        assert mesh.NODES[shared].order == expect_face
-        for eid in mesh.NODES[shared].edges:
-            assert mesh.NODES[eid].order == expect_edge
-        # faces touching only the raised element follow it
-        back = mesh.NODES[2].elem_nodes[20 + 3]
-        assert mesh.NODES[back].order == 33
+    mesh = ms.generate_initial_mesh(two_block_geo, galerkin_physics(),
+                                    (2, 2, 2))
+    ms.adaptive_pref(mesh, [(2, (3, 3, 3))])
+    assert mesh.NODES[2].order == 333
+    assert mesh.NODES[1].order == 222
+    shared = mesh.NODES[1].elem_nodes[20 + 3]
+    assert mesh.NODES[shared].order == 22
+    for eid in mesh.NODES[shared].edges:
+        assert mesh.NODES[eid].order == 2
+    # faces touching only the raised element follow it
+    back = mesh.NODES[2].elem_nodes[20 + 3]
+    assert mesh.NODES[back].order == 33
 
 
 def test_adaptive_pref_noop(two_block_geo):
     mesh = ms.generate_initial_mesh(two_block_geo, galerkin_physics(), (2, 2, 2))
     orders = {n.id: n.order for n in mesh.NODES[1:]}
-    ms.adaptive_pref(mesh, [(1, (2, 2, 2))], rule=ms.MIN_RULE)
+    ms.adaptive_pref(mesh, [(1, (2, 2, 2))])
     assert {n.id: n.order for n in mesh.NODES[1:]} == orders
 
 
@@ -436,7 +419,7 @@ def test_adaptive_pref_keeps_constrained_sons_dominant(two_block_geo):
     parent = mesh.NODES[shared]
     assert parent.sons  # refined by the neighbor
     targets = [(m, (2, 2, 2)) for m in mesh.NODES[2].sons]
-    ms.adaptive_pref(mesh, targets, rule=ms.MIN_RULE)
+    ms.adaptive_pref(mesh, targets)
     assert parent.order == 33  # still driven by element 1
     for q in parent.sons[0:4]:
         assert mesh.NODES[q].order == 33
@@ -446,11 +429,48 @@ def test_adaptive_pref_keeps_constrained_sons_dominant(two_block_geo):
 
 def test_execute_pref(two_block_geo):
     mesh = ms.generate_initial_mesh(two_block_geo, galerkin_physics(), (2, 2, 2))
-    ms.execute_pref(mesh, [1, 2], rule=ms.MIN_RULE)
+    ms.execute_pref(mesh, [1, 2])
     assert mesh.NODES[1].order == 333
     assert mesh.NODES[2].order == 333
     shared = mesh.NODES[1].elem_nodes[20 + 3]
     assert mesh.NODES[shared].order == 33
+
+
+def _orders(mesh):
+    return {n.id: n.order for n in mesh.NODES[1:]}
+
+
+@pytest.mark.parametrize("targets, error", [
+    ([(1, (3, 3, 3)), (99999, (2, 2, 2))], MeshError),
+    ([(1, (3, 3, 3)), (0, (2, 2, 2))], MeshError),
+    ([(1, (3, 3, 3)), (3, (2, 2, 2))], MeshError),      # node 3 is a vertex
+    ([(1, (3, 3, 3)), (2, (12, 2, 2))], OrderError),
+    ([(1, (3, 3, 3)), (2, (2, 0, 2))], OrderError),
+])
+def test_adaptive_pref_checks_every_target_first(two_block_geo, targets, error):
+    mesh = ms.generate_initial_mesh(two_block_geo, galerkin_physics(), (2, 2, 2))
+    before = _orders(mesh)
+    with pytest.raises(error):
+        ms.adaptive_pref(mesh, targets)
+    assert _orders(mesh) == before
+
+
+@pytest.mark.parametrize("mdles", [[1, 0], [1, 99999], [1, -1]])
+def test_execute_pref_checks_every_id_first(two_block_geo, mdles):
+    mesh = ms.generate_initial_mesh(two_block_geo, galerkin_physics(), (2, 2, 2))
+    before = _orders(mesh)
+    with pytest.raises(MeshError):
+        ms.execute_pref(mesh, mdles)
+    assert _orders(mesh) == before
+
+
+def test_execute_pref_past_maxp_changes_nothing(two_block_geo):
+    mesh = ms.generate_initial_mesh(two_block_geo, galerkin_physics(), (2, 2, 2))
+    ms.adaptive_pref(mesh, [(2, (me.MAXP,) * 3)])
+    before = _orders(mesh)
+    with pytest.raises(OrderError):
+        ms.execute_pref(mesh, [1, 2])
+    assert _orders(mesh) == before
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +478,8 @@ def test_execute_pref(two_block_geo):
 
 def test_element_info_initial():
     mesh = build()
-    norder, orients, xnod, nodes = ms.element_info(mesh, 1)
+    norder, xnod, nodes = ms.element_info(mesh, 1)
     assert norder == [2] * 12 + [22] * 6 + [222]
-    assert orients == [0] * 18
     assert np.allclose(sorted(map(tuple, xnod)), sorted(map(tuple, me.VERT_COORDS)))
     assert len(nodes) == 27
     assert nodes[-1] == 1

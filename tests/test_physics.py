@@ -32,7 +32,7 @@ def test_read_physics_galerkin(tmp_path):
     assert table.attrs[0].nick == "field"
     assert table.attrs[0].space == "contin"
     assert table.attrs[0].fe_space == "H1"
-    assert table.nrindex == 1
+    assert table.nr_comp == [1]
 
 
 def test_read_physics_ultraweak(tmp_path):
@@ -42,7 +42,6 @@ def test_read_physics_ultraweak(tmp_path):
     assert table.nr_physa == 4
     assert [a.space for a in table.attrs] == ["contin", "normal", "discon", "discon"]
     assert table.nr_comp == [1, 1, 1, 3]
-    assert table.nrindex == 6
     assert table.comp_offset(3) == 3
     assert table.global_comp(3, 2) == 5
 
@@ -123,19 +122,6 @@ def test_read_control_unknown_key(tmp_path):
         ph.read_control(path)
 
 
-def test_encode_bc():
-    assert ph.encode_bc([1, 1, 1, 1, 1, 1]) == 111111
-    assert ph.encode_bc([0, 1, 0, 0, 1, 0]) == 10010
-    assert ph.encode_bc([0] * 6) == 0
-    assert ph.decode_bc(10010) == [0, 1, 0, 0, 1, 0]
-    for digits in ([1] * 6, [0, 1, 0, 0, 1, 0], [9, 0, 3, 0, 0, 5]):
-        assert ph.decode_bc(ph.encode_bc(digits)) == digits
-    with pytest.raises(ConfigError):
-        ph.encode_bc([10, 0, 0, 0, 0, 0])
-    with pytest.raises(ConfigError):
-        ph.encode_bc([1, 1, 1])
-
-
 def test_attr_validation():
     with pytest.raises(ConfigError):
         ph.PhysicsAttr("x", "sobolev", 1)
@@ -152,8 +138,9 @@ def test_attr_validation():
 def test_set_bcond_dirichlet_everywhere():
     mesh = generate_initial_mesh(grid_geometry(1, 1, 1), galerkin_physics(), (2, 2, 2))
     ph.set_bcond(mesh, 0, 0, 0, 1)
-    assert mesh.ELEMS[1].bcond[0][0] == 111111
     mdle = mesh.ELEM_ORDER[0]
+    for f in mesh.NODES[mdle].elem_nodes[20:26]:
+        assert mesh.NODES[f].bcond == 1
     for nid in mesh.NODES[mdle].elem_nodes:
         assert mesh.NODES[nid].bcond & 1  # all 26 boundary entities Dirichlet
 
@@ -161,14 +148,21 @@ def test_set_bcond_dirichlet_everywhere():
 def test_set_bcond_absent_id_is_noop():
     mesh = generate_initial_mesh(grid_geometry(1, 1, 1), galerkin_physics(), (2, 2, 2))
     ph.set_bcond(mesh, 7, 0, 0, 1)
-    assert mesh.ELEMS[1].bcond[0][0] == 0
     assert all(mesh.NODES[n].bcond == 0 for n in mesh.NODES[1].elem_nodes)
 
 
-def test_set_bcond_custom_flag_stored_but_free():
+def test_set_bcond_rejects_custom_flag():
     mesh = generate_initial_mesh(grid_geometry(1, 1, 1), galerkin_physics(), (2, 2, 2))
-    ph.set_bcond(mesh, 0, 0, 0, 3)
-    assert mesh.ELEMS[1].bcond[0][0] == 333333
+    with pytest.raises(ConfigError, match="BC flag 3"):
+        ph.set_bcond(mesh, 0, 0, 0, 3)
+    assert all(mesh.NODES[n].bcond == 0 for n in mesh.NODES[1].elem_nodes)
+
+
+def test_set_bcond_flag_zero_clears_every_mask():
+    mesh = generate_initial_mesh(grid_geometry(1, 1, 1), galerkin_physics(), (2, 2, 2))
+    ph.set_bcond(mesh, 0, 0, 0, 1)
+    assert all(mesh.NODES[n].bcond == 1 for n in mesh.NODES[1].elem_nodes)
+    ph.set_bcond(mesh, 0, 0, 0, 0)
     assert all(mesh.NODES[n].bcond == 0 for n in mesh.NODES[1].elem_nodes)
 
 
@@ -181,3 +175,17 @@ def test_set_bcond_per_component():
         ph.set_bcond(mesh, 0, 0, 3, 1)
     with pytest.raises(ConfigError):
         ph.set_bcond(mesh, 0, 9, 0, 1)
+
+
+def test_clearing_one_boundary_keeps_its_neighbours_masks():
+    geo = grid_geometry(1, 1, 1)
+    geo.bfaces.append((1, 1, 2))       # face 1 (z=0) gets boundary id 2
+    mesh = generate_initial_mesh(geo, galerkin_physics(), (2, 2, 2))
+    ph.set_bcond(mesh, 0, 0, 0, 1)
+    ph.set_bcond(mesh, 2, 0, 0, 1)
+    ph.set_bcond(mesh, 2, 0, 0, 0)
+    bottom = mesh.NODES[mesh.NODES[1].elem_nodes[20]]
+    assert bottom.bid == 2 and bottom.bcond == 0
+    # every edge and vertex of the bottom face lies on a side face too
+    for nid in bottom.verts + bottom.edges:
+        assert mesh.NODES[nid].bcond == 1

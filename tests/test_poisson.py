@@ -6,7 +6,7 @@ from hphex import dpg
 from hphex import geometry as gm
 from hphex import masterel as me
 from hphex import poisson
-from hphex.errors import ConfigError
+from hphex.errors import ConfigError, OrderError
 from hphex.mesh import close_mesh, element_info, refine_element
 
 from conftest import grid_geometry
@@ -26,7 +26,7 @@ def global_href(mesh):
 
 
 def eval_h1(mesh, mdle, attr, pts):
-    norder, _, xnod, _ = element_info(mesh, mdle)
+    norder, xnod, _ = element_info(mesh, mdle)
     geom = gm.element_geometry(xnod, pts)
     shp = me.shape_functions_elem(me.H1, pts, norder)
     val, _ = gm.piola_transform(me.H1, shp, geom)
@@ -37,7 +37,7 @@ def eval_h1(mesh, mdle, attr, pts):
 
 
 def eval_l2(mesh, mdle, attr, pts):
-    norder, _, xnod, _ = element_info(mesh, mdle)
+    norder, xnod, _ = element_info(mesh, mdle)
     geom = gm.element_geometry(xnod, pts)
     shp = me.shape_functions_elem(me.L2, pts, norder)
     val, _ = gm.piola_transform(me.L2, shp, geom)
@@ -200,7 +200,7 @@ def test_uw_patch_single_element():
 def test_uw_flux_trace_on_x_faces():
     mesh, problem = make("uw", exact="linear", order=1)
     poisson.solve_problem(mesh, problem)
-    norder, _, xnod, _ = element_info(mesh, 1)
+    norder, xnod, _ = element_info(mesh, 1)
     t = np.random.default_rng(4).random((20, 2))
     for face, sign in ((6, -1.0), (4, 1.0)):   # x=0 and x=1 faces
         xi, _ = me.face_param(face, t)
@@ -290,3 +290,12 @@ def test_h1_error_halves_with_mesh_size():
         errs.append(poisson.compute_exact_error(mesh, problem)[0])
     assert 1.5 < errs[0] / errs[1] < 2.6
 
+
+
+def test_uw_order_limit_is_maxp_minus_one():
+    problem = poisson.make_problem(poisson.UW, exact="smooth")
+    mesh = poisson.make_mesh(problem, grid_geometry(1, 1, 1), me.MAXP - 1)
+    assert me.decode_order(mesh.NODES[1].order) == (me.MAXP,) * 3
+    for order in (me.MAXP, (2, 2, me.MAXP)):
+        with pytest.raises(OrderError, match=f"p={me.MAXP} exceeds"):
+            poisson.make_mesh(problem, grid_geometry(1, 1, 1), order)

@@ -62,7 +62,7 @@ def test_point_data_matches_direct_evaluation(tmp_path):
         from hphex import masterel as me
         from hphex.mesh import element_info
         for iel, mdle in enumerate(mesh.ELEM_ORDER):
-            norder, _, xnod, _ = element_info(mesh, mdle)
+            norder, xnod, _ = element_info(mesh, mdle)
             geom = gm.element_geometry(xnod, pts)
             shp = me.shape_functions_elem(me.H1, pts, norder)
             val, _ = gm.piola_transform(me.H1, shp, geom)
