@@ -432,7 +432,7 @@ def _edge_projection(mesh, node, dirichlet_fn, comp_slots, attr, nc):
     vals, grads = dirichlet_fn(x)
     dvals, _ = dirichlet_fn(np.array([xa, xb]))
     tang = grads @ (xb - xa)
-    P, _ = me.legendre_shifted(p, t)
+    _, _, P, _ = me._axis_bases(p, t.tobytes())
     node.dofs = node.dofs or {}
     dofs = node.dofs.setdefault(attr, np.zeros((max(p - 1, 0), nc)))
     for comp in comp_slots:
@@ -462,8 +462,9 @@ def _face_projection(mesh, node, dirichlet_fn, comp_slots, attr, nc):
     g1 = (grads * dx1).sum(axis=1)
     g2 = (grads * dx2).sum(axis=1)
 
-    H1b, dH1b = me.h1_basis_1d(p1, t1)
-    H2b, dH2b = me.h1_basis_1d(p2, t2)
+    col1, col2 = t1.tobytes(), t2.tobytes()
+    H1b, dH1b, _, _ = me._axis_bases(p1, col1)
+    H2b, dH2b, _, _ = me._axis_bases(p2, col2)
 
     # lift: bilinear vertex part, then edge bubbles interpolated earlier
     cvals, _ = dirichlet_fn(corners)
@@ -495,8 +496,8 @@ def _face_projection(mesh, node, dirichlet_fn, comp_slots, attr, nc):
             if edofs is None:
                 continue
             pe = en.order
-            Hb1, dHb1 = me.h1_basis_1d(max(p1, pe), t1)
-            Hb2, dHb2 = me.h1_basis_1d(max(p2, pe), t2)
+            Hb1, dHb1, _, _ = me._axis_bases(max(p1, pe), col1)
+            Hb2, dHb2, _, _ = me._axis_bases(max(p2, pe), col2)
             for n in range(2, pe + 1):
                 k1, k2 = kmap(n)
                 c = edofs[n - 2, comp]
@@ -515,7 +516,9 @@ def update_Ddof(mesh, dirichlet_fn=None):
     it is required whenever some masked H1 attribute is not flagged
     homogeneous.  Vertex DOFs take point values; edge and face bubbles
     solve seminorm projections in parameter coordinates at quadrature
-    order p+2.
+    order p+2.  The 1D bases at those Gauss points come from the
+    per-(order, coordinate column) cache of `masterel`, shared by every
+    boundary node of the same order.
     """
     physics = mesh.physics
     for attr, a in enumerate(physics.attrs):

@@ -422,9 +422,13 @@ def _recipe(space: str, norder: tuple):
 
 
 @lru_cache(maxsize=1024)
-def _axis_bases(p: int, coords: bytes):
-    """Read-only (H, dH, P, dP) of order p at distinct 1D coordinates."""
-    x = np.frombuffer(coords)
+def _axis_bases(p: int, column: bytes):
+    """Read-only (H, dH, P, dP) of order p at one float64 coordinate column.
+
+    The bases are elementwise in x, so the rows of a column equal, bit
+    for bit, those evaluated at each of its points alone.
+    """
+    x = np.frombuffer(column)
     H, dH = h1_basis_1d(p, x)
     P, dP = legendre_shifted(p, x)
     return tuple(_read_only(a) for a in (H, dH, P, dP))
@@ -435,23 +439,17 @@ def shape_functions_elem(space: str, xi, norder) -> ShapeSet:
 
     This is the engine behind `shape_functions`; element routines call it
     directly so that edge/face orders below the interior order select the
-    matching hierarchical subset.  The order recipe and the 1D bases are
-    cached per (space, norder) and per (order, distinct coordinates); the
-    3D products are formed on every call.  All returned arrays are
-    read-only.
+    matching hierarchical subset.  Two caches sit underneath: `_recipe`
+    holds the function indices per (space, norder), and `_axis_bases`
+    the 1D bases per (order, coordinate column), so each point set's
+    bases are evaluated once.  The 3D products are formed on every call,
+    so no 3D table is held.  All returned arrays are read-only.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     npts = xi.shape[0]
     pmax, slots, fam, idx = _recipe(space, tuple(int(q) for q in norder))
-
-    # the 1D bases are elementwise in x: evaluating them at the distinct
-    # coordinates and gathering gives the same bits as evaluating at xi
-    Hs, dHs, Ls, dLs = [], [], [], []
-    for ax in range(3):
-        coords, at = np.unique(xi[:, ax], return_inverse=True)
-        for out, tab in zip((Hs, dHs, Ls, dLs),
-                            _axis_bases(pmax[ax], coords.tobytes())):
-            out.append(tab[:, at])
+    Hs, dHs, Ls, dLs = zip(*(_axis_bases(pmax[ax], xi[:, ax].tobytes())
+                             for ax in range(3)))
 
     if space == H1:
         fx, fy, fz = Hs[0][idx[:, 0]], Hs[1][idx[:, 1]], Hs[2][idx[:, 2]]

@@ -533,7 +533,12 @@ def _refine_middle(mesh: Mesh, mdle: int):
 
 
 def refine_element(mesh: Mesh, mdle: int):
-    """Split the active element `mdle` into 8 octants."""
+    """Split the active element `mdle` into 8 octants.
+
+    The sons take the father's place in ELEM_ORDER, which keeps the
+    pre-order of `traverse_active` without walking the trees.  A new list
+    is assigned because callers may hold the old one.
+    """
     node = mesh.element(mdle)
     for eid in node.elem_nodes[8:20]:
         _refine_edge(mesh, eid)
@@ -541,7 +546,10 @@ def refine_element(mesh: Mesh, mdle: int):
         _refine_face(mesh, fid)
     _refine_middle(mesh, mdle)
     mesh._touch()
-    traverse_active(mesh)
+    order = mesh.ELEM_ORDER
+    i = order.index(mdle)
+    mesh.ELEM_ORDER = order[:i] + node.sons + order[i + 1:]
+    mesh.NRELES = len(mesh.ELEM_ORDER)
 
 
 def traverse_active(mesh: Mesh) -> list:

@@ -1,4 +1,4 @@
-"""Physics attributes, global parameters, boundary flags, and input-file parsers.
+"""Physics attributes, global parameters, and input-file parsers.
 
 A problem is described by a list of physics attributes, each living in
 one space of the exact sequence and carrying one or more components.
@@ -90,28 +90,31 @@ class Parameters:
     """Global control parameters (one component set, one right-hand side)."""
 
     nexact: int = 0
-    exgeom: int = 0
     nord_add: int = 1
     istc_flag: int = 1
 
 
 _CONTROL_KEYS = {
     "NEXACT": "nexact",
-    "EXGEOM": "exgeom",
     "NORD_ADD": "nord_add",
     "ISTC_FLAG": "istc_flag",
 }
 
-# keys accepted only at the one value the solver implements
-_FIXED_KEYS = {"STORE_STC": 1, "HERM_STC": 0}
+# keys accepted only at the one value the solver implements: (value, reason)
+_FIXED_KEYS = {
+    "STORE_STC": (1, "condensation factors are always stored"),
+    "HERM_STC": (0, "condensation factors are stored in plain symmetric form"),
+    "EXGEOM": (0, "exact-geometry elements are not supported; elements "
+                  "are isoparametric"),
+}
 
 
 def read_control(path) -> Parameters:
     """Parse a key-value control file ("<KEY> <VALUE>" lines, '#' comments).
 
-    STORE_STC and HERM_STC are accepted only at 1 and 0: condensation
-    factors are always stored, in plain symmetric form.  Any other value
-    raises rather than being ignored.
+    STORE_STC, HERM_STC and EXGEOM are accepted only at the one value
+    the solver implements (1, 0 and 0); any other value raises, naming
+    the key's reason, rather than being ignored.
     """
     params = Parameters()
     with open(path) as fh:
@@ -130,15 +133,12 @@ def read_control(path) -> Parameters:
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: non-integer value {value!r}")
             if key in _FIXED_KEYS:
-                if ival != _FIXED_KEYS[key]:
+                fixed, reason = _FIXED_KEYS[key]
+                if ival != fixed:
                     raise ConfigError(
-                        f"{path}:{lineno}: {key} must be {_FIXED_KEYS[key]}: "
-                        "condensation factors are always stored, in plain "
-                        "symmetric form")
+                        f"{path}:{lineno}: {key} must be {fixed}: {reason}")
             else:
                 setattr(params, _CONTROL_KEYS[key], ival)
-    if params.exgeom != 0:
-        raise ConfigError("EXGEOM=1 (exact-geometry elements) is not supported")
     if params.nord_add < 0:
         raise ConfigError("NORD_ADD must be >= 0")
     return params
@@ -185,12 +185,3 @@ def read_physics(path) -> PhysicsTable:
             raise ConfigError(f"{path}: bad component count in {ln!r}")
         attrs.append(PhysicsAttr(nick, space, ncomp))
     return PhysicsTable(attrs)
-
-
-def set_bcond(mesh, boundary_id: int, attr: int, comp: int, flag: int):
-    """Make one component Dirichlet (flag 1) or free (flag 0) on every
-    exterior face with a boundary id; ConfigError for any other flag.
-
-    Vertex and edge Dirichlet masks are rederived afterwards.
-    """
-    mesh.set_boundary_flag(boundary_id, attr, comp, flag)

@@ -5,7 +5,6 @@ from hphex import conformity as cf
 from hphex import masterel as me
 from hphex.errors import ConfigError, IrregularityError, SolveError
 from hphex.mesh import element_info, generate_initial_mesh, refine_element
-from hphex.physics import set_bcond
 
 from conftest import galerkin_physics, grid_geometry, uw_physics
 
@@ -244,7 +243,7 @@ def test_two_level_hanging_is_rejected():
 
 def test_dirichlet_values_flow_into_modified_element():
     mesh = build(grid_geometry(1, 1, 1), galerkin_physics())
-    set_bcond(mesh, 0, 0, 0, 1)
+    mesh.set_boundary_flag(0, 0, 0, 1)
     cf.update_Ddof(mesh, _linear_fn)
     mod = cf.modified_element(mesh, 1)
     for i in np.flatnonzero(mod.dirichlet):
@@ -303,7 +302,7 @@ def test_gather_before_solve_raises():
 
 def test_ddof_linear_data_lands_on_vertices():
     mesh = build(grid_geometry(2, 2, 2), galerkin_physics())
-    set_bcond(mesh, 0, 0, 0, 1)
+    mesh.set_boundary_flag(0, 0, 0, 1)
     cf.update_Ddof(mesh, _linear_fn)
     for node in mesh.NODES[1:]:
         if not node.bcond or node.dofs is None:
@@ -319,7 +318,7 @@ def test_ddof_linear_data_lands_on_vertices():
 
 def test_ddof_quadratic_edge_projection_is_exact():
     mesh = build(grid_geometry(1, 1, 1), galerkin_physics())
-    set_bcond(mesh, 0, 0, 0, 1)
+    mesh.set_boundary_flag(0, 0, 0, 1)
     cf.update_Ddof(mesh, _quadratic_fn)
     checked = 0
     for node in mesh.NODES[1:]:
@@ -349,7 +348,7 @@ def test_ddof_face_projection_reproduces_biquadratic():
         return x[:, 0] ** 2 * x[:, 1] ** 2, g
 
     mesh = build(grid_geometry(1, 1, 1), galerkin_physics(), order=(3, 3, 3))
-    set_bcond(mesh, 0, 0, 0, 1)
+    mesh.set_boundary_flag(0, 0, 0, 1)
     cf.update_Ddof(mesh, fn)
     # reconstruct on the z=0 face and compare pointwise
     fid = None
@@ -391,7 +390,7 @@ def test_ddof_homogeneous_zeroes_without_data():
     physics = galerkin_physics()
     physics.attrs[0].homogeneous_dirichlet = True
     mesh = build(grid_geometry(1, 1, 1), physics)
-    set_bcond(mesh, 0, 0, 0, 1)
+    mesh.set_boundary_flag(0, 0, 0, 1)
     cf.update_Ddof(mesh)  # no function needed
     corner = mesh.NODES[1].elem_nodes[0]
     assert np.array_equal(mesh.NODES[corner].dofs[0], np.zeros((1, 1)))
@@ -399,14 +398,14 @@ def test_ddof_homogeneous_zeroes_without_data():
 
 def test_ddof_normal_trace_data_unsupported():
     mesh = build(grid_geometry(1, 1, 1), uw_physics())
-    set_bcond(mesh, 0, 1, 0, 1)  # flux trace attribute
+    mesh.set_boundary_flag(0, 1, 0, 1)  # flux trace attribute
     with pytest.raises(ConfigError):
         cf.update_Ddof(mesh, _linear_fn)
 
 
 def test_ddof_requires_function_for_inhomogeneous_data():
     mesh = build(grid_geometry(1, 1, 1), galerkin_physics())
-    set_bcond(mesh, 0, 0, 0, 1)
+    mesh.set_boundary_flag(0, 0, 0, 1)
     with pytest.raises(ConfigError):
         cf.update_Ddof(mesh)
 

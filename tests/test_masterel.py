@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hphex import masterel as me
 from hphex.errors import ConfigError, OrderError
@@ -235,10 +237,62 @@ def test_cached_tables_match_fresh_evaluation(space):
         for name in ("values", "grad", "curl", "div", "slots"):
             a, b = getattr(cached, name), getattr(fresh, name)
             assert (a is None and b is None) or np.array_equal(a, b)
-        # one point at a time: no gather from shared distinct coordinates
+        # one point at a time gives the same values as the batch
         for q in range(len(xi)):
             one = me.shape_functions_elem(space, xi[q:q + 1], norder)
             assert np.array_equal(one.values[..., 0], cached.values[..., q])
+
+
+@st.composite
+def _anisotropic_norder(draw):
+    p = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    norder = me.uniform_norder(p)
+    for e in range(12):
+        norder[e] = draw(st.integers(1, p[me.EDGE_AXIS[e]]))
+    for f, (a1, a2) in enumerate(me.FACE_AXES):
+        norder[12 + f] = me.encode_face_order(draw(st.integers(1, p[a1])),
+                                              draw(st.integers(1, p[a2])))
+    return norder
+
+
+# a small pool makes repeated coordinates common
+_COORD = st.sampled_from((0.0, 1.0, 0.5, 0.25, 1.0 / 3.0)) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _points(draw):
+    if draw(st.booleans()):
+        t = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=9))
+        return me.face_param(draw(st.integers(1, 6)), t)[0]
+    return np.array(draw(st.lists(st.tuples(_COORD, _COORD, _COORD),
+                                  min_size=1, max_size=9)))
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("space", me.SPACES)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(norder=_anisotropic_norder(), xi=_points())
+def test_cached_tables_match_fresh_evaluation_property(space, norder, xi):
+    me.shape_functions_elem(space, xi, norder)         # fill the caches
+    cached = me.shape_functions_elem(space, xi, norder)
+    fresh = _fresh(space, xi, norder)
+    for name in ("values", "grad", "curl", "div", "slots"):
+        a, b = getattr(cached, name), getattr(fresh, name)
+        assert _same_bits(a, b)
+        assert a is None or not a.flags.writeable
+    pmax = me._recipe(space, tuple(norder))[0]
+    for ax in range(3):
+        tabs = me._axis_bases(pmax[ax], xi[:, ax].tobytes())
+        assert not any(a.flags.writeable for a in tabs)
+    # one point at a time gives the same bits as the batch
+    for q in range(len(xi)):
+        one = me.shape_functions_elem(space, xi[q:q + 1], norder)
+        assert one.values[..., 0].tobytes() == cached.values[..., q].tobytes()
 
 
 def test_tables_are_read_only():

@@ -357,6 +357,8 @@ def test_random_refinement_sequences_stay_consistent():
         # counters
         assert mesh.NRELES == len(mesh.ELEM_ORDER)
         assert sorted(mesh.ELEM_ORDER) == sorted(mesh.active_middles_scan())
+        # refinement splices sons in place: the order is the tree pre-order
+        assert list(mesh.ELEM_ORDER) == ms.traverse_active(mesh)
         # tree consistency
         for node in mesh.NODES[1:]:
             if node.kind == "MIDDLE" and not node.active:

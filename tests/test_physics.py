@@ -108,7 +108,7 @@ def test_read_physics_first_line_must_be_integer(tmp_path):
 def test_read_control_rejects_exact_geometry(tmp_path):
     path = tmp_path / "control"
     path.write_text("EXGEOM 1\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="EXGEOM must be 0: exact-geometry"):
         ph.read_control(path)
 
 
@@ -137,7 +137,7 @@ def test_attr_validation():
 
 def test_set_bcond_dirichlet_everywhere():
     mesh = generate_initial_mesh(grid_geometry(1, 1, 1), galerkin_physics(), (2, 2, 2))
-    ph.set_bcond(mesh, 0, 0, 0, 1)
+    mesh.set_boundary_flag(0, 0, 0, 1)
     mdle = mesh.ELEM_ORDER[0]
     for f in mesh.NODES[mdle].elem_nodes[20:26]:
         assert mesh.NODES[f].bcond == 1
@@ -147,43 +147,43 @@ def test_set_bcond_dirichlet_everywhere():
 
 def test_set_bcond_absent_id_is_noop():
     mesh = generate_initial_mesh(grid_geometry(1, 1, 1), galerkin_physics(), (2, 2, 2))
-    ph.set_bcond(mesh, 7, 0, 0, 1)
+    mesh.set_boundary_flag(7, 0, 0, 1)
     assert all(mesh.NODES[n].bcond == 0 for n in mesh.NODES[1].elem_nodes)
 
 
 def test_set_bcond_rejects_custom_flag():
     mesh = generate_initial_mesh(grid_geometry(1, 1, 1), galerkin_physics(), (2, 2, 2))
     with pytest.raises(ConfigError, match="BC flag 3"):
-        ph.set_bcond(mesh, 0, 0, 0, 3)
+        mesh.set_boundary_flag(0, 0, 0, 3)
     assert all(mesh.NODES[n].bcond == 0 for n in mesh.NODES[1].elem_nodes)
 
 
 def test_set_bcond_flag_zero_clears_every_mask():
     mesh = generate_initial_mesh(grid_geometry(1, 1, 1), galerkin_physics(), (2, 2, 2))
-    ph.set_bcond(mesh, 0, 0, 0, 1)
+    mesh.set_boundary_flag(0, 0, 0, 1)
     assert all(mesh.NODES[n].bcond == 1 for n in mesh.NODES[1].elem_nodes)
-    ph.set_bcond(mesh, 0, 0, 0, 0)
+    mesh.set_boundary_flag(0, 0, 0, 0)
     assert all(mesh.NODES[n].bcond == 0 for n in mesh.NODES[1].elem_nodes)
 
 
 def test_set_bcond_per_component():
     mesh = generate_initial_mesh(grid_geometry(1, 1, 1), uw_physics(), (2, 2, 2))
-    ph.set_bcond(mesh, 0, 0, 0, 1)  # Dirichlet for the H1 trace only
+    mesh.set_boundary_flag(0, 0, 0, 1)  # Dirichlet for the H1 trace only
     fid = mesh.NODES[1].elem_nodes[20]
     assert mesh.NODES[fid].bcond == 1  # bit 0 only
     with pytest.raises(ConfigError):
-        ph.set_bcond(mesh, 0, 0, 3, 1)
+        mesh.set_boundary_flag(0, 0, 3, 1)
     with pytest.raises(ConfigError):
-        ph.set_bcond(mesh, 0, 9, 0, 1)
+        mesh.set_boundary_flag(0, 9, 0, 1)
 
 
 def test_clearing_one_boundary_keeps_its_neighbours_masks():
     geo = grid_geometry(1, 1, 1)
     geo.bfaces.append((1, 1, 2))       # face 1 (z=0) gets boundary id 2
     mesh = generate_initial_mesh(geo, galerkin_physics(), (2, 2, 2))
-    ph.set_bcond(mesh, 0, 0, 0, 1)
-    ph.set_bcond(mesh, 2, 0, 0, 1)
-    ph.set_bcond(mesh, 2, 0, 0, 0)
+    mesh.set_boundary_flag(0, 0, 0, 1)
+    mesh.set_boundary_flag(2, 0, 0, 1)
+    mesh.set_boundary_flag(2, 0, 0, 0)
     bottom = mesh.NODES[mesh.NODES[1].elem_nodes[20]]
     assert bottom.bid == 2 and bottom.bcond == 0
     # every edge and vertex of the bottom face lies on a side face too
