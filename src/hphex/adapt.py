@@ -130,7 +130,7 @@ def adaptive_loop(mesh, problem, marking: MarkingConfig, tol: float,
 
     Stops once sqrt(error_glob) <= tol or after max_steps solves.  After
     each refinement round the mesh is closed to 1-irregularity and the
-    geometry and Dirichlet DOFs are refreshed.
+    geometry DOFs are refreshed; the next solve refreshes Dirichlet DOFs.
     """
     if max_steps < 1:
         raise ConfigError(f"max_steps {max_steps} must be at least 1")
@@ -154,7 +154,6 @@ def adaptive_loop(mesh, problem, marking: MarkingConfig, tol: float,
             refine_element(mesh, mdle)
         close_mesh(mesh)
         cf.update_gdof(mesh)
-        cf.update_Ddof(mesh, problem.dirichlet_fn())
         if not check_one_irregularity(mesh):
             raise MeshError("closure left the mesh more than 1-irregular")
     return history

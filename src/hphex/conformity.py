@@ -518,15 +518,17 @@ def update_Ddof(mesh, dirichlet_fn=None):
     solve seminorm projections in parameter coordinates at quadrature
     order p+2.  The 1D bases at those Gauss points come from the
     per-(order, coordinate column) cache of `masterel`, shared by every
-    boundary node of the same order.
+    boundary node of the same order.  Nodes no active element uses are
+    skipped (a refined face an unrefined neighbour still uses stays in).
     """
     physics = mesh.physics
+    used = mesh.skeleton_in_use()
     for attr, a in enumerate(physics.attrs):
         comp_slots = [c for c in range(a.ncomp)]
         gbits = [physics.global_comp(attr, c) for c in comp_slots]
         masked_nodes = []
         for node in mesh.NODES[1:]:
-            if node.kind == "MIDDLE" or not node.bcond:
+            if node.kind == "MIDDLE" or not node.bcond or node.id not in used:
                 continue
             comps = [c for c, g in zip(comp_slots, gbits) if node.bcond >> g & 1]
             if comps:

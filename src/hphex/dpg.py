@@ -4,9 +4,10 @@ The enriched test space makes every DPG element a small least-squares
 problem: with Gram matrix G = UᵀU and extended stiffness [B | B̂ | l],
 the condensed Bubnov-Galerkin block is B̃ᵀB̃ where B̃ = U⁻ᵀ[B | B̂ | l].
 The Gram matrix and its factor are kept in LAPACK's 'U' packed storage
-(upper triangle column by column, k = j(j+1)/2 + i for i ≤ j), and the
-kernels below are LAPACK/BLAS calls through scipy.  ``PackedSym`` stays
-as the argument type of ``packed_cholesky`` and ``packed_tri_solve``
+(upper triangle column by column, k = j(j+1)/2 + i for i ≤ j): element
+builders return a full symmetric G, but only its upper triangle is read.
+The kernels below are LAPACK/BLAS calls through scipy.  ``PackedSym``
+stays as the argument type of ``packed_cholesky`` and ``packed_tri_solve``
 because the benchmark's tracer reads the dimension ``.n`` from it.
 """
 

@@ -14,6 +14,10 @@ and columns run over the problem's attributes in declaration order,
 the row order of the constraint matrix C of the modified element.  The
 DPG routines build the rectangular extended stiffness, factor the Gram
 matrix, and hand back the condensed trial-space system.
+
+Galerkin and primal integrals are weighted GEMMs.  Ultraweak ones stay
+einsums until c09's benchmark reference is re-pinned (c09 marks near-ties
+by roundoff); symmetric Gram products evaluate only the half Cholesky reads.
 """
 
 from __future__ import annotations
@@ -239,6 +243,8 @@ def source_term(problem: Problem, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # quadrature and order helpers
 
+_GRAM_ROWS = 32  # rows per einsum call in _sym_gram
+
 def _axis_orders(norder) -> tuple[int, int, int]:
     """Effective polynomial order per reference axis over all element nodes."""
     q = list(me.decode_order(norder[18]))
@@ -267,6 +273,25 @@ def _interface(shapes: me.ShapeSet) -> np.ndarray:
     return np.flatnonzero(np.asarray(shapes.slots) < 26)
 
 
+def _weighted_gram(w, a, b) -> np.ndarray:
+    """Σ_q w_q a[k,…,q] b[l,…,q] as one GEMM."""
+    return (a * w).reshape(len(a), -1) @ b.reshape(len(b), -1).T
+
+
+def _sym_gram(w, a) -> np.ndarray:
+    """Σ_q w_q a[k,…,q] a[l,…,q], exactly symmetric: entries on and above
+    the diagonal have the full einsum's bits, the rest are their mirror."""
+    spec = "q,kq,lq->kl" if a.ndim == 2 else "q,kiq,liq->kl"
+    G = np.empty((len(a), len(a)))
+    for s in range(0, len(a), _GRAM_ROWS):
+        e = min(s + _GRAM_ROWS, len(a))
+        blk = np.einsum(spec, w, a[s:e], a[s:])
+        G[s:e, s:e] = np.triu(blk[:, :e - s]) + np.triu(blk[:, :e - s], 1).T
+        G[s:e, e:] = blk[:, e - s:]
+        G[e:, s:e] = blk[:, e - s:].T
+    return G
+
+
 # ---------------------------------------------------------------------------
 # element routines
 
@@ -279,7 +304,7 @@ def elem_galerkin(mesh, mdle: int, problem: Problem):
     shp = me.shape_functions_elem(me.H1, rule.points, norder)
     val, grad = gm.piola_transform(me.H1, shp, geom)
     wj = rule.weights * geom.rjac
-    K = np.einsum("q,kiq,liq->kl", wj, grad, grad)
+    K = _weighted_gram(wj, grad, grad)
     fv = source_term(problem, geom.x)
     b = np.einsum("q,kq->k", wj * fv, val)
     return K, b
@@ -293,7 +318,7 @@ def _face_rule(f: int, orders, extra: int):
 
 
 def _primal_system(mesh, mdle: int, problem: Problem):
-    """Extended stiffness [B | Bhat | l] and Gram matrix."""
+    """Extended stiffness [B | Bhat | l] and Gram matrix, by GEMMs."""
     dp = problem.dp
     norder, xnod, _ = element_info(mesh, mdle)
     norder_enr = _enriched_norder(norder, dp)
@@ -308,9 +333,7 @@ def _primal_system(mesh, mdle: int, problem: Problem):
     _, ugrad = gm.piola_transform(me.H1, trial, geom)
     ntest = test.nrdof
     nu = trial.nrdof
-    probe = me.shape_functions_elem(
-        me.HDIV, np.array([[0.5, 0.5, 0.5]]), norder)
-    ns = _interface(probe).size
+    ns = int(me.layout_counts(me.HDIV, norder, include_middle=False).sum())
     ntrial = nu + ns
     if ntest <= ntrial:
         raise ConfigError(
@@ -318,9 +341,8 @@ def _primal_system(mesh, mdle: int, problem: Problem):
             f"dominate the trial space ({ntrial}); increase dp"
         )
 
-    G = (np.einsum("q,kq,lq->kl", wj, tval, tval)
-         + np.einsum("q,kiq,liq->kl", wj, tgrad, tgrad))
-    B = np.einsum("q,kiq,liq->kl", wj, tgrad, ugrad)
+    G = _weighted_gram(wj, tval, tval) + _weighted_gram(wj, tgrad, tgrad)
+    B = _weighted_gram(wj, tgrad, ugrad)
     fv = source_term(problem, geom.x)
     load = np.einsum("q,kq->k", wj * fv, tval)
 
@@ -334,7 +356,7 @@ def _primal_system(mesh, mdle: int, problem: Problem):
         sval, _ = gm.piola_transform(me.HDIV, fshp, fgeom)
         fluxn = np.einsum("kiq,qi->kq", sval[_interface(fshp)], fgeom.rn)
         vtest = me.shape_functions_elem(me.H1, xi, norder_enr).values
-        Bhat -= np.einsum("q,kq,lq->kl", w2 * fgeom.bjac, vtest, fluxn)
+        Bhat -= _weighted_gram(w2 * fgeom.bjac, vtest, fluxn)
     return np.column_stack([B, Bhat, load]), G
 
 
@@ -351,7 +373,8 @@ def elem_primal_dpg(mesh, mdle: int, problem: Problem):
 
 
 def _uw_system(mesh, mdle: int, problem: Problem):
-    """Extended stiffness [B | Bhat | l] and Gram matrix."""
+    """Extended stiffness [B | Bhat | l] and full symmetric Gram matrix,
+    by einsums: c09's pinned reference needs their bits until re-pinned."""
     dp = problem.dp
     norder, xnod, _ = element_info(mesh, mdle)
     norder_enr = _enriched_norder(norder, dp)
@@ -371,13 +394,8 @@ def _uw_system(mesh, mdle: int, problem: Problem):
     uval, _ = gm.piola_transform(me.L2, ushp, geom)
     nL2 = ushp.nrdof
 
-    ut_shp = me.shape_functions_elem(me.H1, rule.points, norder)
-    ut_sel = _interface(ut_shp)
-    n_ut = ut_sel.size
-    st_probe = me.shape_functions_elem(
-        me.HDIV, np.array([[0.5, 0.5, 0.5]]), norder)
-    n_st = _interface(st_probe).size
-    sizes = (n_ut, n_st, nL2, 3 * nL2)
+    sizes = tuple(int(me.layout_counts(sp, norder, include_middle=False).sum())
+                  for sp in (me.H1, me.HDIV)) + (nL2, 3 * nL2)
     ntrial = sum(sizes)
     if ntest <= ntrial:
         raise ConfigError(
@@ -411,19 +429,18 @@ def _uw_system(mesh, mdle: int, problem: Problem):
         tau_here = me.shape_functions_elem(me.HDIV, xi, norder_enr)
         tval_here, _ = gm.piola_transform(me.HDIV, tau_here, fgeom)
         taun = np.einsum("kiq,qi->kq", tval_here, fgeom.rn)
-        uhat = me.shape_functions_elem(me.H1, xi, norder).values[ut_sel]
+        ut_shp = me.shape_functions_elem(me.H1, xi, norder)
+        uhat = ut_shp.values[_interface(ut_shp)]
         stiff_all[nv:, off[0]:off[1]] -= np.einsum(
             "q,kq,lq->kl", wb, taun, uhat)
 
     # adjoint graph norm Gram
     G = np.zeros((ntest, ntest))
-    G[:nv, :nv] = (np.einsum("q,kq,lq->kl", wj, vval, vval)
-                   + np.einsum("q,kiq,liq->kl", wj, vgrad, vgrad))
+    G[:nv, :nv] = _sym_gram(wj, vval) + _sym_gram(wj, vgrad)
     cross = np.einsum("q,kiq,liq->kl", wj, vgrad, tau)
     G[:nv, nv:] = cross
     G[nv:, :nv] = cross.T
-    G[nv:, nv:] = (np.einsum("q,kq,lq->kl", wj, tdiv, tdiv)
-                   + 2.0 * np.einsum("q,kiq,liq->kl", wj, tau, tau))
+    G[nv:, nv:] = _sym_gram(wj, tdiv) + 2.0 * _sym_gram(wj, tau)
     return stiff_all, G
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hphex import conformity as cf
 from hphex import dpg
@@ -112,6 +114,48 @@ def test_galerkin_element_symmetric():
 
 
 # ---------------------------------------------------------------------------
+# quadrature sums
+
+
+_SPEC = {0: "q,kq,lq->kl", 3: "q,kiq,liq->kl"}  # scalar / vector operands
+
+
+def _operands(n, ncomp, nq, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n, nq) if ncomp == 0 else (n, ncomp, nq)
+    return rng.random(nq) + 0.1, rng.standard_normal(shape)
+
+
+# row counts below, at and across multiples of the einsum row block
+_ROWS = st.one_of(st.integers(1, 70), st.integers(71, 300))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=_ROWS, ncomp=st.sampled_from([0, 3]), nq=st.integers(1, 64),
+       seed=st.integers(0, 2**16))
+def test_sym_gram_upper_half_is_full_einsum_bitwise(n, ncomp, nq, seed):
+    w, a = _operands(n, ncomp, nq, seed)
+    full = np.einsum(_SPEC[ncomp], w, a, a)
+    G = poisson._sym_gram(w, a)
+    assert np.array_equal(G, G.T)
+    upper = np.triu_indices(n)
+    assert np.array_equal(G[upper], full[upper])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(1, 120), m=st.integers(1, 120),
+       ncomp=st.sampled_from([0, 3]), nq=st.integers(1, 64),
+       seed=st.integers(0, 2**16))
+def test_weighted_gram_matches_einsum(n, m, ncomp, nq, seed):
+    w, a = _operands(n, ncomp, nq, seed)
+    _, b = _operands(m, ncomp, nq, seed + 1)
+    ref = np.einsum(_SPEC[ncomp], w, a, b)
+    got = poisson._weighted_gram(w, a, b)
+    assert got.shape == (n, m)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+# ---------------------------------------------------------------------------
 # primal DPG element
 
 
@@ -181,6 +225,7 @@ def test_uw_gram_spd_up_to_p3():
         mesh = poisson.make_mesh(
             problem, grid_geometry(1, 1, 1, lengths=(1.4, 0.8, 1.1)), p)
         _, G = poisson._uw_system(mesh, 1, problem)
+        assert np.array_equal(G, G.T)
         dpg.packed_cholesky(dpg.PackedSym.from_dense(G))  # must not raise
 
 
