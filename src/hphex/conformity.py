@@ -24,6 +24,7 @@ the recomputation of derived geometry DOFs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -95,7 +96,16 @@ def _h1_values_at_half(p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # case catalogue
 
-_EDGE_CASES = {"edge-half-1": 0, "edge-half-2": 1, "edge-midpoint-vertex": 2}
+# case names in the mesh's son order: edge sons are two halves and the
+# midpoint vertex; face sons four quadrants, four interior edges (two
+# along a1, two along a2) and the center vertex
+_EDGE_SONS = ("edge-half-1", "edge-half-2", "edge-midpoint-vertex")
+_FACE_SONS = (tuple(f"face-quadrant-{q}" for q in range(1, 5))
+              + tuple(f"face-interior-edge-{k}" for k in range(1, 5))
+              + ("face-center-vertex",))
+# per face son and face axis: the parent half it spans, None for the midline
+_FACE_HALVES = ((0, 0), (1, 0), (0, 1), (1, 1),
+                (0, None), (1, None), (None, 0), (None, 1), (None, None))
 
 
 def _face_parent_layout(p1, p2, qb, qt, ql, qr):
@@ -123,6 +133,17 @@ def _h1_face_orders(parent_order):
     raise ConfigError(f"face parent order {parent_order!r}: expected 2 or 6 entries")
 
 
+def _child_orders(parent, child):
+    """Child order per split axis, defaulting to the parent's; a lower one
+    cannot reproduce the parent trace."""
+    if child is None:
+        return parent
+    child = tuple(int(c) for c in np.atleast_1d(child))
+    if len(child) != len(parent) or any(c < p for c, p in zip(child, parent)):
+        raise ConfigError(f"child order {child} does not dominate {parent}")
+    return child
+
+
 def constraint_coefficients(space: str, case: str, parent_order,
                             child_order=None) -> np.ndarray:
     """Coefficient matrix (child dofs x parent-group dofs) for one hanging node.
@@ -130,83 +151,47 @@ def constraint_coefficients(space: str, case: str, parent_order,
     Edge cases take an integer parent order; face cases take (p1, p2) or
     (p1, p2, q_bottom, q_top, q_left, q_right) to give the parent face's
     edges their own orders.  The child defaults to the parent's order.
+    The result is C-contiguous.
     """
-    if space == "H1" and case in _EDGE_CASES:
-        p = int(parent_order)
-        which = _EDGE_CASES[case]
-        if which == 2:
-            basis, _ = me.h1_basis_1d(p, np.array([0.5]))
-            return basis[:, 0][None, :]
-        pc = p if child_order is None else int(child_order)
-        if pc < p:
-            raise ConfigError(f"child order {pc} below parent order {p}")
-        return _h1_restriction(pc, p, which)[2:]
-
-    if space == "H1" and case.startswith("face-"):
-        p1, p2, qb, qt, ql, qr = _h1_face_orders(parent_order)
-        cols = _face_parent_layout(p1, p2, qb, qt, ql, qr)
-        pp1, pp2 = max(p1, qb, qt), max(p2, ql, qr)
-        if case.startswith("face-quadrant-"):
-            q = int(case[-1]) - 1
-            if not 0 <= q <= 3:
-                raise ConfigError(f"unknown constraint case {case!r}")
-            h1, h2 = q & 1, q >> 1
-            c1, c2 = (p1, p2) if child_order is None else child_order
-            E1 = _h1_restriction(c1, pp1, h1)
-            E2 = _h1_restriction(c2, pp2, h2)
-            rows = [(m1, m2) for m1 in range(2, c1 + 1) for m2 in range(2, c2 + 1)]
-            M = np.empty((len(rows), len(cols)))
-            for i, (m1, m2) in enumerate(rows):
-                for j, (k1, k2) in enumerate(cols):
-                    M[i, j] = E1[m1, k1] * E2[m2, k2]
-            return M
-        if case.startswith("face-interior-edge-"):
-            k = int(case[-1]) - 1
-            if not 0 <= k <= 3:
-                raise ConfigError(f"unknown constraint case {case!r}")
-            along_a1, half = k < 2, k % 2
-            if along_a1:
-                pc = p1 if child_order is None else int(child_order)
-                E = _h1_restriction(pc, pp1, half)
-                mid = _h1_values_at_half(pp2)
-                M = np.empty((pc - 1, len(cols)))
-                for i, m in enumerate(range(2, pc + 1)):
-                    for j, (k1, k2) in enumerate(cols):
-                        M[i, j] = E[m, k1] * mid[k2]
-            else:
-                pc = p2 if child_order is None else int(child_order)
-                E = _h1_restriction(pc, pp2, half)
-                mid = _h1_values_at_half(pp1)
-                M = np.empty((pc - 1, len(cols)))
-                for i, m in enumerate(range(2, pc + 1)):
-                    for j, (k1, k2) in enumerate(cols):
-                        M[i, j] = mid[k1] * E[m, k2]
-            return M
-        if case == "face-center-vertex":
-            m1 = _h1_values_at_half(pp1)
-            m2 = _h1_values_at_half(pp2)
-            return np.array([[m1[k1] * m2[k2] for k1, k2 in cols]])
+    if case in _EDGE_SONS:
+        face, son = False, _EDGE_SONS.index(case)
+    elif case in _FACE_SONS:
+        face, son = True, _FACE_SONS.index(case)
+    else:
         raise ConfigError(f"unknown constraint case {case!r}")
 
-    if space == "HDIV" and case.startswith("face-quadrant-"):
+    if space == "HDIV":
+        if not face or son >= 4:
+            # interior edges and vertices carry no flux dofs
+            return np.zeros((0, 0))
         p1, p2 = (int(v) for v in parent_order)
-        q = int(case[-1]) - 1
-        h1, h2 = q & 1, q >> 1
-        c1, c2 = (p1, p2) if child_order is None else child_order
+        c1, c2 = _child_orders((p1, p2), child_order)
+        h1, h2 = _FACE_HALVES[son]
         L1 = _legendre_restriction(c1, p1, h1)
         L2 = _legendre_restriction(c2, p2, h2)
-        M = np.empty((c1 * c2, p1 * p2))
-        for i1 in range(c1):
-            for i2 in range(c2):
-                for j1 in range(p1):
-                    for j2 in range(p2):
-                        M[i1 * c2 + i2, j1 * p2 + j2] = 0.25 * L1[i1, j1] * L2[i2, j2]
-        return M
-    if space == "HDIV" and (case in _EDGE_CASES or case.startswith("face-")):
-        # interior edges and vertices carry no flux dofs
-        return np.zeros((0, 0))
+        return np.ascontiguousarray(np.kron(0.25 * L1, L2))
+    if space != "H1":
+        raise ConfigError(f"no constraints defined for space {space!r}, case {case!r}")
 
-    raise ConfigError(f"no constraints defined for space {space!r}, case {case!r}")
+    if not face:
+        p = int(parent_order)
+        if son == 2:
+            return _h1_values_at_half(p)[None, :]
+        (pc,) = _child_orders((p,), child_order)
+        return _h1_restriction(pc, p, son)[2:]
+
+    # every face case is an outer product of one 1D factor per face axis
+    p1, p2, qb, qt, ql, qr = _h1_face_orders(parent_order)
+    cols = np.array(_face_parent_layout(p1, p2, qb, qt, ql, qr)).T
+    pp = (max(p1, qb, qt), max(p2, ql, qr))
+    halves = _FACE_HALVES[son]
+    split = [a for a in (0, 1) if halves[a] is not None]
+    child = dict(zip(split, _child_orders(tuple((p1, p2)[a] for a in split),
+                                          child_order)))
+    f1, f2 = (_h1_values_at_half(pp[a])[None, cols[a]] if halves[a] is None
+              else _h1_restriction(child[a], pp[a], halves[a])[2:, cols[a]]
+              for a in (0, 1))
+    return np.ascontiguousarray((f1[:, None] * f2[None]).reshape(-1, cols.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +207,6 @@ class ModifiedElement:
     bubble: np.ndarray          # bool mask: interior (middle-node) dofs
 
 
-def _case_of(mesh, nid):
-    """(case name, parent node) for a constrained node."""
-    node = mesh.NODES[nid]
-    father = mesh.NODES[node.father]
-    idx = father.sons.index(nid)
-    if father.kind == "EDGE":
-        return ("edge-half-1", "edge-half-2", "edge-midpoint-vertex")[idx], father
-    if idx < 4:
-        return f"face-quadrant-{idx + 1}", father
-    if idx < 8:
-        return f"face-interior-edge-{idx - 3}", father
-    return "face-center-vertex", father
-
-
 def _assert_unconstrained(mesh, nids, context):
     for nid in nids:
         if is_constrained(mesh, nid):
@@ -245,37 +216,46 @@ def _assert_unconstrained(mesh, nids, context):
             )
 
 
+@lru_cache(maxsize=None)
+def _node_count(space, kind, order):
+    """Scalar dofs on one vertex, edge or face node, read off the shape
+    recipe of an element whose edge 1 and face 1 carry the node's order."""
+    p1, p2 = me.decode_face_order(order) if kind == "FACE" else (max(order, 1), 1)
+    counts = me.layout_counts(space, me.uniform_norder((p1, p2, 1)))
+    return int(counts[{"VERTEX": 0, "EDGE": 8, "FACE": 20}[kind]])
+
+
 def _parent_group(mesh, space, parent):
     """Parent-group columns [(node, k), ...] plus the order bundle."""
     if parent.kind == "EDGE":
-        p = parent.order
-        va, vb = parent.verts
-        _assert_unconstrained(mesh, (va, vb, parent.id), f"edge {parent.id}")
-        group = [(va, 0), (vb, 0)]
-        group += [(parent.id, k) for k in range(p - 1)]
-        return group, p
-    p1, p2 = me.decode_face_order(parent.order)
-    if space == "HDIV":
-        _assert_unconstrained(mesh, (parent.id,), f"face {parent.id}")
-        return [(parent.id, k) for k in range(p1 * p2)], (p1, p2)
-    eb, et, el, er = parent.edges
-    qs = [mesh.NODES[e].order for e in (eb, et, el, er)]
-    _assert_unconstrained(mesh, parent.verts + parent.edges + (parent.id,),
-                          f"face {parent.id}")
-    group = [(v, 0) for v in parent.verts]
-    for eid, q in zip((eb, et, el, er), qs):
-        group += [(eid, k) for k in range(q - 1)]
-    group += [(parent.id, k) for k in range((p1 - 1) * (p2 - 1))]
-    return group, (p1, p2, qs[0], qs[1], qs[2], qs[3])
+        nids, order = parent.verts + (parent.id,), parent.order
+    elif space == "HDIV":
+        nids, order = (parent.id,), me.decode_face_order(parent.order)
+    else:
+        nids = parent.verts + parent.edges + (parent.id,)
+        order = me.decode_face_order(parent.order) + tuple(
+            mesh.NODES[e].order for e in parent.edges)
+    _assert_unconstrained(mesh, nids, f"{parent.kind.lower()} {parent.id}")
+    return [(n, k) for n in nids
+            for k in range(_node_count(space, mesh.NODES[n].kind,
+                                       mesh.NODES[n].order))], order
 
 
-def _child_order_for(mesh, nid):
+def _hanging(mesh, space, nid):
+    """Parent-group columns [(node, k), ...] and the coefficient matrix
+    (node dofs x columns) of a constrained node."""
     node = mesh.NODES[nid]
+    parent = mesh.NODES[node.father]
+    sons = _EDGE_SONS if parent.kind == "EDGE" else _FACE_SONS
+    case = sons[parent.sons.index(nid)]
+    group, parent_order = _parent_group(mesh, space, parent)
     if node.kind == "VERTEX":
-        return None
-    if node.kind == "EDGE":
-        return node.order
-    return me.decode_face_order(node.order)
+        child_order = None
+    elif node.kind == "EDGE":
+        child_order = node.order
+    else:
+        child_order = me.decode_face_order(node.order)
+    return group, constraint_coefficients(space, case, parent_order, child_order)
 
 
 def scalar_slot_counts(mesh, mdle, space, interface_only=False):
@@ -311,11 +291,7 @@ def _scalar_expansion(mesh, mdle, space, interface_only, col_index, col_meta):
         if not is_constrained(mesh, nid):
             rows.extend([(col(nid, k), 1.0)] for k in range(count))
             continue
-        case, parent = _case_of(mesh, nid)
-        _assert_unconstrained(mesh, (parent.id,), f"node {nid}")
-        group, parent_order = _parent_group(mesh, space, parent)
-        child_order = _child_order_for(mesh, nid)
-        M = constraint_coefficients(space, case, parent_order, child_order)
+        group, M = _hanging(mesh, space, nid)
         if M.shape[0] != count:
             raise MeshError(
                 f"node {nid}: constraint rows {M.shape[0]} != dof count {count}"
@@ -403,10 +379,7 @@ def gather_solution(mesh, mdle: int, attr: int) -> np.ndarray:
         if not is_constrained(mesh, nid):
             out[pos:pos + count] = node_values(nid, count)
         else:
-            case, parent = _case_of(mesh, nid)
-            group, parent_order = _parent_group(mesh, space, parent)
-            child_order = _child_order_for(mesh, nid)
-            M = constraint_coefficients(space, case, parent_order, child_order)
+            group, M = _hanging(mesh, space, nid)
             gvals = np.zeros((len(group), nc))
             by_node = {}
             for j, (gnid, k) in enumerate(group):
@@ -434,7 +407,8 @@ def _edge_projection(mesh, node, dirichlet_fn, comp_slots, attr, nc):
     tang = grads @ (xb - xa)
     _, _, P, _ = me._axis_bases(p, t.tobytes())
     node.dofs = node.dofs or {}
-    dofs = node.dofs.setdefault(attr, np.zeros((max(p - 1, 0), nc)))
+    nbub = _node_count("H1", "EDGE", p)
+    dofs = node.dofs.setdefault(attr, np.zeros((nbub, nc)))
     for comp in comp_slots:
         lift = dvals[1] - dvals[0]
         resid = tang - lift
@@ -444,7 +418,7 @@ def _edge_projection(mesh, node, dirichlet_fn, comp_slots, attr, nc):
 
 def _face_projection(mesh, node, dirichlet_fn, comp_slots, attr, nc):
     p1, p2 = me.decode_face_order(node.order)
-    nbub = (p1 - 1) * (p2 - 1)
+    nbub = _node_count("H1", "FACE", node.order)
     node.dofs = node.dofs or {}
     dofs = node.dofs.setdefault(attr, np.zeros((nbub, nc)))
     if nbub == 0:
@@ -537,7 +511,7 @@ def update_Ddof(mesh, dirichlet_fn=None):
             continue
         if a.homogeneous_dirichlet:
             for node, comps in masked_nodes:
-                nsc = _node_scalar_count(a.fe_space, node)
+                nsc = _node_count(a.fe_space, node.kind, node.order)
                 if nsc:
                     node.dofs = node.dofs or {}
                     node.dofs[attr] = np.zeros((nsc, a.ncomp))
@@ -562,21 +536,6 @@ def update_Ddof(mesh, dirichlet_fn=None):
         for node, comps in masked_nodes:
             if node.kind == "FACE":
                 _face_projection(mesh, node, dirichlet_fn, comps, attr, a.ncomp)
-
-
-def _node_scalar_count(space, node):
-    if space == "H1":
-        if node.kind == "VERTEX":
-            return 1
-        if node.kind == "EDGE":
-            return max(node.order - 1, 0)
-        if node.kind == "FACE":
-            p1, p2 = me.decode_face_order(node.order)
-            return (p1 - 1) * (p2 - 1)
-    if space == "HDIV" and node.kind == "FACE":
-        p1, p2 = me.decode_face_order(node.order)
-        return p1 * p2
-    return 0
 
 
 def update_gdof(mesh):

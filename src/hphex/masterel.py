@@ -389,14 +389,10 @@ _RECIPES = {H1: _h1_recipe, HCURL: _hcurl_recipe, HDIV: _hdiv_recipe,
             L2: _l2_recipe}
 
 
-@lru_cache(maxsize=1024)
-def _recipe(space: str, norder: tuple):
-    """Per-axis maximum order and read-only (slots, families, indices).
-
-    Families are None for the scalar spaces; indices are (nrdof, 3).
-    """
+def axis_orders(norder) -> tuple[int, int, int]:
+    """Highest order per reference axis over the edges, faces and middle."""
     edges, fcs, middle = _norder_parts(norder)
-    pmax = [0, 0, 0]
+    pmax = list(middle)
     for e in range(12):
         ax = EDGE_AXIS[e]
         pmax[ax] = max(pmax[ax], edges[e])
@@ -404,10 +400,19 @@ def _recipe(space: str, norder: tuple):
         a1, a2 = FACE_AXES[f]
         pmax[a1] = max(pmax[a1], fcs[f][0])
         pmax[a2] = max(pmax[a2], fcs[f][1])
-    for ax in range(3):
-        pmax[ax] = max(pmax[ax], middle[ax])
-        if not 1 <= pmax[ax] <= MAXP:
-            raise OrderError(f"order {pmax[ax]} outside [1,{MAXP}]")
+    for p in pmax:
+        if not 1 <= p <= MAXP:
+            raise OrderError(f"order {p} outside [1,{MAXP}]")
+    return tuple(pmax)
+
+
+@lru_cache(maxsize=1024)
+def _recipe(space: str, norder: tuple):
+    """Per-axis maximum order and read-only (slots, families, indices).
+
+    Families are None for the scalar spaces; indices are (nrdof, 3).
+    """
+    pmax = axis_orders(norder)
     if space not in _RECIPES:
         raise ConfigError(f"unknown space {space!r}")
     rows = _RECIPES[space](norder)
@@ -418,7 +423,7 @@ def _recipe(space: str, norder: tuple):
     else:
         fam = _read_only(np.array([r[1] for r in rows], dtype=int))
         idx = np.array([r[2:] for r in rows], dtype=int).reshape(-1, 3)
-    return tuple(pmax), _read_only(slots), fam, _read_only(idx)
+    return pmax, _read_only(slots), fam, _read_only(idx)
 
 
 @lru_cache(maxsize=1024)
@@ -537,34 +542,10 @@ def dof_count(space: str, order) -> int:
 
 
 def layout_counts(space: str, norder, include_middle: bool = True) -> np.ndarray:
-    """Per-slot dof counts (length 27) for one scalar component."""
-    edges, faces, (px, py, pz) = _norder_parts(norder)
-    counts = np.zeros(NSLOTS, dtype=int)
-    if space == H1:
-        counts[:8] = 1
-        for e in range(12):
-            counts[8 + e] = edges[e] - 1
-        for f in range(6):
-            p1, p2 = faces[f]
-            counts[20 + f] = (p1 - 1) * (p2 - 1)
-        counts[26] = (px - 1) * (py - 1) * (pz - 1)
-    elif space == HCURL:
-        for e in range(12):
-            counts[8 + e] = edges[e]
-        for f in range(6):
-            p1, p2 = faces[f]
-            counts[20 + f] = p1 * (p2 - 1) + (p1 - 1) * p2
-        counts[26] = (px * (py - 1) * (pz - 1) + (px - 1) * py * (pz - 1)
-                      + (px - 1) * (py - 1) * pz)
-    elif space == HDIV:
-        for f in range(6):
-            p1, p2 = faces[f]
-            counts[20 + f] = p1 * p2
-        counts[26] = (px - 1) * py * pz + px * (py - 1) * pz + px * py * (pz - 1)
-    elif space == L2:
-        counts[26] = px * py * pz
-    else:
-        raise ConfigError(f"unknown space {space!r}")
+    """Per-slot dof counts (length 27) for one scalar component, counted
+    from the shape recipe."""
+    slots = _recipe(space, tuple(int(q) for q in norder))[1]
+    counts = np.bincount(slots, minlength=NSLOTS)
     if not include_middle:
         counts[26] = 0
     return counts

@@ -245,20 +245,6 @@ def source_term(problem: Problem, x: np.ndarray) -> np.ndarray:
 
 _GRAM_ROWS = 32  # rows per einsum call in _sym_gram
 
-def _axis_orders(norder) -> tuple[int, int, int]:
-    """Effective polynomial order per reference axis over all element nodes."""
-    q = list(me.decode_order(norder[18]))
-    for e in range(12):
-        ax = me.EDGE_AXIS[e]
-        q[ax] = max(q[ax], norder[e])
-    for f in range(6):
-        a1, a2 = me.FACE_AXES[f]
-        p1, p2 = me.decode_face_order(norder[12 + f])
-        q[a1] = max(q[a1], p1)
-        q[a2] = max(q[a2], p2)
-    return q[0], q[1], q[2]
-
-
 def _enriched_norder(norder, dp: int) -> list[int]:
     px, py, pz = me.decode_order(norder[18])
     out = [norder[e] + dp for e in range(12)]
@@ -298,7 +284,7 @@ def _sym_gram(w, a) -> np.ndarray:
 def elem_galerkin(mesh, mdle: int, problem: Problem):
     """(grad u, grad v) and (f, v) for the continuous Galerkin field."""
     norder, xnod, _ = element_info(mesh, mdle)
-    qx, qy, qz = _axis_orders(norder)
+    qx, qy, qz = me.axis_orders(norder)
     rule = me.gauss_quadrature_3d((qx + 1, qy + 1, qz + 1))
     geom = gm.element_geometry(xnod, rule.points)
     shp = me.shape_functions_elem(me.H1, rule.points, norder)
@@ -322,7 +308,7 @@ def _primal_system(mesh, mdle: int, problem: Problem):
     dp = problem.dp
     norder, xnod, _ = element_info(mesh, mdle)
     norder_enr = _enriched_norder(norder, dp)
-    q = _axis_orders(norder)
+    q = me.axis_orders(norder)
     rule = me.gauss_quadrature_3d(tuple(qa + dp + 1 for qa in q))
     geom = gm.element_geometry(xnod, rule.points)
     wj = rule.weights * geom.rjac
@@ -378,7 +364,7 @@ def _uw_system(mesh, mdle: int, problem: Problem):
     dp = problem.dp
     norder, xnod, _ = element_info(mesh, mdle)
     norder_enr = _enriched_norder(norder, dp)
-    q = _axis_orders(norder)
+    q = me.axis_orders(norder)
     rule = me.gauss_quadrature_3d(tuple(qa + dp + 1 for qa in q))
     geom = gm.element_geometry(xnod, rule.points)
     wj = rule.weights * geom.rjac
@@ -496,7 +482,7 @@ def compute_exact_error(mesh, problem: Problem):
     e_l22 = 0.0
     for mdle in mesh.ELEM_ORDER:
         norder, xnod, _ = element_info(mesh, mdle)
-        q = _axis_orders(norder)
+        q = me.axis_orders(norder)
         rule = me.gauss_quadrature_3d(tuple(qa + 2 for qa in q))
         geom = gm.element_geometry(xnod, rule.points)
         wj = rule.weights * geom.rjac

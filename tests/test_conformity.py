@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hphex import conformity as cf
 from hphex import masterel as me
 from hphex.errors import ConfigError, IrregularityError, SolveError
-from hphex.mesh import element_info, generate_initial_mesh, refine_element
+from hphex.mesh import (close_mesh, element_info, execute_pref,
+                        generate_initial_mesh, refine_element)
 
 from conftest import galerkin_physics, grid_geometry, uw_physics
 
@@ -190,6 +193,66 @@ def test_constraint_cache_reuse_and_bad_case():
         cf.constraint_coefficients("HCURL", "edge-half-1", 2)
 
 
+@pytest.mark.parametrize("space, case, parent, child", [
+    ("HDIV", "face-quadrant-5", (2, 2), None),      # parent outside the face
+    ("HDIV", "face-octant-1", (2, 2), None),        # no such case
+    ("H1", "face-quadrant-1", (3, 3), (2, 3)),      # child below parent
+    ("HDIV", "face-quadrant-1", (3, 3), (2, 3)),
+    ("H1", "face-interior-edge-1", (3, 3), 2),
+])
+def test_malformed_face_cases_raise(space, case, parent, child):
+    with pytest.raises(ConfigError):
+        cf.constraint_coefficients(space, case, parent, child)
+
+
+def _loop_coefficients(space, case, parent_order, child_order):
+    """Face matrices entry by entry: the reference for the outer products."""
+    son = cf._FACE_SONS.index(case)
+    if space == "HDIV":
+        p1, p2 = parent_order
+        c1, c2 = child_order or parent_order
+        L1 = cf._legendre_restriction(c1, p1, son & 1)
+        L2 = cf._legendre_restriction(c2, p2, son >> 1)
+        M = np.empty((c1 * c2, p1 * p2))
+        for i1, i2, j1, j2 in np.ndindex(c1, c2, p1, p2):
+            M[i1 * c2 + i2, j1 * p2 + j2] = 0.25 * L1[i1, j1] * L2[i2, j2]
+        return M
+    orders = cf._h1_face_orders(parent_order)
+    cols = cf._face_parent_layout(*orders)
+    pp = (max(orders[0], orders[2], orders[3]), max(orders[1], orders[4], orders[5]))
+    factors = []
+    for a, half in enumerate(cf._FACE_HALVES[son]):
+        if half is None:
+            factors.append([me.h1_basis_1d(pp[a], np.array([0.5]))[0][:, 0]])
+            continue
+        c = (orders[a] if child_order is None
+             else child_order[a] if son < 4 else child_order)
+        E = cf._h1_restriction(c, pp[a], half)
+        factors.append([E[m] for m in range(2, c + 1)])
+    M = np.empty((len(factors[0]) * len(factors[1]), len(cols)))
+    for i, (r1, r2) in enumerate((r1, r2) for r1 in factors[0] for r2 in factors[1]):
+        for j, (k1, k2) in enumerate(cols):
+            M[i, j] = r1[k1] * r2[k2]
+    return M
+
+
+@pytest.mark.parametrize("parent, child", [
+    ((1, 1), None), ((2, 3), None), ((3, 2), (4, 3)), ((3, 2, 2, 3, 1, 2), None)])
+def test_face_coefficients_match_entrywise_loops(parent, child):
+    for space in ("H1", "HDIV"):
+        for case in cf._FACE_SONS:
+            if space == "HDIV" and (len(parent) > 2 or "quadrant" not in case):
+                continue
+            co = child
+            if child is not None and "interior-edge" in case:
+                co = child[0] if case[-1] in "12" else child[1]
+            elif child is not None and "vertex" in case:
+                co = None
+            M = cf.constraint_coefficients(space, case, parent, co)
+            assert M.flags.c_contiguous
+            assert np.array_equal(M, _loop_coefficients(space, case, parent, co))
+
+
 # ---------------------------------------------------------------------------
 # modified element
 
@@ -288,6 +351,60 @@ def test_gather_reproduces_linear_field_across_hanging_face():
         _, xnod, _ = element_info(mesh, mdle)
         assert local.shape == (8, 1)
         assert np.max(np.abs(local[:, 0] - xnod[:, 0])) < 1e-12
+
+
+_CONSTRAINED_KINDS = {("H1", "VERTEX"), ("H1", "EDGE"), ("H1", "FACE"),
+                      ("HDIV", "FACE")}
+
+
+def test_gather_matches_modified_element_property():
+    """On random 1-irregular hp meshes, gather_solution equals C times the
+    modified dofs: both resolve each hanging node the same way."""
+    seen = set()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(nx=st.integers(1, 2), ny=st.integers(1, 2), uw=st.booleans(),
+           p=st.integers(1, 2), seed=st.integers(0, 2**16),
+           ops=st.lists(st.tuples(st.sampled_from("hp"), st.integers(0, 63)),
+                        min_size=1, max_size=5))
+    def check(nx, ny, uw, p, seed, ops):
+        physics = uw_physics() if uw else galerkin_physics()
+        if uw:
+            physics.set_trace(0)
+            physics.set_trace(1)
+        mesh = build(grid_geometry(nx, ny, 1), physics, order=(p, p, p))
+        for op, i in ops:
+            mdle = mesh.ELEM_ORDER[i % len(mesh.ELEM_ORDER)]
+            if op == "h":
+                refine_element(mesh, mdle)
+                close_mesh(mesh)
+            else:
+                execute_pref(mesh, [mdle])
+        rng = np.random.default_rng(seed)
+        for mdle in mesh.ELEM_ORDER:
+            for attr, a in enumerate(physics.attrs):
+                slots, _ = cf.scalar_slot_counts(mesh, mdle, a.fe_space,
+                                                 a.is_trace)
+                for nid, count in slots:
+                    node = mesh.NODES[nid]
+                    if count and cf.is_constrained(mesh, nid):
+                        seen.add((a.fe_space, node.kind))
+                    elif count:
+                        node.dofs = node.dofs or {}
+                        node.dofs.setdefault(
+                            attr, rng.standard_normal((count, a.ncomp)))
+        for mdle in mesh.ELEM_ORDER:
+            mod = cf.modified_element(mesh, mdle)
+            v = np.array([mesh.NODES[nid].dofs[attr][k, c]
+                          for nid, attr, c, k in mod.dof_nodes])
+            expect = mod.C @ v
+            local = np.concatenate([
+                cf.gather_solution(mesh, mdle, attr).reshape(-1)
+                for attr in range(len(physics.attrs))])
+            assert np.max(np.abs(local - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    check()
+    assert seen >= _CONSTRAINED_KINDS
 
 
 def test_gather_before_solve_raises():
