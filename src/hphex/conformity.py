@@ -32,9 +32,6 @@ import scipy.linalg
 from . import masterel as me
 from .errors import ConfigError, IrregularityError, MeshError, SolveError
 
-_ECACHE = {}
-
-
 def is_constrained(mesh, nid: int) -> bool:
     node = mesh.NODES[nid]
     fid = node.father
@@ -49,13 +46,11 @@ def is_constrained(mesh, nid: int) -> bool:
 # ---------------------------------------------------------------------------
 # 1D restriction operators
 
+@lru_cache(maxsize=None)
 def _h1_restriction(p_child: int, p_parent: int, half: int) -> np.ndarray:
     """Child-basis coefficients of each parent H1 basis function restricted
-    to one half of the interval: column k expands phi_k((s + half)/2)."""
-    key = ("h1", p_child, p_parent, half)
-    hit = _ECACHE.get(key)
-    if hit is not None:
-        return hit
+    to one half of the interval: column k expands phi_k((s + half)/2).
+    Cached and read-only, like every table below."""
     x, w = me.gauss_1d(p_child + 2)
     parent_at, _ = me.h1_basis_1d(p_parent, 0.5 * (x + half))
     ends, _ = me.h1_basis_1d(p_parent, np.array([0.5 * half, 0.5 * (half + 1)]))
@@ -69,28 +64,24 @@ def _h1_restriction(p_child: int, p_parent: int, half: int) -> np.ndarray:
         gram = (bub * w) @ bub.T
         rhs = (bub * w) @ resid.T
         E[2:] = np.linalg.solve(gram, rhs)
-    _ECACHE[key] = E
-    return E
+    return me._read_only(E)
 
 
+@lru_cache(maxsize=None)
 def _legendre_restriction(n_child: int, n_parent: int, half: int) -> np.ndarray:
     """Same for the L2 family: column j expands P_j((s + half)/2)."""
-    key = ("leg", n_child, n_parent, half)
-    hit = _ECACHE.get(key)
-    if hit is not None:
-        return hit
     x, w = me.gauss_1d(n_child + 1)
     parent_at, _ = me.legendre_shifted(n_parent, 0.5 * (x + half))
     child, _ = me.legendre_shifted(n_child, x)
     L = (child * w) @ parent_at.T
     L *= (2.0 * np.arange(n_child) + 1.0)[:, None]
-    _ECACHE[key] = L
-    return L
+    return me._read_only(L)
 
 
+@lru_cache(maxsize=None)
 def _h1_values_at_half(p: int) -> np.ndarray:
     vals, _ = me.h1_basis_1d(p, np.array([0.5]))
-    return vals[:, 0]
+    return me._read_only(vals[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,9 @@ _CONTROL_KEYS = {
     "ISTC_FLAG": "istc_flag",
 }
 
+# on/off keys: any value but 0 or 1 is a typo, not a setting
+_FLAG_KEYS = ("NEXACT", "ISTC_FLAG")
+
 # keys accepted only at the one value the solver implements: (value, reason)
 _FIXED_KEYS = {
     "STORE_STC": (1, "condensation factors are always stored"),
@@ -112,6 +115,7 @@ _FIXED_KEYS = {
 def read_control(path) -> Parameters:
     """Parse a key-value control file ("<KEY> <VALUE>" lines, '#' comments).
 
+    NEXACT and ISTC_FLAG are on/off switches and must be 0 or 1.
     STORE_STC, HERM_STC and EXGEOM are accepted only at the one value
     the solver implements (1, 0 and 0); any other value raises, naming
     the key's reason, rather than being ignored.
@@ -137,6 +141,9 @@ def read_control(path) -> Parameters:
                 if ival != fixed:
                     raise ConfigError(
                         f"{path}:{lineno}: {key} must be {fixed}: {reason}")
+            elif key in _FLAG_KEYS and ival not in (0, 1):
+                raise ConfigError(
+                    f"{path}:{lineno}: {key} must be 0 or 1, got {ival}")
             else:
                 setattr(params, _CONTROL_KEYS[key], ival)
     if params.nord_add < 0:

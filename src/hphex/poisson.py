@@ -22,6 +22,8 @@ by roundoff); symmetric Gram products evaluate only the half Cholesky reads.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -349,7 +351,7 @@ def _primal_system(mesh, mdle: int, problem: Problem):
 def _condensed(stiff_all, G):
     """Condense [B | Bhat | l] against G into the trial system (K, b)."""
     n = stiff_all.shape[1] - 1
-    cond = dpg.condense_dpg(stiff_all, dpg.PackedSym.from_dense(G))
+    cond = dpg.condense_dpg(stiff_all, G)
     return cond[:n, :n], cond[:n, n]
 
 
@@ -452,18 +454,53 @@ def elem_residual(mesh, mdle: int, problem: Problem) -> float:
     stiff_all, G = build(mesh, mdle, problem)
     w = _gather_trial(mesh, mdle)
     resid = stiff_all[:, -1] - stiff_all[:, :-1] @ w
-    factor = dpg.packed_cholesky(dpg.PackedSym.from_dense(G))
-    return dpg.residual_norm_sq(factor, resid)
+    return dpg.residual_norm_sq(G, resid)
+
+
+_OPENBLAS_THREADS = ("scipy_openblas_%s_num_threads64_",
+                     "scipy_openblas_%s_num_threads",
+                     "openblas_%s_num_threads64_", "openblas_%s_num_threads")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run every OpenBLAS the process has loaded on one thread (Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
+    except OSError:
+        libs = []
+    saved = []
+    for lib in map(ctypes.CDLL, libs):
+        for sym in _OPENBLAS_THREADS:
+            if hasattr(lib, sym % "get"):
+                get, set_n = (getattr(lib, sym % k) for k in ("get", "set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_n.argtypes, set_n.restype = [ctypes.c_int], None
+                saved.append((set_n, get()))
+    for set_n, _ in saved:
+        set_n(1)
+    try:
+        yield
+    finally:
+        for set_n, n in saved:
+            set_n(n)
 
 
 def residual_summary(mesh, problem: Problem, workers: int = 1):
     """Per-element squared residuals in natural order, plus their sum.
 
-    The element loop runs on `workers` threads, like assembly.
+    The element loop runs on `workers` threads, like assembly, and BLAS
+    on one thread for every `workers`, so the indicators do not depend
+    on it.  Threaded, each n=365 Gram factor kept OpenBLAS's own pool
+    spinning against the second element thread on two cores, and c09's
+    estimate ran slow and erratic.  Assembly keeps threaded BLAS until
+    c09's reference is re-pinned: its roundoff decides step-3 marking.
     """
-    vals = np.array(asm.map_elements(
-        lambda mdle: elem_residual(mesh, mdle, problem), mesh.ELEM_ORDER,
-        workers))
+    with _one_blas_thread():
+        vals = np.array(asm.map_elements(
+            lambda mdle: elem_residual(mesh, mdle, problem),
+            mesh.ELEM_ORDER, workers))
     return vals, float(vals.sum())
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from hphex.mesh import GeometryFile
+from hphex.mesh import GeometryFile, close_mesh, execute_pref, refine_element
 from hphex.physics import PhysicsAttr, PhysicsTable
 
 
@@ -50,3 +51,21 @@ def unit_cube_geo():
 @pytest.fixture
 def two_block_geo():
     return grid_geometry(2, 1, 1, lengths=(2.0, 1.0, 1.0))
+
+
+def hp_ops(max_size):
+    """Random refinement sequences for the hp-mesh property tests: each
+    ("h" | "p", k) refines element ELEM_ORDER[k mod #elements]."""
+    return st.lists(st.tuples(st.sampled_from("hp"), st.integers(0, 63)),
+                    min_size=1, max_size=max_size)
+
+
+def apply_hp_ops(mesh, ops):
+    """h-refine (and close) or p-refine by one order, op by op."""
+    for op, i in ops:
+        mdle = mesh.ELEM_ORDER[i % len(mesh.ELEM_ORDER)]
+        if op == "h":
+            refine_element(mesh, mdle)
+            close_mesh(mesh)
+        else:
+            execute_pref(mesh, [mdle])

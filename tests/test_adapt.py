@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,43 @@ def test_threaded_estimate_matches_serial():
     threaded = adapt.estimate(mesh, problem, workers=2)
     assert threaded.mdles == serial.mdles
     assert np.array_equal(threaded.indicators, serial.indicators)
+
+
+def _openblas_threads():
+    """Thread count of every OpenBLAS this process has loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
+    except OSError:
+        return []
+    counts = []
+    for lib in map(ctypes.CDLL, libs):
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, sym):
+                counts.append(getattr(lib, sym)())
+    return counts
+
+
+def test_estimate_runs_blas_on_one_thread_and_restores_it(monkeypatch):
+    problem = poisson.make_problem("uw", exact="smooth")
+    mesh = poisson.make_mesh(problem, grid_geometry(2, 1, 1), 1)
+    poisson.solve_problem(mesh, problem)
+    before = _openblas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS loaded")
+    seen, residual = [], poisson.elem_residual
+
+    def spy(*args):
+        seen.append(_openblas_threads())
+        return residual(*args)
+
+    monkeypatch.setattr(poisson, "elem_residual", spy)
+    adapt.estimate(mesh, problem, workers=2)
+    assert len(seen) == 2
+    assert all(counts == [1] * len(before) for counts in seen)
+    assert _openblas_threads() == before
 
 
 def test_history_csv_round_trip(tmp_path):

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from hphex import conformity as cf
 from hphex import masterel as me
 from hphex.errors import ConfigError, IrregularityError, SolveError
-from hphex.mesh import (close_mesh, element_info, execute_pref,
-                        generate_initial_mesh, refine_element)
+from hphex.mesh import element_info, generate_initial_mesh, refine_element
 
-from conftest import galerkin_physics, grid_geometry, uw_physics
+from conftest import (apply_hp_ops, galerkin_physics, grid_geometry, hp_ops,
+                      uw_physics)
 
 
 def build(geo, physics, order=(2, 2, 2)):
@@ -193,6 +193,24 @@ def test_constraint_cache_reuse_and_bad_case():
         cf.constraint_coefficients("HCURL", "edge-half-1", 2)
 
 
+def test_cached_tables_are_read_only_and_bitwise_reproducible():
+    cached = ((cf._h1_restriction, (3, 2, 1)),
+              (cf._legendre_restriction, (3, 2, 0)),
+              (cf._h1_values_at_half, (3,)))
+    edge = cf.constraint_coefficients("H1", "edge-half-1", 3)
+    tables = [f(*args) for f, args in cached] + [edge]
+    for t in tables:
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[...] = 0.0
+    for f, _ in cached:
+        f.cache_clear()
+    fresh = [f(*args) for f, args in cached]
+    fresh.append(cf.constraint_coefficients("H1", "edge-half-1", 3))
+    for old, new in zip(tables, fresh):
+        assert new is not old and new.tobytes() == old.tobytes()
+
+
 @pytest.mark.parametrize("space, case, parent, child", [
     ("HDIV", "face-quadrant-5", (2, 2), None),      # parent outside the face
     ("HDIV", "face-octant-1", (2, 2), None),        # no such case
@@ -364,22 +382,14 @@ def test_gather_matches_modified_element_property():
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(nx=st.integers(1, 2), ny=st.integers(1, 2), uw=st.booleans(),
-           p=st.integers(1, 2), seed=st.integers(0, 2**16),
-           ops=st.lists(st.tuples(st.sampled_from("hp"), st.integers(0, 63)),
-                        min_size=1, max_size=5))
+           p=st.integers(1, 2), seed=st.integers(0, 2**16), ops=hp_ops(5))
     def check(nx, ny, uw, p, seed, ops):
         physics = uw_physics() if uw else galerkin_physics()
         if uw:
             physics.set_trace(0)
             physics.set_trace(1)
         mesh = build(grid_geometry(nx, ny, 1), physics, order=(p, p, p))
-        for op, i in ops:
-            mdle = mesh.ELEM_ORDER[i % len(mesh.ELEM_ORDER)]
-            if op == "h":
-                refine_element(mesh, mdle)
-                close_mesh(mesh)
-            else:
-                execute_pref(mesh, [mdle])
+        apply_hp_ops(mesh, ops)
         rng = np.random.default_rng(seed)
         for mdle in mesh.ELEM_ORDER:
             for attr, a in enumerate(physics.attrs):

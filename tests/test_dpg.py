@@ -10,43 +10,23 @@ def random_spd(rng, n, shift=None):
     return R @ R.T + (n if shift is None else shift) * np.eye(n)
 
 
-def test_packed_index_rule():
-    A = np.array([[1.0, 2.0, 4.0],
-                  [2.0, 3.0, 5.0],
-                  [4.0, 5.0, 6.0]])
-    p = dpg.PackedSym.from_dense(A)
-    # column by column: (0,0) | (0,1) (1,1) | (0,2) (1,2) (2,2)
-    assert np.array_equal(p.values, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    assert np.array_equal(p.to_upper(), np.triu(A))
-
-
-def test_packed_round_trip():
-    rng = np.random.default_rng(0)
-    A = random_spd(rng, 7)
-    p = dpg.PackedSym.from_dense(A)
-    assert p.values.shape == (28,)
-    assert np.array_equal(p.to_dense(), np.triu(A) + np.triu(A, 1).T)
-
-
 def test_cholesky_known_factors():
-    u = dpg.packed_cholesky(dpg.PackedSym.from_dense(np.array([[4.0]])))
-    assert np.allclose(u.to_upper(), [[2.0]])
-    u = dpg.packed_cholesky(dpg.PackedSym.from_dense(
-        np.array([[4.0, 2.0], [2.0, 5.0]])))
-    assert np.allclose(u.to_upper(), [[2.0, 1.0], [0.0, 2.0]], atol=1e-14)
+    u = dpg.packed_cholesky(dpg.Upper(np.array([[4.0]])))
+    assert np.allclose(u.a, [[2.0]])
+    u = dpg.packed_cholesky(dpg.Upper(np.array([[4.0, 2.0], [2.0, 5.0]])))
+    assert np.allclose(u.a, [[2.0, 1.0], [0.0, 2.0]], atol=1e-14)
 
 
 def test_cholesky_rejects_indefinite():
     with pytest.raises(LinAlgError) as err:
-        dpg.packed_cholesky(dpg.PackedSym.from_dense(
-            np.array([[1.0, 2.0], [2.0, 1.0]])))
+        dpg.packed_cholesky(dpg.Upper(np.array([[1.0, 2.0], [2.0, 1.0]])))
     assert "pivot 1" in str(err.value)
 
 
 def test_cholesky_rejects_tiny_positive_pivot():
     # LAPACK factors diag(1, 1e-16); the relative pivot check must not
     with pytest.raises(LinAlgError) as err:
-        dpg.packed_cholesky(dpg.PackedSym.from_dense(np.diag([1.0, 1e-16])))
+        dpg.packed_cholesky(dpg.Upper(np.diag([1.0, 1e-16])))
     assert "pivot 1" in str(err.value)
 
 
@@ -54,18 +34,18 @@ def test_factor_identity_up_to_200():
     rng = np.random.default_rng(1)
     for n in (3, 20, 200):
         G = random_spd(rng, n)
-        U = dpg.packed_cholesky(dpg.PackedSym.from_dense(G)).to_upper()
+        U = dpg.packed_cholesky(dpg.Upper(G)).a
         err = np.max(np.abs(U.T @ U - G)) / np.max(np.abs(G))
         assert err < 1e-12
 
 
 def test_tri_solve_examples():
-    ident = dpg.packed_cholesky(dpg.PackedSym.from_dense(np.eye(3)))
+    ident = dpg.packed_cholesky(dpg.Upper(np.eye(3)))
     b = np.array([1.0, -2.0, 5.0])
     assert np.array_equal(dpg.packed_tri_solve(ident, b), b)
 
-    u = dpg.PackedSym.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    # packed storage reads the upper triangle: U = [[2,1],[0,2]]
+    u = dpg.Upper(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    # only the upper triangle is read: U = [[2,1],[0,2]]
     x = dpg.packed_tri_solve(u, np.array([4.0, 6.0]))
     assert np.allclose(x, [2.0, 2.0], atol=1e-14)
 
@@ -77,8 +57,7 @@ def test_tri_solve_examples():
 
 
 def test_condense_scalar_example():
-    cond = dpg.condense_dpg(np.array([[2.0, 8.0]]),
-                            dpg.PackedSym.from_dense(np.array([[4.0]])))
+    cond = dpg.condense_dpg(np.array([[2.0, 8.0]]), np.array([[4.0]]))
     assert cond.shape == (2, 2)
     assert abs(cond[0, 0] - 1.0) < 1e-14
     assert abs(cond[0, 1] - 4.0) < 1e-14
@@ -90,7 +69,7 @@ def test_condense_matches_saddle_oracle():
     ell = rng.standard_normal(6)
     G = random_spd(rng, 6)
     full = np.hstack([B, ell[:, None]])
-    cond = dpg.condense_dpg(full, dpg.PackedSym.from_dense(G))
+    cond = dpg.condense_dpg(full, G)
     oracle = full.T @ np.linalg.solve(G, full)
     assert np.max(np.abs(cond - oracle)) < 1e-10
     assert np.array_equal(cond, cond.T)  # mirroring is exact
@@ -103,7 +82,7 @@ def test_condensed_blocks_are_psd():
         n = rng.integers(1, m)
         cond = dpg.condense_dpg(
             rng.standard_normal((int(m), int(n) + 1)),
-            dpg.PackedSym.from_dense(random_spd(rng, int(m))))
+            random_spd(rng, int(m)))
         assert np.linalg.eigvalsh(cond[:n, :n]).min() >= -1e-12
 
 
@@ -112,11 +91,11 @@ def test_residual_vanishes_for_exact_trial():
     B = rng.standard_normal((8, 4))
     w = rng.standard_normal(4)
     ell = B @ w
-    factor = dpg.packed_cholesky(dpg.PackedSym.from_dense(random_spd(rng, 8)))
-    assert dpg.residual_norm_sq(factor, ell - B @ w) < 1e-24
-    assert dpg.residual_norm_sq(factor, rng.standard_normal(8)) >= 0.0
+    G = random_spd(rng, 8)
+    assert dpg.residual_norm_sq(G, ell - B @ w) < 1e-24
+    assert dpg.residual_norm_sq(G, rng.standard_normal(8)) >= 0.0
 
 
 def test_inconsistent_shapes_rejected():
     with pytest.raises(LinAlgError, match="rhs has 3 rows, factor has 2"):
-        dpg.condense_dpg(np.zeros((3, 3)), dpg.PackedSym.from_dense(np.eye(2)))
+        dpg.condense_dpg(np.zeros((3, 3)), np.eye(2))

@@ -98,6 +98,14 @@ def test_read_control_fixed_keys(tmp_path):
             ph.read_control(path)
 
 
+@pytest.mark.parametrize("key, value", [("NEXACT", 7), ("ISTC_FLAG", -3)])
+def test_read_control_flags_are_zero_or_one(tmp_path, key, value):
+    path = tmp_path / "control"
+    path.write_text(f"{key} {value}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be 0 or 1, got {value}"):
+        ph.read_control(path)
+
+
 def test_read_physics_first_line_must_be_integer(tmp_path):
     path = tmp_path / "physics"
     path.write_text(GALERKIN_FILE.replace("100000", "abc", 1))

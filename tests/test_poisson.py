@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hphex import assembly as asm
 from hphex import conformity as cf
 from hphex import dpg
 from hphex import geometry as gm
@@ -11,7 +12,7 @@ from hphex import poisson
 from hphex.errors import ConfigError, OrderError
 from hphex.mesh import close_mesh, element_info, refine_element
 
-from conftest import grid_geometry
+from conftest import apply_hp_ops, grid_geometry, hp_ops
 
 
 def make(kind, exact="linear", grid=(1, 1, 1), order=1, dp=1):
@@ -226,7 +227,7 @@ def test_uw_gram_spd_up_to_p3():
             problem, grid_geometry(1, 1, 1, lengths=(1.4, 0.8, 1.1)), p)
         _, G = poisson._uw_system(mesh, 1, problem)
         assert np.array_equal(G, G.T)
-        dpg.packed_cholesky(dpg.PackedSym.from_dense(G))  # must not raise
+        dpg.packed_cholesky(dpg.Upper(G))  # must not raise
 
 
 def test_uw_patch_single_element():
@@ -272,6 +273,32 @@ def test_uw_patch_irregular_mesh():
         assert np.max(np.abs(uh[0] - x[:, 0])) < 1e-9
         sh, _ = eval_l2(mesh, mdle, 3, pts)
         assert np.max(np.abs(sh - np.array([[1.0], [0.0], [0.0]]))) < 1e-9
+
+
+def test_patch_and_symmetry_on_random_hp_meshes():
+    """On random 1-irregular hp meshes every formulation reproduces the
+    linear solution and assembles a symmetric global matrix."""
+
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(nx=st.integers(1, 2), ny=st.integers(1, 2),
+           kind=st.sampled_from([poisson.GALERKIN, poisson.PRIMAL, poisson.UW]),
+           p=st.integers(1, 2), ops=hp_ops(3))
+    def check(nx, ny, kind, p, ops):
+        problem = poisson.make_problem(kind, exact="linear")
+        mesh = poisson.make_mesh(problem, grid_geometry(nx, ny, 1), p)
+        apply_hp_ops(mesh, ops)
+        # stored order ≤ 3 bounds the cost of the ultraweak elements
+        assume(max(max(me.decode_order(mesh.element(m).order))
+                   for m in mesh.ELEM_ORDER) <= 3)
+        cf.update_gdof(mesh)
+        poisson.solve_problem(mesh, problem, solver="dense")
+        err, el2, _ = poisson.compute_exact_error(mesh, problem)
+        assert err < 1e-9 and el2 < 1e-9
+        system, _, _ = asm.assemble_system(mesh, problem.elem)
+        scale = np.abs(system.matrix.data).max(initial=0.0)
+        assert system.symmetry_error() <= 1e-12 * scale
+
+    check()
 
 
 def test_uw_condensed_blocks_symmetric():
