@@ -1,12 +1,13 @@
 """Global assembly, static condensation, and linear solve.
 
-The element loop visits active elements in natural order exactly once.
-Each element routine returns one dense local system (K, b), rows and
-columns in the mesh's attribute order; assembly expands it through the
-constrained-approximation matrix C, moves Dirichlet columns to the
-load, optionally eliminates interior (bubble) DOFs by a Schur
-complement, and scatters into one sparse symmetric system over the
-surviving global unknowns.
+The element loop runs over batches of elements sharing one order vector
+(one thread-pool item each, at most `_BATCH_BYTES` of local matrices);
+the element routine returns a batch's local systems stacked, rows and
+columns in attribute order.  Assembly expands each through the
+constrained-approximation matrix C (unless C = I), moves Dirichlet
+columns to the load, eliminates interior (bubble) DOFs by a Schur
+complement on the sub-stacks that share one (free, bubble) layout, and
+scatters in natural element order into one sparse symmetric system.
 
 Global DOF numbering: nodes in id order, attributes in exact-sequence
 order within a node, vector components innermost.  Only modified
@@ -24,12 +25,15 @@ import scipy.linalg
 import scipy.sparse
 
 from . import conformity as cf
+from . import masterel as me
 from .errors import ConfigError, LinAlgError, SolveError
+from .mesh import element_info
 
 
 @dataclass
 class CondensedLocal:
-    """Interface system left after bubble elimination, plus recovery data."""
+    """Interface system left after bubble elimination, plus recovery data
+    (arrays keep the stack axes of the input)."""
 
     K: np.ndarray
     b: np.ndarray
@@ -44,38 +48,39 @@ def static_condense(K: np.ndarray, b: np.ndarray,
                     bubble: np.ndarray) -> CondensedLocal:
     """Schur-eliminate the bubble dofs: A_ii − A_ib A_bb⁻¹ A_bi.
 
-    The factors are kept for `recover_bubbles`.  An all-false mask
-    returns (K, b) unchanged.
+    K (..., n, n) and b (..., n) may be stacks that share one mask; each
+    result equals the single-element call bit for bit.  The factors are
+    kept for `recover_bubbles`.  An all-false mask returns (K, b).
     """
     bubble = np.asarray(bubble, dtype=bool)
     iface = np.flatnonzero(~bubble)
     bub = np.flatnonzero(bubble)
     if bub.size == 0:
         return CondensedLocal(K=K, b=b, interface=iface, bubble=bub)
-    A_bb = K[np.ix_(bub, bub)]
-    A_ib = K[np.ix_(iface, bub)]
+    A_bb = K[..., bub[:, None], bub]
+    A_ib = np.ascontiguousarray(K[..., iface[:, None], bub])
     try:
         L = np.linalg.cholesky(A_bb)
     except np.linalg.LinAlgError as exc:
         raise LinAlgError(f"bubble block is singular: {exc}") from exc
-    Y = scipy.linalg.solve_triangular(L, np.column_stack([A_ib.T, b[bub]]),
-                                      lower=True)
-    Zb = Y[:, -1]
-    Yi = Y[:, :-1]
-    K_c = K[np.ix_(iface, iface)] - Yi.T @ Yi
-    b_c = b[iface] - Yi.T @ Zb
+    rhs = np.concatenate([A_ib.swapaxes(-1, -2), b[..., bub, None]], -1)
+    Y = scipy.linalg.solve_triangular(L, rhs, lower=True)
+    Yt = Y[..., :-1].swapaxes(-1, -2)
+    K_c = K[..., iface[:, None], iface] - Yt @ Y[..., :-1]
+    b_c = b[..., iface] - (Yt @ Y[..., -1:])[..., 0]
     return CondensedLocal(K=K_c, b=b_c, interface=iface, bubble=bub,
-                          factor=L, K_ib=A_ib, b_b=b[bub].copy())
+                          factor=L, K_ib=A_ib, b_b=b[..., bub])
 
 
 def recover_bubbles(cond: CondensedLocal, u_iface: np.ndarray) -> np.ndarray:
     """u_b = A_bb⁻¹ (b_b − A_bi u_i), from the stored factors."""
     if cond.bubble.size == 0:
-        return np.zeros(0)
+        return np.zeros(u_iface.shape[:-1] + (0,))
     L = cond.factor
-    rhs = cond.b_b - cond.K_ib.T @ u_iface
+    rhs = cond.b_b[..., None] - cond.K_ib.swapaxes(-1, -2) @ u_iface[..., None]
     y = scipy.linalg.solve_triangular(L, rhs, lower=True)
-    return scipy.linalg.solve_triangular(L.T, y, lower=False)
+    return scipy.linalg.solve_triangular(
+        L.swapaxes(-1, -2), y, lower=False)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +189,16 @@ def _number_dofs(mods, istc: bool) -> dict:
     return {key: g for g, key in enumerate(sorted(keys, key=_sort_key))}
 
 
-def _local_system(mesh, elem_fn, mod):
-    K, b = elem_fn(mesh, mod.mdle)
-    C = mod.C
-    n = C.shape[0]
-    if K.shape != (n, n) or b.shape != (n,):
-        raise ConfigError(
-            f"element {mod.mdle}: elem_fn produced K {K.shape} and b "
-            f"{b.shape}, modified element expects ({n}, {n}) and ({n},)"
-        )
-    Km = C.T @ K @ C
-    bm = C.T @ b
-    if mod.dirichlet.any():
-        bm = bm - Km[:, mod.dirichlet] @ mod.dirichlet_values[mod.dirichlet]
+def _local_system(K, b, mod):
+    """Expand one element's (K, b) through C, lift the Dirichlet columns
+    to the load, and keep the free rows and columns."""
+    if not mod.conforming:
+        K, b = mod.C.T @ K @ mod.C, mod.C.T @ b
     free = ~mod.dirichlet
-    return Km[np.ix_(free, free)], bm[free], free
+    if free.all():
+        return K, b, free
+    b = b - K[:, mod.dirichlet] @ mod.dirichlet_values[mod.dirichlet]
+    return K[np.ix_(free, free)], b[free], free
 
 
 def map_elements(work, items, workers: int = 1) -> list:
@@ -215,47 +215,81 @@ def map_elements(work, items, workers: int = 1) -> list:
         return list(pool.map(work, items))
 
 
-def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1):
-    """Build the global sparse system; returns (system, per-element data).
+_BATCH_BYTES = 1_500_000   # cap on one batch's stacked arrays
 
+
+def element_batches(mesh, elem_bytes) -> list:
+    """[(norder, [mdle, ...]), ...]: active elements that share one order
+    vector, in natural order, at most max(1, _BATCH_BYTES //
+    elem_bytes(norder)) per batch."""
+    groups = {}
+    for mdle in mesh.ELEM_ORDER:
+        groups.setdefault(tuple(element_info(mesh, mdle)[0]), []).append(mdle)
+    return [(norder, mdles[i:i + size]) for norder, mdles in groups.items()
+            for size in [max(1, _BATCH_BYTES // elem_bytes(norder))]
+            for i in range(0, len(mdles), size)]
+
+
+def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1):
+    """Build the global sparse system; returns (system, modified elements,
+    groups).  A group is (mdles, stacked CondensedLocal, global interface
+    dofs (S, m), free dof keys per element): the elements of one batch
+    with one (free, bubble) layout, condensed as one stack.
+
+    `elem_fn(mesh, mdles)` returns the stacked (K, b) of one batch.
     With `istc` off no dof counts as a bubble, so nothing is condensed.
     """
-    mods = [cf.modified_element(mesh, mdle)
-            for mdle in mesh.ELEM_ORDER]
-    index = _number_dofs(mods, istc)
+    mods = {mdle: cf.modified_element(mesh, mdle) for mdle in mesh.ELEM_ORDER}
+    index = _number_dofs(mods.values(), istc)
 
-    def element_work(mod):
-        Ku, bu, free = _local_system(mesh, elem_fn, mod)
-        bubble = mod.bubble[free] if istc else np.zeros(bu.shape[0], bool)
-        cond = static_condense(Ku, bu, bubble)
-        free_keys = [key for i, key in enumerate(mod.dof_nodes)
-                     if not mod.dirichlet[i]]
-        gidx = np.array([index[free_keys[i]] for i in cond.interface],
-                        dtype=int)
-        return cond, gidx, free_keys
+    def nbytes(norder):                 # one element's local matrix
+        return 8 * sum(a.ncomp * int(me.layout_counts(
+            a.fe_space, norder, not a.is_trace).sum())
+            for a in mesh.physics.attrs) ** 2
 
-    results = map_elements(element_work, mods, workers)
+    def batch_work(batch):
+        mdles = batch[1]
+        K, b = elem_fn(mesh, mdles)
+        n, E = mods[mdles[0]].C.shape[0], len(mdles)
+        if K.shape != (E, n, n) or b.shape != (E, n):
+            raise ConfigError(
+                f"element {mdles[0]}: elem_fn produced K {K.shape} and b "
+                f"{b.shape}, modified elements expect {(E, n, n)}, {(E, n)}")
+        layouts = {}
+        for mdle, Ke, be in zip(mdles, K, b):
+            mod = mods[mdle]
+            Ku, bu, free = _local_system(Ke, be, mod)
+            bubble = mod.bubble[free] & istc
+            keys = [key for key, f in zip(mod.dof_nodes, free) if f]
+            layouts.setdefault((free.tobytes(), bubble.tobytes()), []).append(
+                (mdle, Ku, bu, keys, bubble))
+        groups = []
+        for members in layouts.values():
+            ids, Ks, bs, keys, bubble = zip(*members)
+            cond = static_condense(np.stack(Ks), np.stack(bs), bubble[0])
+            gidx = np.array([[index[k[i]] for i in cond.interface]
+                             for k in keys], dtype=int).reshape(len(ids), -1)
+            groups.append((ids, cond, gidx, keys))
+        return groups
 
+    groups = [g for gs in map_elements(
+        batch_work, element_batches(mesh, nbytes), workers) for g in gs]
+
+    # scatter in natural element order: duplicate sums depend on it
+    where = {mdle: (cond, gidx, s) for ids, cond, gidx, _ in groups
+             for s, mdle in enumerate(ids)}
+    gidx, K, b = zip(*((gi[s], c.K[s], c.b[s])
+                       for c, gi, s in map(where.get, mesh.ELEM_ORDER)))
     n = len(index)
-    rows, cols, vals = [], [], []
     rhs = np.zeros(n)
-    for cond, gidx, _ in results:
-        m = gidx.shape[0]
-        if m == 0:
-            continue
-        rows.append(np.repeat(gidx, m))
-        cols.append(np.tile(gidx, m))
-        vals.append(cond.K.ravel())
-        np.add.at(rhs, gidx, cond.b)
-    if rows:
-        coo = scipy.sparse.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-        matrix = coo.tocsr()
-    else:
-        matrix = scipy.sparse.csr_matrix((n, n))
+    np.add.at(rhs, np.concatenate(gidx), np.concatenate(b))
+    matrix = scipy.sparse.coo_matrix(
+        (np.concatenate([k.ravel() for k in K]),
+         (np.concatenate([np.repeat(i, i.size) for i in gidx]),
+          np.concatenate([np.tile(i, i.size) for i in gidx]))),
+        shape=(n, n)).tocsr()
     system = SparseSystem(matrix=matrix, rhs=rhs, index=index)
-    return system, mods, results
+    return system, list(mods.values()), groups
 
 
 def _write_dofs(mesh, pairs):
@@ -286,7 +320,7 @@ def assemble_and_solve(mesh, elem_fn, *, istc: bool = True,
                        solver: str = "cg", tol: float = 1e-12,
                        maxit: int = None, workers: int = 1) -> SolveReport:
     """Element loop, global solve, and DOF storage (including bubbles)."""
-    system, _, results = assemble_system(
+    system, _, groups = assemble_system(
         mesh, elem_fn, istc=istc, workers=workers)
     if solver == "dense":
         x, iters, res = _dense_solve(system.matrix, system.rhs)
@@ -296,11 +330,11 @@ def assemble_and_solve(mesh, elem_fn, *, istc: bool = True,
     else:
         raise ConfigError(f"unknown solver {solver!r}")
     _write_dofs(mesh, ((key, x[g]) for key, g in system.index.items()))
-    # bubble recovery, element by element in natural order
+    # bubble recovery, one stack per element group
     bubbles = []
-    for cond, gidx, free_keys in results:
-        u_b = recover_bubbles(cond, x[gidx])
-        bubbles.extend(zip((free_keys[i] for i in cond.bubble), u_b))
+    for _, cond, gidx, keys in groups:
+        for k, u_b in zip(keys, recover_bubbles(cond, x[gidx])):
+            bubbles.extend(zip((k[i] for i in cond.bubble), u_b))
     _write_dofs(mesh, bubbles)
     return SolveReport(ndof=system.ndof, iterations=iters, residual=res)
 

@@ -196,6 +196,7 @@ class ModifiedElement:
     dirichlet: np.ndarray       # bool mask over modified dofs
     dirichlet_values: np.ndarray
     bubble: np.ndarray          # bool mask: interior (middle-node) dofs
+    conforming: bool = False    # no slot is constrained, so C = I
 
 
 def _assert_unconstrained(mesh, nids, context):
@@ -298,28 +299,34 @@ def modified_element(mesh, mdle: int) -> ModifiedElement:
     """Constraint expansion, Dirichlet data, and bubble partition for one element.
 
     The rows of C follow the local dofs attribute by attribute, in the
-    order of the mesh's physics table.
+    order of the mesh's physics table.  When no slot is constrained the
+    modified dofs are the slot dofs themselves and C = I.
     """
     physics = mesh.physics
+    conforming = not any(is_constrained(mesh, nid)
+                         for nid in mesh.element(mdle).elem_nodes)
     blocks = []
     dof_nodes = []
     for attr, a in enumerate(physics.attrs):
         space = a.fe_space
-        col_index, col_meta = {}, []
-        rows = _scalar_expansion(mesh, mdle, space, a.is_trace,
-                                 col_index, col_meta)
         nc = a.ncomp
-        Cs = np.zeros((len(rows), len(col_meta)))
-        for i, row in enumerate(rows):
-            for j, v in row:
-                Cs[i, j] = v
-        blocks.append(np.kron(Cs, np.eye(nc)) if nc > 1 else Cs)
-        for nid, k in col_meta:
-            for c in range(nc):
-                dof_nodes.append((nid, attr, c, k))
+        if conforming:
+            slots, _ = scalar_slot_counts(mesh, mdle, space, a.is_trace)
+            col_meta = [(nid, k) for nid, count in slots for k in range(count)]
+        else:
+            col_index, col_meta = {}, []
+            rows = _scalar_expansion(mesh, mdle, space, a.is_trace,
+                                     col_index, col_meta)
+            Cs = np.zeros((len(rows), len(col_meta)))
+            for i, row in enumerate(rows):
+                for j, v in row:
+                    Cs[i, j] = v
+            blocks.append(np.kron(Cs, np.eye(nc)) if nc > 1 else Cs)
+        dof_nodes += [(nid, attr, c, k) for nid, k in col_meta
+                      for c in range(nc)]
 
-    C = scipy.linalg.block_diag(*blocks)
     ncol = len(dof_nodes)
+    C = np.eye(ncol) if conforming else scipy.linalg.block_diag(*blocks)
 
     dirichlet = np.zeros(ncol, dtype=bool)
     values = np.zeros(ncol)
@@ -334,8 +341,8 @@ def modified_element(mesh, mdle: int) -> ModifiedElement:
         if nid == mdle:
             bubble[i] = True
     return ModifiedElement(
-        mdle=mdle, C=C, dof_nodes=dof_nodes,
-        dirichlet=dirichlet, dirichlet_values=values, bubble=bubble,
+        mdle=mdle, C=C, dof_nodes=dof_nodes, dirichlet=dirichlet,
+        dirichlet_values=values, bubble=bubble, conforming=conforming,
     )
 
 

@@ -2,7 +2,9 @@
 
 Geometry degree is fixed at 1 (straight-edged hexahedra).  All routines
 are batched: a "point" argument may be a single master point or an
-(n, 3) array, and the returned fields carry a leading point dimension.
+(n, 3) array, and the returned fields carry a point dimension.  Element
+maps and Piola transforms also take a stack of E elements, (E, 8, 3)
+vertices, and give (E, n, ...) fields equal bit for bit to E single calls.
 """
 
 from __future__ import annotations
@@ -41,17 +43,19 @@ _NORD1 = me.uniform_norder((1, 1, 1))
 
 
 def element_geometry(vertex_coords, xi) -> GeometryData:
-    """Evaluate the trilinear map and its Jacobian data at master points."""
-    xnod = np.asarray(vertex_coords, dtype=float).reshape(8, 3)
+    """Evaluate the trilinear map and its Jacobian data at master points;
+    a vertex stack (E, 8, 3) adds a leading element axis to every field."""
+    xnod = np.asarray(vertex_coords, dtype=float)
+    xnod = xnod if xnod.ndim == 3 else xnod.reshape(8, 3)
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     shp = me.shape_functions_elem(me.H1, xi, _NORD1)
-    x = np.einsum("vp,vi->pi", shp.values, xnod)
-    dxdxi = np.einsum("vjp,vi->pij", shp.grad, xnod)
+    x = np.einsum("vp,...vi->...pi", shp.values, xnod)
+    dxdxi = np.einsum("vjp,...vi->...pij", shp.grad, xnod)
     rjac = np.linalg.det(dxdxi)
     if np.any(rjac <= 0.0):
-        bad = int(np.argmin(rjac))
+        bad = np.unravel_index(np.argmin(rjac), rjac.shape)
         raise GeometryError(
-            f"non-positive Jacobian {rjac[bad]:.3e} at xi={tuple(xi[bad])}"
+            f"non-positive Jacobian {rjac[bad]:.3e} at xi={tuple(xi[bad[-1]])}"
         )
     dxidx = np.linalg.inv(dxdxi)
     return GeometryData(x=x, dxdxi=dxdxi, dxidx=dxidx, rjac=rjac)
@@ -76,19 +80,20 @@ def piola_transform(space: str, shapes: me.ShapeSet, geom: GeometryData):
 
     Returns (values, derivatives); the derivative slot is the gradient for
     H1, the curl for HCURL, the divergence for HDIV, and None for L2.
-    Shapes and geometry must be evaluated at the same points.
+    Shapes and geometry must be evaluated at the same points.  Stacked
+    geometry stacks every field but the H1 values (the master table).
     """
-    rjac = geom.rjac
+    rjac = geom.rjac[..., None, :]        # broadcasts over shape functions
     if space == me.H1:
-        grad = np.einsum("pji,kjp->kip", geom.dxidx, shapes.grad)
+        grad = np.einsum("...pji,kjp->...kip", geom.dxidx, shapes.grad)
         return shapes.values, grad
     if space == me.HCURL:
-        val = np.einsum("pji,kjp->kip", geom.dxidx, shapes.values)
-        curl = np.einsum("pij,kjp->kip", geom.dxdxi, shapes.curl) / rjac
-        return val, curl
+        val = np.einsum("...pji,kjp->...kip", geom.dxidx, shapes.values)
+        curl = np.einsum("...pij,kjp->...kip", geom.dxdxi, shapes.curl)
+        return val, curl / rjac[..., None, :]
     if space == me.HDIV:
-        val = np.einsum("pij,kjp->kip", geom.dxdxi, shapes.values) / rjac
-        return val, shapes.div / rjac
+        val = np.einsum("...pij,kjp->...kip", geom.dxdxi, shapes.values)
+        return val / rjac[..., None, :], shapes.div / rjac
     if space == me.L2:
         return shapes.values / rjac, None
     raise GeometryError(f"unknown space {space!r}")

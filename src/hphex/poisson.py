@@ -9,11 +9,12 @@ Three discretizations of -div(grad u) = f on hexahedral meshes:
   skeleton carries an H1 trace and a normal trace, and the broken test
   space is H1 x H(div) at the enriched order.
 
-Every element routine returns one dense local system (K, b) whose rows
-and columns run over the problem's attributes in declaration order,
-the row order of the constraint matrix C of the modified element.  The
-DPG routines build the rectangular extended stiffness, factor the Gram
-matrix, and hand back the condensed trial-space system.
+`Problem.elems` stacks the dense local systems (K[E, n, n], b[E, n]) of
+a batch of elements sharing one order vector, rows and columns over the
+attributes in declaration order (the row order of C).  The Galerkin
+kernel and the exact error take a batch in one stacked pass; the DPG
+routines run per element and condense the extended stiffness against
+the factored Gram matrix.
 
 Galerkin and primal integrals are weighted GEMMs.  Ultraweak ones stay
 einsums until c09's benchmark reference is re-pinned (c09 marks near-ties
@@ -175,14 +176,15 @@ class Problem:
     def dirichlet_fn(self):
         return self.exact.dirichlet if self.exact is not None else None
 
-    def elem(self, mesh, mdle: int) -> tuple[np.ndarray, np.ndarray]:
+    def elems(self, mesh, mdles) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked local systems (K[E, n, n], b[E, n]) of one batch."""
         if self.kind == GALERKIN:
-            return elem_galerkin(mesh, mdle, self)
-        if self.kind == PRIMAL:
-            return elem_primal_dpg(mesh, mdle, self)
-        if self.kind == UW:
-            return elem_uw_dpg(mesh, mdle, self)
-        raise ConfigError(f"unknown problem kind {self.kind!r}")
+            return elem_galerkin(mesh, mdles, self)
+        build = {PRIMAL: elem_primal_dpg, UW: elem_uw_dpg}.get(self.kind)
+        if build is None:
+            raise ConfigError(f"unknown problem kind {self.kind!r}")
+        K, b = zip(*(build(mesh, mdle, self) for mdle in mdles))
+        return np.stack(K), np.stack(b)
 
 
 def make_problem(kind: str, exact: Optional[str] = "smooth",
@@ -283,18 +285,21 @@ def _sym_gram(w, a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # element routines
 
-def elem_galerkin(mesh, mdle: int, problem: Problem):
-    """(grad u, grad v) and (f, v) for the continuous Galerkin field."""
-    norder, xnod, _ = element_info(mesh, mdle)
+def elem_galerkin(mesh, mdles, problem: Problem):
+    """(grad u, grad v) and (f, v) for the continuous Galerkin field, on
+    a batch of elements that share one order vector: K[E, n, n], b[E, n]."""
+    norder = element_info(mesh, mdles[0])[0]
+    xnod = np.array([element_info(mesh, m)[1] for m in mdles])
     qx, qy, qz = me.axis_orders(norder)
     rule = me.gauss_quadrature_3d((qx + 1, qy + 1, qz + 1))
     geom = gm.element_geometry(xnod, rule.points)
     shp = me.shape_functions_elem(me.H1, rule.points, norder)
     val, grad = gm.piola_transform(me.H1, shp, geom)
     wj = rule.weights * geom.rjac
-    K = _weighted_gram(wj, grad, grad)
-    fv = source_term(problem, geom.x)
-    b = np.einsum("q,kq->k", wj * fv, val)
+    g = grad.reshape(len(mdles), shp.nrdof, -1)
+    K = (grad * wj[:, None, None, :]).reshape(g.shape) @ g.swapaxes(1, 2)
+    fv = source_term(problem, geom.x.reshape(-1, 3)).reshape(len(mdles), -1)
+    b = np.einsum("eq,kq->ek", wj * fv, val)
     return K, b
 
 
@@ -509,40 +514,42 @@ def compute_exact_error(mesh, problem: Problem):
 
     Returns (gradient-norm error, L2 error, per-element table); the
     gradient slot compares grad u_h for the H1 discretizations and the
-    sigma field for the ultraweak one.
+    sigma field for the ultraweak one.  Batches, summed in natural order.
     """
     if problem.exact is None:
         raise ConfigError("no manufactured solution: exact error unavailable")
     exact = problem.exact
+    uw = problem.kind == UW
     table = {}
-    e_grad2 = 0.0
-    e_l22 = 0.0
-    for mdle in mesh.ELEM_ORDER:
-        norder, xnod, _ = element_info(mesh, mdle)
-        q = me.axis_orders(norder)
-        rule = me.gauss_quadrature_3d(tuple(qa + 2 for qa in q))
+    # per element: the two (3, 3) Jacobian tables at every point
+    for norder, mdles in asm.element_batches(mesh, lambda norder: 144 * int(
+            np.prod([qa + 2 for qa in me.axis_orders(norder)]))):
+        rule = me.gauss_quadrature_3d(
+            tuple(qa + 2 for qa in me.axis_orders(norder)))
+        xnod = np.array([element_info(mesh, m)[1] for m in mdles])
         geom = gm.element_geometry(xnod, rule.points)
         wj = rule.weights * geom.rjac
-        gu = exact.grad(geom.x)
-        uu = exact.u(geom.x)
-        if problem.kind == UW:
-            shp = me.shape_functions_elem(me.L2, rule.points, norder)
-            val, _ = gm.piola_transform(me.L2, shp, geom)
-            cu = cf.gather_solution(mesh, mdle, 2)[:, 0]
-            cs = cf.gather_solution(mesh, mdle, 3)
-            uh = cu @ val
-            sh = np.einsum("kc,kq->cq", cs, val)
-            d2g = float(np.einsum("q,cq->", wj, (sh - gu.T) ** 2))
-            d2l = float(wj @ (uh - uu) ** 2)
+        x = geom.x.reshape(-1, 3)
+        gu = exact.grad(x).reshape(len(mdles), -1, 3).swapaxes(1, 2)
+        uu = exact.u(x).reshape(len(mdles), -1)
+        shp = me.shape_functions_elem(me.L2 if uw else me.H1, rule.points,
+                                      norder)
+        cu = np.array([cf.gather_solution(mesh, m, 2 if uw else 0)[:, 0]
+                       for m in mdles])
+        uh = cu @ shp.values
+        if uw:
+            cs = np.array([cf.gather_solution(mesh, m, 3) for m in mdles])
+            uh = uh / geom.rjac
+            gh = cs.swapaxes(1, 2) @ shp.values / geom.rjac[:, None, :]
         else:
-            shp = me.shape_functions_elem(me.H1, rule.points, norder)
-            val, grad = gm.piola_transform(me.H1, shp, geom)
-            cu = cf.gather_solution(mesh, mdle, 0)[:, 0]
-            uh = cu @ val
-            gh = np.einsum("k,kiq->iq", cu, grad)
-            d2g = float(np.einsum("q,iq->", wj, (gh - gu.T) ** 2))
-            d2l = float(wj @ (uh - uu) ** 2)
-        table[mdle] = (d2g, d2l)
+            ref = (cu @ shp.grad.reshape(shp.nrdof, -1)).reshape(gu.shape)
+            gh = np.einsum("eqji,ejq->eiq", geom.dxidx, ref)
+        d2g = np.einsum("eq,eiq->e", wj, (gh - gu) ** 2)
+        d2l = np.einsum("eq,eq->e", wj, (uh - uu) ** 2)
+        table.update(zip(mdles, zip(d2g.tolist(), d2l.tolist())))
+    table = {mdle: table[mdle] for mdle in mesh.ELEM_ORDER}
+    e_grad2 = e_l22 = 0.0
+    for d2g, d2l in table.values():
         e_grad2 += d2g
         e_l22 += d2l
     return float(np.sqrt(e_grad2)), float(np.sqrt(e_l22)), table
@@ -559,5 +566,5 @@ def solve_problem(mesh, problem: Problem, *, solver: str = "cg",
         raise ConfigError("DPG problems require interior condensation")
     cf.update_Ddof(mesh, problem.dirichlet_fn())
     return asm.assemble_and_solve(
-        mesh, problem.elem, istc=istc,
+        mesh, problem.elems, istc=istc,
         solver=solver, tol=tol, maxit=maxit, workers=workers)

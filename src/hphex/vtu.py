@@ -8,7 +8,9 @@ when the solution is conforming, so no stitching logic is needed.
 
 Point-data arrays are named "<nickname>_<comp>"; scalar-valued spaces
 (H1, L2) produce one-component arrays, vector-valued spaces (H(curl),
-H(div)) three-component arrays per attribute component.
+H(div)) three-component arrays per attribute component.  Geometry and
+field values are evaluated per batch of elements that share one order
+vector; the file lists elements in natural order.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import assembly as asm
 from . import conformity as cf
 from . import geometry as gm
 from . import masterel as me
@@ -65,28 +68,31 @@ def upscale_samples(vlevel: int):
     return points, np.asarray(cells, dtype=int)
 
 
-def _evaluate_attr(mesh, mdle, attr, pts, geom):
-    physics = mesh.physics
-    a = physics.attrs[attr]
+def _evaluate_attr(mesh, mdles, norder, attr, pts, geom):
+    """{comp: values} of one attribute on a batch: (E, n) for scalar
+    spaces, (E, n, 3) for vector spaces."""
+    a = mesh.physics.attrs[attr]
     space = a.fe_space
-    norder = element_info(mesh, mdle)[0]
     shapes = me.shape_functions_elem(space, pts, norder)
     val, _ = gm.piola_transform(space, shapes, geom)
-    coef = cf.gather_solution(mesh, mdle, attr)
+    vector = space in (me.HCURL, me.HDIV)
+    axis = -3 if vector else -2         # the shape-function axis of val
     if a.is_trace:
-        val = val[np.flatnonzero(np.asarray(shapes.slots) < 26)]
+        val = np.take(val, np.flatnonzero(np.asarray(shapes.slots) < 26), axis)
+    table = val.reshape(val.shape[:axis] + (val.shape[axis], -1))
+    coef = np.array([cf.gather_solution(mesh, m, attr) for m in mdles])
     out = {}
     for c in range(a.ncomp):
-        if val.ndim == 2:            # scalar-valued space
-            out[c] = coef[:, c] @ val
-        else:                        # vector-valued space: (k, 3, q)
-            out[c] = np.einsum("k,kiq->qi", coef[:, c], val)
+        u = (coef[:, None, :, c] @ table)[:, 0]
+        out[c] = u.reshape(len(mdles), 3, -1).swapaxes(1, 2) if vector else u
     return out
 
 
-def _fmt(arr):
-    flat = np.asarray(arr, dtype=float).ravel()
-    return " ".join(format(v, ".17g") for v in flat)
+def _fmt(arr, spec="%.17g"):
+    """Space-separated values, one `%` call for the whole block; floats
+    print as format(v, ".17g") does."""
+    flat = np.asarray(arr).ravel().tolist()
+    return " ".join([spec] * len(flat)) % tuple(flat)
 
 
 def export_vtu(mesh, config: ParaviewConfig, basename: str) -> str:
@@ -97,18 +103,18 @@ def export_vtu(mesh, config: ParaviewConfig, basename: str) -> str:
     npts, ncell = pts.shape[0], cells.shape[0]
     physics = mesh.physics
 
-    coords = []
-    attrs = range(physics.nr_physa)
-    data = {(attr, c): (f"{physics.attrs[attr].nick}_{c}", [])
-            for attr in attrs for c in range(physics.attrs[attr].ncomp)}
-    for mdle in mesh.ELEM_ORDER:
-        _, xnod, _ = element_info(mesh, mdle)
+    coords, data = {}, {}       # by element; data by (attr, comp) first
+    # per element: the Jacobian tables and one vector shape table per point
+    for norder, mdles in asm.element_batches(
+            mesh, lambda norder: 8 * npts * (
+                21 + 3 * int(me.layout_counts(me.H1, norder).sum()))):
+        xnod = np.array([element_info(mesh, m)[1] for m in mdles])
         geom = gm.element_geometry(xnod, pts)
-        coords.append(geom.x)
-        for attr in attrs:
-            values = _evaluate_attr(mesh, mdle, attr, pts, geom)
+        coords.update(zip(mdles, geom.x))
+        for attr in range(physics.nr_physa):
+            values = _evaluate_attr(mesh, mdles, norder, attr, pts, geom)
             for c, vals in values.items():
-                data[(attr, c)][1].append(vals)
+                data.setdefault((attr, c), {}).update(zip(mdles, vals))
 
     nel = len(mesh.ELEM_ORDER)
     path = os.path.join(config.dir, basename + ".vtu")
@@ -122,30 +128,30 @@ def export_vtu(mesh, config: ParaviewConfig, basename: str) -> str:
         fh.write('   <Points>\n')
         fh.write('    <DataArray type="Float64" NumberOfComponents="3" '
                  'format="ascii">\n')
-        for block in coords:
-            fh.write("     " + _fmt(block) + "\n")
+        for mdle in mesh.ELEM_ORDER:
+            fh.write("     " + _fmt(coords[mdle]) + "\n")
         fh.write('    </DataArray>\n   </Points>\n')
         fh.write('   <Cells>\n')
         fh.write('    <DataArray type="Int64" Name="connectivity" '
                  'format="ascii">\n')
         for iel in range(nel):
-            fh.write("     " + " ".join(
-                str(v) for v in (cells + iel * npts).ravel()) + "\n")
+            fh.write("     " + _fmt(cells + iel * npts, "%d") + "\n")
         fh.write('    </DataArray>\n')
         fh.write('    <DataArray type="Int64" Name="offsets" format="ascii">\n')
         offsets = 8 * np.arange(1, nel * ncell + 1)
-        fh.write("     " + " ".join(str(v) for v in offsets) + "\n")
+        fh.write("     " + _fmt(offsets, "%d") + "\n")
         fh.write('    </DataArray>\n')
         fh.write('    <DataArray type="UInt8" Name="types" format="ascii">\n')
         fh.write("     " + " ".join([str(_CELL_HEX)] * (nel * ncell)) + "\n")
         fh.write('    </DataArray>\n   </Cells>\n')
         fh.write('   <PointData>\n')
-        for (attr, c), (name, blocks) in sorted(data.items()):
-            ncomp_out = 1 if blocks[0].ndim == 1 else blocks[0].shape[1]
+        for (attr, c), blocks in sorted(data.items()):
+            name = f"{physics.attrs[attr].nick}_{c}"
+            ncomp_out = next(iter(blocks.values())).size // npts
             fh.write(f'    <DataArray type="Float64" Name="{name}" '
                      f'NumberOfComponents="{ncomp_out}" format="ascii">\n')
-            for block in blocks:
-                fh.write("     " + _fmt(block) + "\n")
+            for mdle in mesh.ELEM_ORDER:
+                fh.write("     " + _fmt(blocks[mdle]) + "\n")
             fh.write('    </DataArray>\n')
         fh.write('   </PointData>\n')
         fh.write('  </Piece>\n </UnstructuredGrid>\n</VTKFile>\n')

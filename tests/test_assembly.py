@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hphex import assembly as asm
 from hphex import conformity as cf
+from hphex import geometry as gm
+from hphex import masterel as me
 from hphex import poisson
 from hphex.errors import ConfigError, LinAlgError, SolveError
-from hphex.mesh import close_mesh, refine_element
+from hphex.mesh import (close_mesh, element_info, execute_pref,
+                        refine_element)
 
-from conftest import grid_geometry
+from conftest import apply_hp_ops, grid_geometry, hp_ops
 
 
 def _patch(kind="galerkin", grid=(1, 1, 1), order=1):
@@ -121,13 +126,13 @@ def test_cg_reports_true_residual():
 def test_wrong_local_system_shape_raises():
     mesh, problem = _patch(order=2)
 
-    def short_K(mesh, mdle):
-        K, b = problem.elem(mesh, mdle)
-        return K[:-1, :-1], b
+    def short_K(mesh, mdles):
+        K, b = problem.elems(mesh, mdles)
+        return K[:, :-1, :-1], b
 
-    def short_b(mesh, mdle):
-        K, b = problem.elem(mesh, mdle)
-        return K, b[:-1]
+    def short_b(mesh, mdles):
+        K, b = problem.elems(mesh, mdles)
+        return K, b[:, :-1]
 
     for elem_fn in (short_K, short_b):
         with pytest.raises(ConfigError, match="element 1: "):
@@ -171,8 +176,8 @@ def test_numbering_and_determinism():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 1), 2)
     cf.update_Ddof(mesh, problem.dirichlet_fn())
-    sys1, _, _ = asm.assemble_system(mesh, problem.elem)
-    sys2, _, _ = asm.assemble_system(mesh, problem.elem)
+    sys1, _, _ = asm.assemble_system(mesh, problem.elems)
+    sys2, _, _ = asm.assemble_system(mesh, problem.elems)
     assert np.array_equal(sys1.matrix.data, sys2.matrix.data)
     assert np.array_equal(sys1.rhs, sys2.rhs)
     # numbered by node id, then attribute, then dof, comps innermost
@@ -186,8 +191,8 @@ def test_threaded_assembly_matches_serial():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 2), 2)
     cf.update_Ddof(mesh, problem.dirichlet_fn())
-    s1, _, _ = asm.assemble_system(mesh, problem.elem, workers=1)
-    s4, _, _ = asm.assemble_system(mesh, problem.elem, workers=4)
+    s1, _, _ = asm.assemble_system(mesh, problem.elems, workers=1)
+    s4, _, _ = asm.assemble_system(mesh, problem.elems, workers=4)
     assert np.array_equal(s1.matrix.data, s4.matrix.data)
     assert np.array_equal(s1.rhs, s4.rhs)
 
@@ -196,14 +201,14 @@ def test_workers_below_one_rejected():
     mesh, problem = _patch()
     for workers in (0, -1):
         with pytest.raises(ConfigError, match="workers"):
-            asm.assemble_system(mesh, problem.elem, workers=workers)
+            asm.assemble_system(mesh, problem.elems, workers=workers)
 
 
 def test_galerkin_orthogonality_residual():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 2), 2)
     poisson.solve_problem(mesh, problem, tol=1e-13)
-    sys, _, _ = asm.assemble_system(mesh, problem.elem)
+    sys, _, _ = asm.assemble_system(mesh, problem.elems)
     x = np.empty(sys.ndof)
     for key, g in sys.index.items():
         nid, attr, comp, k = key
@@ -240,10 +245,109 @@ def test_dense_solver_reports_true_residual():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 1), 2)
     report = poisson.solve_problem(mesh, problem, solver="dense")
-    system, _, _ = asm.assemble_system(mesh, problem.elem)
+    system, _, _ = asm.assemble_system(mesh, problem.elems)
     x = np.zeros(system.ndof)
     for (nid, attr, comp, k), g in system.index.items():
         x[g] = mesh.NODES[nid].dofs[attr][k, comp]
     b = system.rhs
     true = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
     assert report.residual == true
+
+
+# ---------------------------------------------------------------------------
+# element batches
+
+
+def _same(a, b):
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_stacked_condensation_matches_single_elements():
+    rng = np.random.default_rng(5)
+    for n, nb in ((2, 1), (27, 1), (40, 8)):
+        A = rng.standard_normal((4, n, n))
+        A = A @ np.swapaxes(A, 1, 2) + n * np.eye(n)
+        b = rng.standard_normal((4, n))
+        bub = np.zeros(n, bool)
+        bub[-nb:] = True
+        u = rng.standard_normal((4, n - nb))
+        cond = asm.static_condense(A, b, bub)
+        u_b = asm.recover_bubbles(cond, u)
+        for s in range(4):
+            one = asm.static_condense(A[s], b[s], bub)
+            assert _same(one.K, cond.K[s]) and _same(one.b, cond.b[s])
+            assert _same(asm.recover_bubbles(one, u[s]), u_b[s])
+
+
+def test_batches_share_order_and_respect_the_cap(monkeypatch):
+    mesh, _ = _patch(grid=(2, 2, 1), order=2)
+    execute_pref(mesh, [mesh.ELEM_ORDER[0]])
+    refine_element(mesh, mesh.ELEM_ORDER[-1])
+    close_mesh(mesh)
+    batches = asm.element_batches(mesh, lambda norder: 1)
+    assert sorted(m for _, mdles in batches for m in mdles) == \
+        sorted(mesh.ELEM_ORDER)
+    for norder, mdles in batches:
+        assert all(tuple(element_info(mesh, m)[0]) == norder for m in mdles)
+        assert mdles == sorted(mdles, key=mesh.ELEM_ORDER.index)
+    monkeypatch.setattr(asm, "_BATCH_BYTES", 3)
+    assert all(len(mdles) == 1 for _, mdles in
+               asm.element_batches(mesh, lambda norder: 4))
+    assert all(len(mdles) <= 3 for _, mdles in
+               asm.element_batches(mesh, lambda norder: 1))
+
+
+def test_batched_kernels_match_single_elements_property(monkeypatch):
+    """On random hp meshes with jittered vertices, one stacked pass over
+    a batch gives the bits of the single-element passes: the Galerkin
+    kernel, the assembled system with one element per batch, and the
+    stacked geometry and Piola maps."""
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(nx=st.integers(1, 2), ny=st.integers(1, 2), p=st.integers(1, 3),
+           ops=hp_ops(3), seed=st.integers(0, 2 ** 16))
+    def check(nx, ny, p, ops, seed):
+        problem = poisson.make_problem("galerkin", exact="smooth")
+        mesh = poisson.make_mesh(problem, grid_geometry(nx, ny, 1), p)
+        apply_hp_ops(mesh, ops)
+        rng = np.random.default_rng(seed)
+        for node in mesh.NODES[1:]:
+            if node.kind == "VERTEX":
+                node.coords = node.coords + 0.02 * rng.uniform(-1, 1, 3)
+        cf.update_Ddof(mesh, problem.dirichlet_fn())
+
+        for norder, mdles in asm.element_batches(mesh, lambda norder: 1):
+            K, b = poisson.elem_galerkin(mesh, mdles, problem)
+            for e, mdle in enumerate(mdles):
+                K1, b1 = poisson.elem_galerkin(mesh, [mdle], problem)
+                assert _same(K1[0], K[e]) and _same(b1[0], b[e])
+
+            rule = me.gauss_quadrature_3d((4, 3, 2))
+            xnod = np.array([element_info(mesh, m)[1] for m in mdles])
+            geom = gm.element_geometry(xnod, rule.points)
+            for e in range(len(mdles)):
+                one = gm.element_geometry(xnod[e], rule.points)
+                for f in ("x", "dxdxi", "dxidx", "rjac"):
+                    assert _same(getattr(one, f), getattr(geom, f)[e])
+                for space in (me.H1, me.HDIV, me.L2):
+                    shp = me.shape_functions_elem(space, rule.points, norder)
+                    stacked = gm.piola_transform(space, shp, geom)
+                    single = gm.piola_transform(space, shp, one)
+                    for s, o in zip(stacked, single):
+                        if o is None:
+                            assert s is None
+                        elif s.shape == o.shape:    # H1 values: master table
+                            assert _same(s, o)
+                        else:
+                            assert _same(s[e], o)
+
+        whole, _, _ = asm.assemble_system(mesh, problem.elems)
+        with monkeypatch.context() as m:
+            m.setattr(asm, "_BATCH_BYTES", 1)
+            single, _, _ = asm.assemble_system(mesh, problem.elems)
+        assert _same(whole.matrix.indptr, single.matrix.indptr)
+        assert _same(whole.matrix.indices, single.matrix.indices)
+        assert _same(whole.matrix.data, single.matrix.data)
+        assert _same(whole.rhs, single.rhs)
+
+    check()

@@ -98,7 +98,7 @@ def test_galerkin_element_p1_frozen_values():
     problem.exact = poisson.ManufacturedSolution(
         "unit-load", u=lambda x: np.zeros(len(x)),
         grad=lambda x: np.zeros((len(x), 3)), f=lambda x: np.ones(len(x)))
-    K, b = poisson.elem_galerkin(mesh, 1, problem)
+    (K,), (b,) = poisson.elem_galerkin(mesh, [1], problem)
     assert K.shape == (8, 8)
     assert np.max(np.abs(K.sum(axis=1))) < 1e-13
     assert np.allclose(np.diag(K), 1.0 / 3.0, atol=1e-14)
@@ -110,7 +110,7 @@ def test_galerkin_element_symmetric():
     # stretch the element so the Jacobian is not the identity
     for v in mesh.NODES[1].elem_nodes[0:8]:
         mesh.NODES[v].coords = mesh.NODES[v].coords * np.array([2.0, 0.7, 1.3])
-    K, _ = poisson.elem_galerkin(mesh, 1, problem)
+    (K,), _ = poisson.elem_galerkin(mesh, [1], problem)
     assert np.max(np.abs(K - K.T)) < 1e-12
 
 
@@ -294,7 +294,7 @@ def test_patch_and_symmetry_on_random_hp_meshes():
         poisson.solve_problem(mesh, problem, solver="dense")
         err, el2, _ = poisson.compute_exact_error(mesh, problem)
         assert err < 1e-9 and el2 < 1e-9
-        system, _, _ = asm.assemble_system(mesh, problem.elem)
+        system, _, _ = asm.assemble_system(mesh, problem.elems)
         scale = np.abs(system.matrix.data).max(initial=0.0)
         assert system.symmetry_error() <= 1e-12 * scale
 

@@ -116,3 +116,16 @@ def test_pvd_lists_snapshots_in_order(tmp_path):
     series.add(mesh, cfg, "step1", time=1.0)
     entries = vtu.read_pvd(str(tmp_path / "run.pvd"))
     assert entries == [(0.0, "step0.vtu"), (1.0, "step1.vtu")]
+
+
+def test_fmt_matches_per_value_format():
+    rng = np.random.default_rng(4)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               1e308, -1.0, 0.1, 1 / 3, np.inf, -np.inf, np.nan]
+    for block in (rng.standard_normal(81) * 10.0 ** rng.integers(-300, 300, 81),
+                  rng.standard_normal((27, 3)), np.array(special),
+                  rng.standard_normal(1), np.zeros(0)):
+        flat = np.asarray(block, dtype=float).ravel()
+        assert vtu._fmt(block) == " ".join(format(v, ".17g") for v in flat)
+    ints = np.arange(-5, 70).reshape(5, 15)
+    assert vtu._fmt(ints, "%d") == " ".join(str(v) for v in ints.ravel())
