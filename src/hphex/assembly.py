@@ -44,6 +44,24 @@ class CondensedLocal:
     b_b: np.ndarray = None
 
 
+def _tri_solve(a, b, lower, trans=0):
+    """`scipy.linalg.solve_triangular` on a stack a (..., n, n), b (..., n, m)
+    minus its per-item Python wrapper: one dtrtrs call per item in scipy's
+    form (a non-F-contiguous item goes in transposed, `lower` and `trans`
+    flipped), stacked as scipy stacks them, so every bit is scipy's."""
+    n, m = b.shape[-2:]
+    xs = []
+    for a_i, b_i in zip(a.reshape(-1, n, n), b.reshape(-1, n, m)):
+        f = a_i.flags.f_contiguous
+        x, info = scipy.linalg.lapack.dtrtrs(
+            a_i if f else a_i.T, b_i, lower=lower if f else not lower,
+            trans=trans if f else not trans)
+        if info > 0:
+            raise LinAlgError(f"singular triangular factor at row {info}")
+        xs.append(x)
+    return np.stack(xs).reshape(b.shape)
+
+
 def static_condense(K: np.ndarray, b: np.ndarray,
                     bubble: np.ndarray) -> CondensedLocal:
     """Schur-eliminate the bubble dofs: A_ii − A_ib A_bb⁻¹ A_bi.
@@ -64,7 +82,7 @@ def static_condense(K: np.ndarray, b: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise LinAlgError(f"bubble block is singular: {exc}") from exc
     rhs = np.concatenate([A_ib.swapaxes(-1, -2), b[..., bub, None]], -1)
-    Y = scipy.linalg.solve_triangular(L, rhs, lower=True)
+    Y = _tri_solve(L, rhs, lower=True)
     Yt = Y[..., :-1].swapaxes(-1, -2)
     K_c = K[..., iface[:, None], iface] - Yt @ Y[..., :-1]
     b_c = b[..., iface] - (Yt @ Y[..., -1:])[..., 0]
@@ -78,9 +96,8 @@ def recover_bubbles(cond: CondensedLocal, u_iface: np.ndarray) -> np.ndarray:
         return np.zeros(u_iface.shape[:-1] + (0,))
     L = cond.factor
     rhs = cond.b_b[..., None] - cond.K_ib.swapaxes(-1, -2) @ u_iface[..., None]
-    y = scipy.linalg.solve_triangular(L, rhs, lower=True)
-    return scipy.linalg.solve_triangular(
-        L.swapaxes(-1, -2), y, lower=False)[..., 0]
+    y = _tri_solve(L, rhs, lower=True)
+    return _tri_solve(L.swapaxes(-1, -2), y, lower=False)[..., 0]
 
 
 # ---------------------------------------------------------------------------

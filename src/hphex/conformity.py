@@ -33,14 +33,7 @@ from . import masterel as me
 from .errors import ConfigError, IrregularityError, MeshError, SolveError
 
 def is_constrained(mesh, nid: int) -> bool:
-    node = mesh.NODES[nid]
-    fid = node.father
-    if not fid:
-        return False
-    father = mesh.NODES[fid]
-    if father.kind not in ("EDGE", "FACE"):
-        return False
-    return fid in mesh.skeleton_in_use()
+    return _is_hanging(mesh, mesh.NODES[nid], mesh.skeleton_in_use())
 
 
 # ---------------------------------------------------------------------------
@@ -346,165 +339,178 @@ def modified_element(mesh, mdle: int) -> ModifiedElement:
     )
 
 
-def gather_solution(mesh, mdle: int, attr: int) -> np.ndarray:
-    """Local conforming coefficients (nscalar, ncomp) for one attribute."""
-    physics = mesh.physics
-    a = physics.attrs[attr]
-    space = a.fe_space
-    slots, _ = scalar_slot_counts(mesh, mdle, space, a.is_trace)
-    nc = a.ncomp
+def _is_hanging(mesh, node, used) -> bool:
+    father = mesh.NODES[node.father] if node.father else None
+    return bool(father) and father.kind in ("EDGE", "FACE") and father.id in used
 
-    def node_values(nid, count):
-        node = mesh.NODES[nid]
-        if node.dofs is None or attr not in node.dofs:
-            masked = any(node.bcond >> physics.global_comp(attr, c) & 1
-                         for c in range(nc)) if node.kind != "MIDDLE" else False
-            if count and not masked:
-                raise SolveError(f"node {nid} has no solution dofs for attr {attr}")
-            return np.zeros((count, nc))
-        vals = node.dofs[attr]
-        if vals.shape[0] < count:
-            out = np.zeros((count, nc))
-            out[:vals.shape[0]] = vals
-            return out
-        return vals[:count]
 
-    out = np.zeros((sum(c for _, c in slots), nc))
-    pos = 0
-    for nid, count in slots:
-        if count == 0:
-            continue
-        if not is_constrained(mesh, nid):
-            out[pos:pos + count] = node_values(nid, count)
-        else:
-            group, M = _hanging(mesh, space, nid)
-            gvals = np.zeros((len(group), nc))
-            by_node = {}
-            for j, (gnid, k) in enumerate(group):
-                by_node.setdefault(gnid, []).append((j, k))
-            for gnid, pairs in by_node.items():
-                vals = node_values(gnid, max(k for _, k in pairs) + 1)
-                for j, k in pairs:
-                    gvals[j] = vals[k]
-            out[pos:pos + count] = M @ gvals
-        pos += count
+def _node_solution(mesh, nid, attr, count, used):
+    """(count, ncomp) local coefficients of one node: its stored rows (zero
+    past them; only a masked node may store none) or, for a constrained
+    node, its parent group's values through `_hanging`."""
+    node, a = mesh.NODES[nid], mesh.physics.attrs[attr]
+    if _is_hanging(mesh, node, used):
+        group, M = _hanging(mesh, a.fe_space, nid)
+        return M @ np.array([_node_solution(mesh, g, attr, k + 1, used)[k]
+                             for g, k in group])
+    dofs = node.dofs.get(attr) if node.dofs else None
+    if dofs is not None and len(dofs) >= count:
+        return dofs[:count]
+    if dofs is None and count and (node.kind == "MIDDLE" or not any(
+            node.bcond >> mesh.physics.global_comp(attr, c) & 1
+            for c in range(a.ncomp))):
+        raise SolveError(f"node {nid} has no solution dofs for attr {attr}")
+    out = np.zeros((count, a.ncomp))
+    if dofs is not None:
+        out[:len(dofs)] = dofs
     return out
+
+
+def gather_solution(mesh, mdles, attr: int) -> np.ndarray:
+    """Local conforming coefficients (E, nscalar, ncomp) of one attribute
+    on a batch of elements that share one order vector; one element id
+    gives its (nscalar, ncomp) view of the batch of one.  The slot counts
+    and the in-use set are taken once per batch, and each distinct node
+    of the batch is read (or, when constrained, resolved) once."""
+    if np.isscalar(mdles):
+        return gather_solution(mesh, [mdles], attr)[0]
+    a = mesh.physics.attrs[attr]
+    slots, _ = scalar_slot_counts(mesh, mdles[0], a.fe_space, a.is_trace)
+    live = [s for s, (_, count) in enumerate(slots) if count]
+    count = np.array([slots[s][1] for s in live])
+    ids = np.array([mesh.element(m).elem_nodes + (m,) for m in mdles])[:, live]
+    nids, first, where = np.unique(ids, return_index=True, return_inverse=True)
+    ncount = count[first % len(live)]
+    used = mesh.skeleton_in_use()
+    table = np.concatenate([_node_solution(mesh, nid, attr, c, used) for nid, c
+                            in zip(nids.tolist(), ncount.tolist())])
+    rows = (np.cumsum(ncount) - ncount)[where.reshape(ids.shape)]
+    return table[np.repeat(rows, count, axis=1)
+                 + np.concatenate([np.arange(c) for c in count])]
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet DOF interpolation
 
-def _edge_projection(mesh, node, dirichlet_fn, comp_slots, attr, nc):
-    p = node.order
-    xa = mesh.NODES[node.verts[0]].coords
-    xb = mesh.NODES[node.verts[1]].coords
+def _node_dofs(node, attr, nrow, nc):
+    """The node's dof array of attr, made (zero) if it has none."""
+    node.dofs = node.dofs or {}
+    return node.dofs.setdefault(attr, np.zeros((nrow, nc)))
+
+
+def _lift_order(mesh, face, pos, attr):
+    """Bubble order of face edge `pos` in the face lift (1: no dofs yet)."""
+    en = mesh.NODES[face.edges[pos]]
+    return en.order if en.dofs and attr in en.dofs else 1
+
+
+def _project_vertices(mesh, group, dirichlet_fn, attr, nc):
+    vals, _ = dirichlet_fn(np.array([node.coords for node, _ in group]))
+    for (node, comps), v in zip(group, vals):
+        _node_dofs(node, attr, 1, nc)[0, comps] = v
+
+
+def _project_edges(mesh, group, dirichlet_fn, attr, nc):
+    """Bubbles of the edges of one order p: the tangential derivative less
+    the vertex lift, expanded in P_1..P_{p-1} at p+2 Gauss points."""
+    p = group[0][0].order
     t, w = me.gauss_1d(p + 2)
-    x = xa[None, :] + np.outer(t, xb - xa)
-    vals, grads = dirichlet_fn(x)
-    dvals, _ = dirichlet_fn(np.array([xa, xb]))
-    tang = grads @ (xb - xa)
+    ends = np.array([mesh.vertex_coords(node.verts) for node, _ in group])
+    d = ends[:, 1] - ends[:, 0]
+    x = ends[:, :1] + t[None, :, None] * d[:, None]
+    _, grads = dirichlet_fn(x.reshape(-1, 3))
+    dvals, _ = dirichlet_fn(ends.reshape(-1, 3))
+    tang = np.matmul(grads.reshape(x.shape), d[:, :, None])[..., 0]
+    resid = tang - (dvals[1::2] - dvals[0::2])[:, None]
     _, _, P, _ = me._axis_bases(p, t.tobytes())
-    node.dofs = node.dofs or {}
-    nbub = _node_count("H1", "EDGE", p)
-    dofs = node.dofs.setdefault(attr, np.zeros((nbub, nc)))
-    for comp in comp_slots:
-        lift = dvals[1] - dvals[0]
-        resid = tang - lift
-        for n in range(2, p + 1):
-            dofs[n - 2, comp] = (2 * (n - 1) + 1) * (w * resid * P[n - 1]).sum()
+    coef = np.stack([(2 * (n - 1) + 1) * (w * resid * P[n - 1]).sum(-1)
+                     for n in range(2, p + 1)], axis=1)
+    for (node, comps), c in zip(group, coef):
+        _node_dofs(node, attr, p - 1, nc)[:, comps] = c[:, None]
 
 
-def _face_projection(mesh, node, dirichlet_fn, comp_slots, attr, nc):
-    p1, p2 = me.decode_face_order(node.order)
-    nbub = _node_count("H1", "FACE", node.order)
-    node.dofs = node.dofs or {}
-    dofs = node.dofs.setdefault(attr, np.zeros((nbub, nc)))
+@lru_cache(maxsize=None)
+def _face_gram(p1, p2):
+    """Face-bubble seminorm Gram K and d/dt1, d/dt2 tables A1, A2."""
+    t, w2 = me.gauss_quadrature_2d((p1 + 2, p2 + 2))
+    H1b, dH1b, _, _ = me._axis_bases(p1, t[:, 0].tobytes())
+    H2b, dH2b, _, _ = me._axis_bases(p2, t[:, 1].tobytes())
+    fidx = [(n1, n2) for n1 in range(2, p1 + 1) for n2 in range(2, p2 + 1)]
+    A1 = np.array([dH1b[n1] * H2b[n2] for n1, n2 in fidx])
+    A2 = np.array([H1b[n1] * dH2b[n2] for n1, n2 in fidx])
+    K = np.array([[(w2 * (a1 * b1 + a2 * b2)).sum() for b1, b2 in zip(A1, A2)]
+                  for a1, a2 in zip(A1, A2)])
+    return tuple(me._read_only(T) for T in (K, A1, A2))
+
+
+def _project_faces(mesh, group, dirichlet_fn, attr, nc):
+    """Bubbles of faces of one (order, components, edge lift orders): the
+    parameter gradient less the vertex and edge lift, seminorm projected."""
+    face, comps = group[0]
+    p1, p2 = me.decode_face_order(face.order)
+    nbub = _node_count("H1", "FACE", face.order)
+    dofs = [_node_dofs(node, attr, nbub, nc) for node, _ in group]
     if nbub == 0:
         return
-    corners = mesh.vertex_coords(node.verts)
+    corners = np.array([mesh.vertex_coords(node.verts) for node, _ in group])
     t, w2 = me.gauss_quadrature_2d((p1 + 2, p2 + 2))
     t1, t2 = t[:, 0], t[:, 1]
-    hat = np.stack([(1 - t1) * (1 - t2), t1 * (1 - t2), (1 - t1) * t2, t1 * t2])
-    x = np.einsum("cp,ci->pi", hat, corners)
-    dx1 = np.einsum("cp,ci->pi",
-                    np.stack([-(1 - t2), (1 - t2), -t2, t2]), corners)
-    dx2 = np.einsum("cp,ci->pi",
-                    np.stack([-(1 - t1), -t1, (1 - t1), t1]), corners)
-    vals, grads = dirichlet_fn(x)
-    g1 = (grads * dx1).sum(axis=1)
-    g2 = (grads * dx2).sum(axis=1)
-
+    hats = ([(1 - t1) * (1 - t2), t1 * (1 - t2), (1 - t1) * t2, t1 * t2],
+            [-(1 - t2), (1 - t2), -t2, t2], [-(1 - t1), -t1, (1 - t1), t1])
+    x, dx1, dx2 = (np.einsum("cp,fci->fpi", np.stack(h), corners) for h in hats)
+    _, grads = dirichlet_fn(x.reshape(-1, 3))
+    g1, g2 = ((grads.reshape(x.shape) * dx).sum(-1) for dx in (dx1, dx2))
     col1, col2 = t1.tobytes(), t2.tobytes()
     H1b, dH1b, _, _ = me._axis_bases(p1, col1)
     H2b, dH2b, _, _ = me._axis_bases(p2, col2)
-
     # lift: bilinear vertex part, then edge bubbles interpolated earlier
-    cvals, _ = dirichlet_fn(corners)
-    l1 = np.zeros_like(g1)
-    l2 = np.zeros_like(g2)
-    pairs = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    for cv, (k1, k2) in zip(cvals, pairs):
-        l1 += cv * dH1b[k1] * H2b[k2]
-        l2 += cv * H1b[k1] * dH2b[k2]
-    edge_specs = [  # edge position in the face layout -> (k1,k2) index builder
-        (0, lambda n: (n, 0)), (1, lambda n: (n, 1)),
-        (2, lambda n: (0, n)), (3, lambda n: (1, n)),
-    ]
-
-    K = np.zeros((nbub, nbub))
-    fidx = [(n1, n2) for n1 in range(2, p1 + 1) for n2 in range(2, p2 + 1)]
-    F1 = [(dH1b[n1] * H2b[n2], H1b[n1] * dH2b[n2]) for n1, n2 in fidx]
-    for i, (a1, a2) in enumerate(F1):
-        for j, (b1, b2) in enumerate(F1):
-            K[i, j] = (w2 * (a1 * b1 + a2 * b2)).sum()
-
-    for comp in comp_slots:
-        lift1 = l1.copy()
-        lift2 = l2.copy()
-        for pos, kmap in edge_specs:
-            eid = node.edges[pos]
-            en = mesh.NODES[eid]
-            edofs = None if en.dofs is None else en.dofs.get(attr)
-            if edofs is None:
+    cvals = dirichlet_fn(corners.reshape(-1, 3))[0].reshape(-1, 4, 1)
+    l1, l2 = np.zeros_like(g1), np.zeros_like(g2)
+    for c, (k1, k2) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
+        l1 += cvals[:, c] * dH1b[k1] * H2b[k2]
+        l2 += cvals[:, c] * H1b[k1] * dH2b[k2]
+    K, A1, A2 = _face_gram(p1, p2)
+    for comp in comps:
+        lift1, lift2 = l1.copy(), l2.copy()
+        for pos in range(4):        # bottom, top (along t1), left, right
+            pe = _lift_order(mesh, face, pos, attr)
+            if pe < 2:
                 continue
-            pe = en.order
+            edofs = np.array([mesh.NODES[node.edges[pos]].dofs[attr][:, comp]
+                              for node, _ in group])
             Hb1, dHb1, _, _ = me._axis_bases(max(p1, pe), col1)
             Hb2, dHb2, _, _ = me._axis_bases(max(p2, pe), col2)
             for n in range(2, pe + 1):
-                k1, k2 = kmap(n)
-                c = edofs[n - 2, comp]
-                lift1 += c * dHb1[k1] * Hb2[k2]
-                lift2 += c * Hb1[k1] * dHb2[k2]
-        r1 = g1 - lift1
-        r2 = g2 - lift2
-        rhs = np.array([(w2 * (r1 * a1 + r2 * a2)).sum() for a1, a2 in F1])
-        dofs[:, comp] = np.linalg.solve(K, rhs)
+                k1, k2 = (n, pos) if pos < 2 else (pos - 2, n)
+                lift1 += edofs[:, n - 2, None] * dHb1[k1] * Hb2[k2]
+                lift2 += edofs[:, n - 2, None] * Hb1[k1] * dHb2[k2]
+        r1, r2 = (g1 - lift1)[:, None], (g2 - lift2)[:, None]
+        rhs = (w2 * (r1 * A1 + r2 * A2)).sum(-1)
+        sol = np.linalg.solve(K, rhs[..., None])[..., 0]   # K broadcast
+        for d, s in zip(dofs, sol):
+            d[:, comp] = s
 
 
 def update_Ddof(mesh, dirichlet_fn=None):
-    """Interpolate Dirichlet data onto masked H1 DOFs.
+    """Interpolate Dirichlet data onto masked H1 DOFs, one group at a time.
 
     dirichlet_fn maps (n, 3) points to (values (n,), gradients (n, 3));
     it is required whenever some masked H1 attribute is not flagged
-    homogeneous.  Vertex DOFs take point values; edge and face bubbles
-    solve seminorm projections in parameter coordinates at quadrature
-    order p+2.  The 1D bases at those Gauss points come from the
-    per-(order, coordinate column) cache of `masterel`, shared by every
-    boundary node of the same order.  Nodes no active element uses are
+    homogeneous.  Vertices take point values (one call for all); edge and
+    face bubbles solve seminorm projections in parameter coordinates at
+    quadrature order p+2, one stack per group (edges of one order; faces
+    of one order, masked components and lift edge orders), each node's
+    bits those of its group of one.  Nodes no active element uses are
     skipped (a refined face an unrefined neighbour still uses stays in).
     """
     physics = mesh.physics
     used = mesh.skeleton_in_use()
     for attr, a in enumerate(physics.attrs):
-        comp_slots = [c for c in range(a.ncomp)]
-        gbits = [physics.global_comp(attr, c) for c in comp_slots]
-        masked_nodes = []
-        for node in mesh.NODES[1:]:
-            if node.kind == "MIDDLE" or not node.bcond or node.id not in used:
-                continue
-            comps = [c for c, g in zip(comp_slots, gbits) if node.bcond >> g & 1]
-            if comps:
-                masked_nodes.append((node, comps))
+        gbits = [physics.global_comp(attr, c) for c in range(a.ncomp)]
+        masked_nodes = [(node, [c for c, g in enumerate(gbits) if node.bcond >> g & 1])
+                        for node in mesh.NODES[1:]
+                        if node.kind != "MIDDLE" and node.bcond and node.id in used]
+        masked_nodes = [(node, comps) for node, comps in masked_nodes if comps]
         if not masked_nodes:
             continue
         if a.homogeneous_dirichlet:
@@ -517,23 +523,21 @@ def update_Ddof(mesh, dirichlet_fn=None):
         if a.fe_space != "H1":
             raise ConfigError(
                 f"attribute {a.nick!r}: Dirichlet data interpolation is only "
-                "supported for H1 attributes"
-            )
+                "supported for H1 attributes")
         if dirichlet_fn is None:
             raise ConfigError("dirichlet_fn required for non-homogeneous data")
-        for node, comps in masked_nodes:
-            if node.kind == "VERTEX":
-                vals, _ = dirichlet_fn(node.coords[None, :])
-                node.dofs = node.dofs or {}
-                dofs = node.dofs.setdefault(attr, np.zeros((1, a.ncomp)))
-                for c in comps:
-                    dofs[0, c] = vals[0]
-        for node, comps in masked_nodes:
-            if node.kind == "EDGE" and node.order >= 2:
-                _edge_projection(mesh, node, dirichlet_fn, comps, attr, a.ncomp)
-        for node, comps in masked_nodes:
-            if node.kind == "FACE":
-                _face_projection(mesh, node, dirichlet_fn, comps, attr, a.ncomp)
+        for kind, project, key in (
+                ("VERTEX", _project_vertices, lambda node, comps: 0),
+                ("EDGE", _project_edges, lambda node, comps: node.order),
+                ("FACE", _project_faces, lambda node, comps: (
+                    node.order, tuple(comps), *(_lift_order(mesh, node, pos, attr)
+                                                for pos in range(4))))):
+            groups = {}
+            for node, comps in masked_nodes:
+                if node.kind == kind and (kind != "EDGE" or node.order > 1):
+                    groups.setdefault(key(node, comps), []).append((node, comps))
+            for group in groups.values():
+                project(mesh, group, dirichlet_fn, attr, a.ncomp)
 
 
 def update_gdof(mesh):

@@ -534,11 +534,10 @@ def compute_exact_error(mesh, problem: Problem):
         uu = exact.u(x).reshape(len(mdles), -1)
         shp = me.shape_functions_elem(me.L2 if uw else me.H1, rule.points,
                                       norder)
-        cu = np.array([cf.gather_solution(mesh, m, 2 if uw else 0)[:, 0]
-                       for m in mdles])
+        cu = cf.gather_solution(mesh, mdles, 2 if uw else 0)[..., 0]
         uh = cu @ shp.values
         if uw:
-            cs = np.array([cf.gather_solution(mesh, m, 3) for m in mdles])
+            cs = cf.gather_solution(mesh, mdles, 3)
             uh = uh / geom.rjac
             gh = cs.swapaxes(1, 2) @ shp.values / geom.rjac[:, None, :]
         else:

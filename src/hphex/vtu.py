@@ -80,7 +80,7 @@ def _evaluate_attr(mesh, mdles, norder, attr, pts, geom):
     if a.is_trace:
         val = np.take(val, np.flatnonzero(np.asarray(shapes.slots) < 26), axis)
     table = val.reshape(val.shape[:axis] + (val.shape[axis], -1))
-    coef = np.array([cf.gather_solution(mesh, m, attr) for m in mdles])
+    coef = cf.gather_solution(mesh, mdles, attr)
     out = {}
     for c in range(a.ncomp):
         u = (coef[:, None, :, c] @ table)[:, 0]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,6 +278,35 @@ def test_stacked_condensation_matches_single_elements():
             one = asm.static_condense(A[s], b[s], bub)
             assert _same(one.K, cond.K[s]) and _same(one.b, cond.b[s])
             assert _same(asm.recover_bubbles(one, u[s]), u_b[s])
+
+
+def _layout(x):
+    """Shape and the strides of every axis longer than one."""
+    return x.shape, [s for s, d in zip(x.strides, x.shape) if d > 1]
+
+
+def test_tri_solve_matches_scipy_bitwise():
+    """The per-item dtrtrs loop gives scipy's stacked and single
+    solve_triangular results bit for bit, in scipy's memory layout, for
+    1x1 and n x n factors stored C- and F-ordered, lower and upper, with
+    and without the transpose."""
+    rng = np.random.default_rng(11)
+    for n in (1, 6):
+        M = rng.standard_normal((5, n, n)) + 3.0 * np.eye(n)
+        b = rng.standard_normal((5, n, 4))
+        for lower in (True, False):
+            c = np.tril(M) if lower else np.triu(M)
+            f = c.swapaxes(1, 2).copy().swapaxes(1, 2)
+            assert f[0].flags.f_contiguous and _same(c, f)
+            for a, trans in ((c, 0), (c, 1), (f, 0), (f, 1)):
+                for a_s, b_s in ((a, b), (a[0], b[0])):
+                    ref = scipy.linalg.solve_triangular(a_s, b_s, trans=trans,
+                                                        lower=lower)
+                    got = asm._tri_solve(a_s, b_s, lower, trans)
+                    assert got.tobytes() == ref.tobytes()
+                    assert _layout(got) == _layout(ref)
+    with pytest.raises(LinAlgError):
+        asm._tri_solve(np.zeros((2, 3, 3)), np.ones((2, 3, 1)), True)
 
 
 def test_batches_share_order_and_respect_the_cap(monkeypatch):

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hphex import assembly as asm
 from hphex import conformity as cf
 from hphex import masterel as me
+from hphex import poisson
 from hphex.errors import ConfigError, IrregularityError, SolveError
 from hphex.mesh import element_info, generate_initial_mesh, refine_element
 
@@ -535,6 +537,67 @@ def test_ddof_requires_function_for_inhomogeneous_data():
     mesh.set_boundary_flag(0, 0, 0, 1)
     with pytest.raises(ConfigError):
         cf.update_Ddof(mesh)
+
+
+def _bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_groups_of_one_match_whole_groups_property():
+    """On random hp meshes with jittered vertices and mixed edge and face
+    orders, projecting each masked node as its own group gives the
+    Dirichlet DOFs of the grouped projection bit for bit, and a batch of
+    one element gathers the bits of its whole batch, constrained
+    elements included."""
+    seen = set()
+
+    def alone(project):
+        return lambda mesh, group, *args: [project(mesh, [item], *args)
+                                           for item in group]
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(nx=st.integers(1, 2), ny=st.integers(1, 2), p=st.integers(1, 3),
+           ops=hp_ops(4), seed=st.integers(0, 2 ** 16))
+    def check(nx, ny, p, ops, seed):
+        problem = poisson.make_problem("galerkin", exact="boundary_layer")
+        mesh = poisson.make_mesh(problem, grid_geometry(nx, ny, 1), p)
+        apply_hp_ops(mesh, ops)
+        rng = np.random.default_rng(seed)
+        for node in mesh.NODES[1:]:
+            if node.kind == "VERTEX":
+                node.coords = node.coords + 0.02 * rng.uniform(-1, 1, 3)
+
+        def project():
+            for node in mesh.NODES[1:]:
+                node.dofs = None
+            cf.update_Ddof(mesh, problem.dirichlet_fn())
+            return {n.id: n.dofs[0] for n in mesh.NODES[1:] if n.dofs}
+
+        grouped = project()
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_project_vertices", "_project_edges",
+                         "_project_faces"):
+                mp.setattr(cf, name, alone(getattr(cf, name)))
+            single = project()
+        assert grouped.keys() == single.keys()
+        assert all(_bits(grouped[nid], single[nid]) for nid in grouped)
+        for nid in grouped:
+            face = mesh.NODES[nid]
+            if face.kind == "FACE" and {mesh.NODES[e].order for e in face.edges} \
+                    != set(me.decode_face_order(face.order)):
+                seen.add("mixed orders")
+
+        poisson.solve_problem(mesh, problem)
+        for _, mdles in asm.element_batches(mesh, lambda norder: 1):
+            whole = cf.gather_solution(mesh, mdles, 0)
+            for e, mdle in enumerate(mdles):
+                assert _bits(cf.gather_solution(mesh, [mdle], 0)[0], whole[e])
+                assert _bits(cf.gather_solution(mesh, mdle, 0), whole[e])
+                if len(mdles) > 1 and not cf.modified_element(mesh, mdle).conforming:
+                    seen.add("constrained")
+
+    check()
+    assert seen == {"mixed orders", "constrained"}
 
 
 # ---------------------------------------------------------------------------
