@@ -7,12 +7,14 @@ columns in attribute order.  Assembly expands each through the
 constrained-approximation matrix C (unless C = I), moves Dirichlet
 columns to the load, eliminates interior (bubble) DOFs by a Schur
 complement on the sub-stacks that share one (free, bubble) layout, and
-scatters in natural element order into one sparse symmetric system.
+scatters into one sparse symmetric system at block offsets in natural
+element order, so duplicates are summed in that order for any grouping.
 
 Global DOF numbering: nodes in id order, attributes in exact-sequence
 order within a node, vector components innermost.  Only modified
 (constraint-parent), non-Dirichlet dofs are numbered; bubbles are
-numbered only when condensation is off.
+numbered only when condensation is off; each key is one int64 code in
+that order, and one `np.unique` numbers them all.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import scipy.sparse
 from . import conformity as cf
 from . import masterel as me
 from .errors import ConfigError, LinAlgError, SolveError
-from .mesh import element_info
 
 
 @dataclass
@@ -107,6 +108,7 @@ def recover_bubbles(cond: CondensedLocal, u_iface: np.ndarray) -> np.ndarray:
 class SparseSystem:
     matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
+    keys: np.ndarray            # (ndof, 4): (node, attr, comp, k) per dof
     index: dict                 # (node, attr, comp, k) -> global dof
 
     @property
@@ -189,33 +191,24 @@ class SolveReport:
     residual: float
 
 
-def _sort_key(key):
-    nid, attr, comp, k = key
-    return (nid, attr, k, comp)
+def _codes(keys, shape):
+    """One int64 per (node, attr, comp, k) key, ordered as the global
+    numbering orders dofs: node, attribute, k, component."""
+    nattr, nk, nc = shape
+    return ((keys[..., 0] * nattr + keys[..., 1]) * nk
+            + keys[..., 3]) * nc + keys[..., 2]
 
 
-def _number_dofs(mods, istc: bool) -> dict:
-    keys = set()
-    for mod in mods:
-        for i, key in enumerate(mod.dof_nodes):
-            if mod.dirichlet[i]:
-                continue
-            if istc and mod.bubble[i]:
-                continue
-            keys.add(key)
-    return {key: g for g, key in enumerate(sorted(keys, key=_sort_key))}
-
-
-def _local_system(K, b, mod):
-    """Expand one element's (K, b) through C, lift the Dirichlet columns
-    to the load, and keep the free rows and columns."""
-    if not mod.conforming:
-        K, b = mod.C.T @ K @ mod.C, mod.C.T @ b
-    free = ~mod.dirichlet
-    if free.all():
-        return K, b, free
-    b = b - K[:, mod.dirichlet] @ mod.dirichlet_values[mod.dirichlet]
-    return K[np.ix_(free, free)], b[free], free
+def _number_dofs(mods, istc: bool):
+    """Number every free dof key of the modified element stacks (bubbles
+    only with `istc` off) with one `np.unique` of the key codes; returns
+    the sorted codes, their keys (n, 4) and the code shape."""
+    keys = np.concatenate([m.dof_nodes.reshape(-1, 4) for m in mods])
+    nattr, nc, nk = (keys[:, 1:].max(axis=0) + 1).tolist()
+    keys = keys[np.concatenate([(~m.dirichlet & ~(m.bubble & istc)).ravel()
+                                for m in mods])]
+    codes, first = np.unique(_codes(keys, (nattr, nk, nc)), return_index=True)
+    return codes, keys[first], (nattr, nk, nc)
 
 
 def map_elements(work, items, workers: int = 1) -> list:
@@ -239,105 +232,146 @@ def element_batches(mesh, elem_bytes) -> list:
     """[(norder, [mdle, ...]), ...]: active elements that share one order
     vector, in natural order, at most max(1, _BATCH_BYTES //
     elem_bytes(norder)) per batch."""
-    groups = {}
+    nodes, groups = mesh.NODES, {}
     for mdle in mesh.ELEM_ORDER:
-        groups.setdefault(tuple(element_info(mesh, mdle)[0]), []).append(mdle)
+        node = nodes[mdle]
+        norder = tuple([nodes[n].order for n in node.elem_nodes[8:26]]
+                       + [node.order])
+        groups.setdefault(norder, []).append(mdle)
     return [(norder, mdles[i:i + size]) for norder, mdles in groups.items()
             for size in [max(1, _BATCH_BYTES // elem_bytes(norder))]
             for i in range(0, len(mdles), size)]
 
 
+def _condense_stack(K, b, mod, istc, codes, shape):
+    """Groups of one modified element stack: its local systems (C already
+    applied), split by (Dirichlet, bubble) layout, with the Dirichlet
+    columns lifted to the load, the free rows and columns condensed, and
+    the global numbers of the interface dofs."""
+    n, layouts = mod.dirichlet.shape[1], np.concatenate([mod.dirichlet, mod.bubble], 1)
+    bits = np.packbits(layouts, axis=1)     # one bytes key per row: fast unique
+    _, first, which = np.unique(bits.view(f"V{bits.shape[1]}")[:, 0],
+                                return_index=True, return_inverse=True)
+    groups = []
+    for g, layout in enumerate(layouts[first]):
+        sel = np.flatnonzero(which == g)
+        dirichlet, free = layout[:n], np.flatnonzero(~layout[:n])
+        Kg, bg = (K, b) if len(sel) == len(K) else (K[sel], b[sel])
+        if dirichlet.any():
+            # items laid out as K[:, D], a contiguous vector: one GEMV's bits
+            KD = np.ascontiguousarray(Kg.swapaxes(1, 2)[:, dirichlet])
+            vals = np.ascontiguousarray(mod.dirichlet_values[sel][:, dirichlet])
+            bg = (bg - (KD.swapaxes(1, 2) @ vals[..., None])[..., 0])[:, free]
+            Kg = Kg[:, free[:, None], free]
+        cond = static_condense(Kg, bg, layout[n:][free] & istc)
+        keys = mod.dof_nodes[sel][:, free]
+        gidx = np.searchsorted(codes, _codes(keys[:, cond.interface], shape))
+        groups.append((mod.mdle[sel], cond, gidx, keys[:, cond.bubble]))
+    return groups
+
+
 def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1):
-    """Build the global sparse system; returns (system, modified elements,
-    groups).  A group is (mdles, stacked CondensedLocal, global interface
-    dofs (S, m), free dof keys per element): the elements of one batch
-    with one (free, bubble) layout, condensed as one stack.
+    """Build the global sparse system; returns (system, groups).  A group
+    is (mdles, stacked CondensedLocal, global interface dofs (S, m),
+    bubble dof keys (S, nb, 4)): the elements of one batch with one
+    (free, bubble) layout, condensed as one stack.
 
     `elem_fn(mesh, mdles)` returns the stacked (K, b) of one batch.
     With `istc` off no dof counts as a bubble, so nothing is condensed.
     """
-    mods = {mdle: cf.modified_element(mesh, mdle) for mdle in mesh.ELEM_ORDER}
-    index = _number_dofs(mods.values(), istc)
-
     def nbytes(norder):                 # one element's local matrix
         return 8 * sum(a.ncomp * int(me.layout_counts(
             a.fe_space, norder, not a.is_trace).sum())
             for a in mesh.physics.attrs) ** 2
 
+    batches = [(mdles, cf.modified_element(mesh, mdles))
+               for _, mdles in element_batches(mesh, nbytes)]
+    codes, keys, shape = _number_dofs(
+        [m for _, mods in batches for m in mods], istc)
+
     def batch_work(batch):
-        mdles = batch[1]
+        mdles, mods = batch
         K, b = elem_fn(mesh, mdles)
-        n, E = mods[mdles[0]].C.shape[0], len(mdles)
+        n, E = mods[0].C.shape[1], len(mdles)
         if K.shape != (E, n, n) or b.shape != (E, n):
             raise ConfigError(
                 f"element {mdles[0]}: elem_fn produced K {K.shape} and b "
                 f"{b.shape}, modified elements expect {(E, n, n)}, {(E, n)}")
-        layouts = {}
-        for mdle, Ke, be in zip(mdles, K, b):
-            mod = mods[mdle]
-            Ku, bu, free = _local_system(Ke, be, mod)
-            bubble = mod.bubble[free] & istc
-            keys = [key for key, f in zip(mod.dof_nodes, free) if f]
-            layouts.setdefault((free.tobytes(), bubble.tobytes()), []).append(
-                (mdle, Ku, bu, keys, bubble))
+        row = {mdle: e for e, mdle in enumerate(mdles)}
         groups = []
-        for members in layouts.values():
-            ids, Ks, bs, keys, bubble = zip(*members)
-            cond = static_condense(np.stack(Ks), np.stack(bs), bubble[0])
-            gidx = np.array([[index[k[i]] for i in cond.interface]
-                             for k in keys], dtype=int).reshape(len(ids), -1)
-            groups.append((ids, cond, gidx, keys))
+        for mod in mods:
+            at = [row[mdle] for mdle in mod.mdle.tolist()]
+            if not mod.conforming:
+                C = mod.C[0]
+                Ks, bs = (C.T @ K[at[0]] @ C)[None], (C.T @ b[at[0]])[None]
+            else:
+                Ks, bs = (K, b) if len(at) == E else (K[at], b[at])
+            groups += _condense_stack(Ks, bs, mod, istc, codes, shape)
         return groups
 
-    groups = [g for gs in map_elements(
-        batch_work, element_batches(mesh, nbytes), workers) for g in gs]
+    groups = [g for gs in map_elements(batch_work, batches, workers)
+              for g in gs]
 
     # scatter in natural element order: duplicate sums depend on it
-    where = {mdle: (cond, gidx, s) for ids, cond, gidx, _ in groups
-             for s, mdle in enumerate(ids)}
-    gidx, K, b = zip(*((gi[s], c.K[s], c.b[s])
-                       for c, gi, s in map(where.get, mesh.ELEM_ORDER)))
-    n = len(index)
+    pos = np.zeros(len(mesh.NODES), dtype=np.int64)
+    pos[mesh.ELEM_ORDER] = np.arange(len(mesh.ELEM_ORDER))
+    size = np.zeros(len(mesh.ELEM_ORDER), dtype=np.int64)
+    for ids, _, gidx, _ in groups:
+        size[pos[ids]] = gidx.shape[1]
+    at1, at2 = np.cumsum(size) - size, np.cumsum(size ** 2) - size ** 2
+    n = len(codes)
+    bidx, bval = np.empty(size.sum(), dtype=np.int64), np.empty(size.sum())
+    # the index type scipy gives the COO matrix, so it takes them uncopied
+    rows, cols = (np.empty((size ** 2).sum(), dtype=np.int32 if n < 2 ** 31
+                           else np.int64) for _ in "rc")
+    data = np.empty(rows.shape)
+    for ids, cond, gidx, _ in groups:
+        S, m = gidx.shape
+        i1 = at1[pos[ids], None] + np.arange(m)
+        i2 = at2[pos[ids], None] + np.arange(m * m)
+        bidx[i1], bval[i1] = gidx, cond.b
+        data[i2] = cond.K.reshape(S, m * m)
+        rows[i2], cols[i2] = np.repeat(gidx, m, axis=1), np.tile(gidx, (1, m))
     rhs = np.zeros(n)
-    np.add.at(rhs, np.concatenate(gidx), np.concatenate(b))
-    matrix = scipy.sparse.coo_matrix(
-        (np.concatenate([k.ravel() for k in K]),
-         (np.concatenate([np.repeat(i, i.size) for i in gidx]),
-          np.concatenate([np.tile(i, i.size) for i in gidx]))),
-        shape=(n, n)).tocsr()
-    system = SparseSystem(matrix=matrix, rhs=rhs, index=index)
-    return system, list(mods.values()), groups
+    np.add.at(rhs, bidx, bval)
+    matrix = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    system = SparseSystem(matrix=matrix, rhs=rhs, keys=keys,
+                          index=dict(zip(map(tuple, keys.tolist()), range(n))))
+    return system, groups
 
 
-def _write_dofs(mesh, pairs):
-    """Store ((node, attr, comp, k), value) pairs in the node dof arrays.
+def _write_dofs(mesh, keys, vals):
+    """Store vals at their (node, attr, comp, k) keys in the node dof arrays.
 
-    Each node's array for an attribute grows once, to its largest k.
+    Each (node, attr) written takes a fresh array, rows of one buffer,
+    as long as its largest k and its old array, whose values it keeps
+    where no key lands.
     """
-    by_node = {}
-    for (nid, attr, comp, k), val in pairs:
-        by_node.setdefault((nid, attr), []).append((k, comp, val))
-    for (nid, attr), items in by_node.items():
-        node = mesh.NODES[nid]
-        nc = mesh.physics.attrs[attr].ncomp
-        kmax = max(k for k, _, _ in items)
+    nattr, nodes = mesh.physics.nr_physa, mesh.NODES
+    pairs, at = np.unique(keys[:, 0] * nattr + keys[:, 1], return_inverse=True)
+    nids, attrs = (pairs // nattr).tolist(), (pairs % nattr).tolist()
+    olds = [nodes[n].dofs.get(a) if nodes[n].dofs else None
+            for n, a in zip(nids, attrs)]
+    nrow = np.array([0 if d is None else len(d) for d in olds], dtype=np.int64)
+    np.maximum.at(nrow, at, keys[:, 3] + 1)
+    ncomp = np.array(mesh.physics.nr_comp)[pairs % nattr]
+    start = np.cumsum(nrow * ncomp) - nrow * ncomp
+    buf = np.zeros(int((nrow * ncomp).sum()))
+    for nid, attr, old, lo, r, c in zip(nids, attrs, olds, start.tolist(),
+                                        nrow.tolist(), ncomp.tolist()):
+        node, new = nodes[nid], buf[lo:lo + r * c].reshape(r, c)
         node.dofs = node.dofs or {}
-        dofs = node.dofs.get(attr)
-        if dofs is None or dofs.shape[0] < kmax + 1:
-            fresh = np.zeros((kmax + 1, nc))
-            if dofs is not None:
-                fresh[:dofs.shape[0]] = dofs
-            dofs = fresh
-            node.dofs[attr] = dofs
-        for k, comp, val in items:
-            dofs[k, comp] = val
+        node.dofs[attr] = new
+        if old is not None:
+            new[:len(old)] = old
+    buf[start[at] + keys[:, 3] * ncomp[at] + keys[:, 2]] = vals
 
 
 def assemble_and_solve(mesh, elem_fn, *, istc: bool = True,
                        solver: str = "cg", tol: float = 1e-12,
                        maxit: int = None, workers: int = 1) -> SolveReport:
     """Element loop, global solve, and DOF storage (including bubbles)."""
-    system, _, groups = assemble_system(
+    system, groups = assemble_system(
         mesh, elem_fn, istc=istc, workers=workers)
     if solver == "dense":
         x, iters, res = _dense_solve(system.matrix, system.rhs)
@@ -346,12 +380,10 @@ def assemble_and_solve(mesh, elem_fn, *, istc: bool = True,
                                  tol=tol, maxit=maxit)
     else:
         raise ConfigError(f"unknown solver {solver!r}")
-    _write_dofs(mesh, ((key, x[g]) for key, g in system.index.items()))
     # bubble recovery, one stack per element group
-    bubbles = []
-    for _, cond, gidx, keys in groups:
-        for k, u_b in zip(keys, recover_bubbles(cond, x[gidx])):
-            bubbles.extend(zip((k[i] for i in cond.bubble), u_b))
-    _write_dofs(mesh, bubbles)
+    bubbles = [(keys.reshape(-1, 4), recover_bubbles(cond, x[gidx]).ravel())
+               for _, cond, gidx, keys in groups]
+    _write_dofs(mesh, *(np.concatenate(a) for a in zip(
+        (system.keys, x), *bubbles)))
     return SolveReport(ndof=system.ndof, iterations=iters, residual=res)
 

@@ -31,6 +31,7 @@ import scipy.linalg
 
 from . import masterel as me
 from .errors import ConfigError, IrregularityError, MeshError, SolveError
+from .mesh import element_info
 
 def is_constrained(mesh, nid: int) -> bool:
     return _is_hanging(mesh, mesh.NODES[nid], mesh.skeleton_in_use())
@@ -183,12 +184,16 @@ def constraint_coefficients(space: str, case: str, parent_order,
 
 @dataclass
 class ModifiedElement:
-    mdle: int
-    C: np.ndarray               # local dofs x modified dofs
-    dof_nodes: list             # per modified dof: (node id, attr, comp, k)
-    dirichlet: np.ndarray       # bool mask over modified dofs
+    """Modified elements of one stack: elements of a batch that share one
+    modified dof count.  Every field but `conforming` has a leading stack
+    axis, which a single-element call drops."""
+
+    mdle: np.ndarray            # (E,) element ids
+    C: np.ndarray               # (E, local dofs, modified dofs)
+    dof_nodes: np.ndarray       # (E, n, 4): (node id, attr, comp, k) per dof
+    dirichlet: np.ndarray       # (E, n) bool
     dirichlet_values: np.ndarray
-    bubble: np.ndarray          # bool mask: interior (middle-node) dofs
+    bubble: np.ndarray          # (E, n) bool: interior (middle-node) dofs
     conforming: bool = False    # no slot is constrained, so C = I
 
 
@@ -245,98 +250,117 @@ def _hanging(mesh, space, nid):
 
 def scalar_slot_counts(mesh, mdle, space, interface_only=False):
     """[(node id, scalar dof count)] over the element's 27 slots."""
-    from .mesh import element_info
     norder, _, nodes = element_info(mesh, mdle)
     counts = me.layout_counts(space, norder,
                               include_middle=not interface_only)
     return [(nodes[s], int(counts[s])) for s in range(27)], norder
 
 
-def _scalar_expansion(mesh, mdle, space, interface_only, col_index, col_meta):
-    """Rows (one per local scalar dof) of (column, coefficient) pairs.
-
-    col_index/col_meta accumulate the modified scalar columns; shared
-    parent nodes coalesce across slots and across constrained children.
-    """
-    slots, _ = scalar_slot_counts(mesh, mdle, space, interface_only)
-
-    def col(nid, k):
-        key = (nid, k)
-        hit = col_index.get(key)
-        if hit is None:
-            hit = len(col_meta)
-            col_index[key] = hit
-            col_meta.append(key)
-        return hit
-
-    rows = []
+def _expansion(mesh, mdle, attr):
+    """C (local x modified dofs) of one attribute of an element and the
+    (node, attr, comp, k) key of each modified dof; shared parent nodes
+    coalesce across slots and across constrained children."""
+    a = mesh.physics.attrs[attr]
+    slots, _ = scalar_slot_counts(mesh, mdle, a.fe_space, a.is_trace)
+    cols, blocks = {}, []
     for nid, count in slots:
         if count == 0:
             continue
         if not is_constrained(mesh, nid):
-            rows.extend([(col(nid, k), 1.0)] for k in range(count))
-            continue
-        group, M = _hanging(mesh, space, nid)
-        if M.shape[0] != count:
-            raise MeshError(
-                f"node {nid}: constraint rows {M.shape[0]} != dof count {count}"
-            )
-        gcols = [col(n, k) for n, k in group]
-        for i in range(count):
-            rows.append([(gcols[j], M[i, j]) for j in range(len(group))
-                         if M[i, j] != 0.0])
-    return rows
+            group, M = [(nid, k) for k in range(count)], np.eye(count)
+        else:
+            group, M = _hanging(mesh, a.fe_space, nid)
+            if M.shape[0] != count:
+                raise MeshError(f"node {nid}: constraint rows {M.shape[0]} "
+                                f"!= dof count {count}")
+        blocks.append(([cols.setdefault(g, len(cols)) for g in group], M))
+    C, row = np.zeros((sum(len(M) for _, M in blocks), len(cols))), 0
+    for at, M in blocks:
+        C[row:row + len(M), at] = M + 0.0   # zeros as +0.0: C is never -0.0
+        row += len(M)
+    keys = [(nid, attr, c, k) for nid, k in cols for c in range(a.ncomp)]
+    return (np.kron(C, np.eye(a.ncomp)) if a.ncomp > 1 else C), keys
 
 
-def modified_element(mesh, mdle: int) -> ModifiedElement:
-    """Constraint expansion, Dirichlet data, and bubble partition for one element.
+@lru_cache(maxsize=None)
+def _local_layout(attrs, norder):
+    """(attr, slot, comp, k) of each local dof, in the order of the rows
+    of C; `attrs` holds (fe_space, ncomp, is_trace) per attribute."""
+    rows = [(attr, s, c, k) for attr, (space, nc, trace) in enumerate(attrs)
+            for s, count in enumerate(me.layout_counts(
+                space, norder, include_middle=not trace).tolist())
+            for k in range(count) for c in range(nc)]
+    return me._read_only(np.array(rows, dtype=np.int64).reshape(-1, 4))
+
+
+def _dirichlet(mesh, keys):
+    """Dirichlet mask and values of a (..., 4) array of dof keys.  A dof is
+    masked when its node, not a middle node, has the bcond bit of its
+    global component; the values of each distinct masked (node, attr) are
+    read once, zero where the node stores none."""
+    physics, nodes, nattr = mesh.physics, mesh.NODES, mesh.physics.nr_physa
+    flat = keys.reshape(-1, 4)
+    nids, inv = np.unique(flat[:, 0], return_inverse=True)
+    bcond = np.array([0 if nodes[n].kind == "MIDDLE" else nodes[n].bcond
+                      for n in nids.tolist()], dtype=np.int64)
+    offset = np.array([physics.comp_offset(a) for a in range(nattr)])
+    mask = (bcond[inv] >> (offset[flat[:, 1]] + flat[:, 2]) & 1).astype(bool)
+    values, rows = np.zeros(len(flat)), np.flatnonzero(mask)
+    if rows.size:
+        pair, where = np.unique(inv[rows] * nattr + flat[rows, 1],
+                                return_inverse=True)
+        stored = [nodes[n].dofs.get(a) if nodes[n].dofs else None for n, a
+                  in zip(nids[pair // nattr].tolist(), (pair % nattr).tolist())]
+        stored = [np.zeros(0) if d is None else d.ravel() for d in stored]
+        size = np.array([d.size for d in stored])
+        at = flat[rows, 3] * np.array(physics.nr_comp)[flat[rows, 1]] + flat[rows, 2]
+        hit = at < size[where]      # a node storing none has size 0
+        values[rows[hit]] = np.concatenate(stored)[
+            (np.cumsum(size) - size)[where[hit]] + at[hit]]
+    return mask.reshape(keys.shape[:-1]), values.reshape(keys.shape[:-1])
+
+
+def modified_element(mesh, mdles):
+    """Constraint expansion, Dirichlet data, and bubble partition of a batch
+    of elements that share one order vector: a list of stacks, the
+    conforming elements (C = I) first, then each constrained element
+    alone.  One element id gives its own ModifiedElement, without the
+    stack axis.
 
     The rows of C follow the local dofs attribute by attribute, in the
     order of the mesh's physics table.  When no slot is constrained the
-    modified dofs are the slot dofs themselves and C = I.
+    modified dofs are the slot dofs themselves, laid out once per batch
+    from the slot counts and read off the (E, 27) node ids.
     """
-    physics = mesh.physics
-    conforming = not any(is_constrained(mesh, nid)
-                         for nid in mesh.element(mdle).elem_nodes)
-    blocks = []
-    dof_nodes = []
-    for attr, a in enumerate(physics.attrs):
-        space = a.fe_space
-        nc = a.ncomp
-        if conforming:
-            slots, _ = scalar_slot_counts(mesh, mdle, space, a.is_trace)
-            col_meta = [(nid, k) for nid, count in slots for k in range(count)]
-        else:
-            col_index, col_meta = {}, []
-            rows = _scalar_expansion(mesh, mdle, space, a.is_trace,
-                                     col_index, col_meta)
-            Cs = np.zeros((len(rows), len(col_meta)))
-            for i, row in enumerate(rows):
-                for j, v in row:
-                    Cs[i, j] = v
-            blocks.append(np.kron(Cs, np.eye(nc)) if nc > 1 else Cs)
-        dof_nodes += [(nid, attr, c, k) for nid, k in col_meta
-                      for c in range(nc)]
-
-    ncol = len(dof_nodes)
-    C = np.eye(ncol) if conforming else scipy.linalg.block_diag(*blocks)
-
-    dirichlet = np.zeros(ncol, dtype=bool)
-    values = np.zeros(ncol)
-    bubble = np.zeros(ncol, dtype=bool)
-    for i, (nid, attr, comp, k) in enumerate(dof_nodes):
-        node = mesh.NODES[nid]
-        gcomp = physics.global_comp(attr, comp)
-        if node.kind != "MIDDLE" and node.bcond >> gcomp & 1:
-            dirichlet[i] = True
-            if node.dofs and attr in node.dofs:
-                values[i] = node.dofs[attr][k, comp]
-        if nid == mdle:
-            bubble[i] = True
-    return ModifiedElement(
-        mdle=mdle, C=C, dof_nodes=dof_nodes, dirichlet=dirichlet,
-        dirichlet_values=values, bubble=bubble, conforming=conforming,
-    )
+    if np.isscalar(mdles):
+        (mod,) = modified_element(mesh, [mdles])
+        return ModifiedElement(**{k: v if k == "conforming" else v[0]
+                                  for k, v in vars(mod).items()})
+    ids = np.array([mesh.element(m).elem_nodes + (m,) for m in mdles])
+    nids, inv = np.unique(ids[:, :26], return_inverse=True)
+    used = mesh.skeleton_in_use()
+    hanging = np.array([_is_hanging(mesh, mesh.NODES[n], used)
+                        for n in nids.tolist()])
+    conforming = ~hanging[inv.reshape(-1, 26)].any(axis=1)
+    stacks = []                     # (element ids, C, keys, conforming)
+    if conforming.any():
+        layout = _local_layout(
+            tuple((a.fe_space, a.ncomp, a.is_trace) for a in mesh.physics.attrs),
+            tuple(element_info(mesh, mdles[0])[0]))
+        attr, slot, comp, k = layout.T
+        pick = np.flatnonzero(conforming)
+        keys = np.stack(np.broadcast_arrays(
+            ids[pick][:, slot], attr, comp, k), axis=-1)
+        C = np.broadcast_to(np.eye(len(layout)), (len(pick),) + (len(layout),) * 2)
+        stacks.append((ids[pick, 26], C, keys, True))
+    for e in np.flatnonzero(~conforming).tolist():
+        C, keys = zip(*(_expansion(mesh, mdles[e], attr)
+                        for attr in range(mesh.physics.nr_physa)))
+        stacks.append((ids[e:e + 1, 26], scipy.linalg.block_diag(*C)[None],
+                       np.array(sum(keys, [])).reshape(1, -1, 4), False))
+    return [ModifiedElement(mdle, C, keys, *_dirichlet(mesh, keys),
+                            keys[..., 0] == mdle[:, None], conf)
+            for mdle, C, keys, conf in stacks]
 
 
 def _is_hanging(mesh, node, used) -> bool:
@@ -381,9 +405,14 @@ def gather_solution(mesh, mdles, attr: int) -> np.ndarray:
     ids = np.array([mesh.element(m).elem_nodes + (m,) for m in mdles])[:, live]
     nids, first, where = np.unique(ids, return_index=True, return_inverse=True)
     ncount = count[first % len(live)]
-    used = mesh.skeleton_in_use()
-    table = np.concatenate([_node_solution(mesh, nid, attr, c, used) for nid, c
-                            in zip(nids.tolist(), ncount.tolist())])
+    nodes, used, table = mesh.NODES, mesh.skeleton_in_use(), []
+    for nid, c in zip(nids.tolist(), ncount.tolist()):
+        node = nodes[nid]
+        dofs = node.dofs.get(attr) if node.dofs else None
+        if dofs is None or len(dofs) < c or _is_hanging(mesh, node, used):
+            dofs = _node_solution(mesh, nid, attr, c, used)
+        table.append(dofs[:c])
+    table = np.concatenate(table)
     rows = (np.cumsum(ncount) - ncount)[where.reshape(ids.shape)]
     return table[np.repeat(rows, count, axis=1)
                  + np.concatenate([np.arange(c) for c in count])]

@@ -10,13 +10,15 @@ vertices, and give (E, n, ...) fields equal bit for bit to E single calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import masterel as me
 from .errors import GeometryError
 
-__all__ = ["GeometryData", "element_geometry", "face_geometry", "piola_transform"]
+__all__ = ["GeometryData", "element_geometry", "face_geometry",
+           "piola_transform", "piola_values"]
 
 
 @dataclass
@@ -25,7 +27,7 @@ class GeometryData:
 
     x : (n, 3) physical points
     dxdxi : (n, 3, 3) Jacobian J
-    dxidx : (n, 3, 3) inverse Jacobian
+    dxidx : (n, 3, 3) inverse Jacobian, computed on first read
     rjac : (n,) det J
     rn, bjac : outward unit normal (n, 3) and surface Jacobian (n,);
         present only for face points.
@@ -33,10 +35,13 @@ class GeometryData:
 
     x: np.ndarray
     dxdxi: np.ndarray
-    dxidx: np.ndarray
     rjac: np.ndarray
     rn: np.ndarray | None = None
     bjac: np.ndarray | None = None
+
+    @cached_property
+    def dxidx(self) -> np.ndarray:
+        return np.linalg.inv(self.dxdxi)
 
 
 _NORD1 = me.uniform_norder((1, 1, 1))
@@ -57,8 +62,7 @@ def element_geometry(vertex_coords, xi) -> GeometryData:
         raise GeometryError(
             f"non-positive Jacobian {rjac[bad]:.3e} at xi={tuple(xi[bad[-1]])}"
         )
-    dxidx = np.linalg.inv(dxdxi)
-    return GeometryData(x=x, dxdxi=dxdxi, dxidx=dxidx, rjac=rjac)
+    return GeometryData(x=x, dxdxi=dxdxi, rjac=rjac)
 
 
 def face_geometry(vertex_coords, face: int, t) -> GeometryData:
@@ -75,6 +79,20 @@ def face_geometry(vertex_coords, face: int, t) -> GeometryData:
     return geom
 
 
+def piola_values(space: str, shapes: me.ShapeSet, geom: GeometryData):
+    """The value part of `piola_transform`, without the derivatives."""
+    if space == me.H1:
+        return shapes.values
+    if space == me.HCURL:
+        return np.einsum("...pji,kjp->...kip", geom.dxidx, shapes.values)
+    if space == me.HDIV:
+        return np.einsum("...pij,kjp->...kip", geom.dxdxi,
+                         shapes.values) / geom.rjac[..., None, None, :]
+    if space == me.L2:
+        return shapes.values / geom.rjac[..., None, :]
+    raise GeometryError(f"unknown space {space!r}")
+
+
 def piola_transform(space: str, shapes: me.ShapeSet, geom: GeometryData):
     """Push a master shape set to physical space.
 
@@ -83,17 +101,11 @@ def piola_transform(space: str, shapes: me.ShapeSet, geom: GeometryData):
     Shapes and geometry must be evaluated at the same points.  Stacked
     geometry stacks every field but the H1 values (the master table).
     """
+    val = piola_values(space, shapes, geom)
     rjac = geom.rjac[..., None, :]        # broadcasts over shape functions
     if space == me.H1:
-        grad = np.einsum("...pji,kjp->...kip", geom.dxidx, shapes.grad)
-        return shapes.values, grad
+        return val, np.einsum("...pji,kjp->...kip", geom.dxidx, shapes.grad)
     if space == me.HCURL:
-        val = np.einsum("...pji,kjp->...kip", geom.dxidx, shapes.values)
         curl = np.einsum("...pij,kjp->...kip", geom.dxdxi, shapes.curl)
         return val, curl / rjac[..., None, :]
-    if space == me.HDIV:
-        val = np.einsum("...pij,kjp->...kip", geom.dxdxi, shapes.values)
-        return val / rjac[..., None, :], shapes.div / rjac
-    if space == me.L2:
-        return shapes.values / rjac, None
-    raise GeometryError(f"unknown space {space!r}")
+    return val, shapes.div / rjac if space == me.HDIV else None

@@ -36,22 +36,6 @@ from .geometry import element_geometry
 
 VERTEX, EDGE, FACE, MIDDLE = "VERTEX", "EDGE", "FACE", "MIDDLE"
 
-# transverse (side) coordinates -> local edge, per axis
-_EDGE_BY_AXIS_SIDES = {}
-for _e in range(12):
-    _ax = me.EDGE_AXIS[_e]
-    _o1, _o2 = (a for a in range(3) if a != _ax)
-    _c = me.VERT_COORDS[me.EDGE_VERTS[_e][0]]
-    _EDGE_BY_AXIS_SIDES[(_ax, int(_c[_o1]), int(_c[_o2]))] = _e
-
-_FACE_BY_AXIS_SIDE = {
-    (me.FACE_NORMAL_AXIS[_f], me.FACE_SIDE[_f]): _f for _f in range(6)
-}
-_VERT_BY_COORD = {
-    tuple(int(c) for c in me.VERT_COORDS[_v]): _v for _v in range(8)
-}
-
-
 class Node:
     """One mesh entity.  Sons layouts by kind:
 
@@ -353,12 +337,18 @@ def _refine_edge(mesh: Mesh, eid: int):
     mid.coords = 0.5 * (mesh.NODES[va].coords + mesh.NODES[vb].coords)
     lo = mesh._new_node(EDGE, order=edge.order, father=eid)
     hi = mesh._new_node(EDGE, order=edge.order, father=eid)
-    lo.verts = (va, mid.id)
-    hi.verts = (mid.id, vb)
+    lo.verts, hi.verts = (va, mid.id), (mid.id, vb)
     for son in (lo, hi, mid):
         son.bcond = edge.bcond
-    edge.sons = [lo.id, hi.id, mid.id]
-    edge.active = False
+    edge.sons, edge.active = [lo.id, hi.id, mid.id], False
+
+
+# Face refinement pool: the 4 vertices, the (low half, high half,
+# midpoint) of the bottom, top, left and right edges, then the new center
+# vertex and interior edges (along axis 1 low/high, along axis 2 low/high).
+_FACE_IEDGE_VERTS = ((12, 16), (16, 15), (6, 16), (16, 9))
+_QUAD_VERTS = ((0, 6, 12, 16), (6, 1, 16, 15), (12, 16, 2, 9), (16, 15, 9, 3))
+_QUAD_EDGES = ((4, 17, 10, 19), (5, 18, 19, 13), (17, 7, 11, 20), (18, 8, 20, 14))
 
 
 def _refine_face(mesh: Mesh, fid: int):
@@ -368,48 +358,23 @@ def _refine_face(mesh: Mesh, fid: int):
     for eid in face.edges:
         if not mesh.NODES[eid].sons:
             raise MeshError(f"face {fid}: edge {eid} not refined first")
-    c00, c10, c01, c11 = face.verts
-    e_b, e_t, e_l, e_r = face.edges
-    m_b = mesh.NODES[e_b].sons[2]
-    m_t = mesh.NODES[e_t].sons[2]
-    m_l = mesh.NODES[e_l].sons[2]
-    m_r = mesh.NODES[e_r].sons[2]
+    first = len(mesh.NODES)
+    pool = list(face.verts) + [s for e in face.edges for s in mesh.NODES[e].sons]
+    pool += range(first, first + 5)
     p1, p2 = me.decode_face_order(face.order)
 
     ctr = mesh._new_node(VERTEX, father=fid)
     ctr.coords = 0.25 * sum(mesh.NODES[v].coords for v in face.verts)
-    X = ctr.id
-
-    def new_edge(a, b, order):
-        node = mesh._new_node(EDGE, order=order, father=fid)
-        node.verts = (a, b)
-        return node.id
-
-    ie1lo = new_edge(m_l, X, p1)
-    ie1hi = new_edge(X, m_r, p1)
-    ie2lo = new_edge(m_b, X, p2)
-    ie2hi = new_edge(X, m_t, p2)
-
-    def half(eid, which):
-        return mesh.NODES[eid].sons[which]
-
-    quads_spec = [
-        ((c00, m_b, m_l, X), (half(e_b, 0), ie1lo, half(e_l, 0), ie2lo)),
-        ((m_b, c10, X, m_r), (half(e_b, 1), ie1hi, ie2lo, half(e_r, 0))),
-        ((m_l, X, c01, m_t), (ie1lo, half(e_t, 0), half(e_l, 1), ie2hi)),
-        ((X, m_r, m_t, c11), (ie1hi, half(e_t, 1), ie2hi, half(e_r, 1))),
-    ]
-    quad_ids = []
-    for verts, edges in quads_spec:
+    for order, verts in zip((p1, p1, p2, p2), _FACE_IEDGE_VERTS):
+        mesh._new_node(EDGE, order=order, father=fid).verts = tuple(
+            pool[v] for v in verts)
+    for verts, edges in zip(_QUAD_VERTS, _QUAD_EDGES):
         q = mesh._new_node(FACE, order=face.order, father=fid)
-        q.verts = verts
-        q.edges = edges
+        q.verts, q.edges = tuple(pool[v] for v in verts), tuple(pool[e] for e in edges)
         q.bid = face.bid
-        quad_ids.append(q.id)
-
-    for nid in quad_ids + [ie1lo, ie1hi, ie2lo, ie2hi, X]:
+    face.sons = list(range(first + 5, first + 9)) + list(range(first + 1, first + 5)) + [first]
+    for nid in face.sons:
         mesh.NODES[nid].bcond = face.bcond
-    face.sons = quad_ids + [ie1lo, ie1hi, ie2lo, ie2hi, X]
     face.active = False
 
 
@@ -417,118 +382,100 @@ def _others(ax):
     return tuple(a for a in range(3) if a != ax)
 
 
+# Where the nodes made by refining a middle node come from.  Positions
+# index a per-element pool: the 8 vertices, the 3 sons of each of the 12
+# edges, the 9 sons of each of the 6 faces, then the new nodes in
+# creation order (center vertex, 6 axis edges, 12 mid-plane faces).  An
+# entity is named by its center d on the doubled son lattice {0..4}^3:
+# its odd coordinates are its axes, and with its coordinates inside the
+# father (1..3) set to 2 it names the father entity it lies in.
+_POOL_EDGE, _POOL_FACE, _POOL_NEW = 8, 44, 98
+_UNIT, _VC = np.eye(3, dtype=int), me.VERT_COORDS.astype(int)
+_FATHER = {**{tuple(4 * _VC[v]): (v, None) for v in range(8)},
+           **{tuple(2 * (_VC[a] + _VC[b])): (e, 3) for e, (a, b)
+              in enumerate(me.EDGE_VERTS)},
+           **{tuple(_VC[list(q)].sum(0)): (f, 9) for f, q in enumerate(me.FACE_VERTS)}}
+_EDGE_SON = {1: 0, 3: 1, 2: 2}
+_FACE_SON = {(1, 1): 0, (3, 1): 1, (1, 3): 2, (3, 3): 3, (1, 2): 4, (3, 2): 5,
+             (2, 1): 6, (2, 3): 7, (2, 2): 8}
+
+
+def _pool_index(d):
+    inner = [a for a in range(3) if 0 < d[a] < 4]
+    odd = [a for a in range(3) if d[a] % 2]
+    if len(inner) == 3:
+        if len(odd) == 1:
+            return _POOL_NEW + 1 + 2 * odd[0] + d[odd[0]] // 2
+        if len(odd) == 2:
+            return (_POOL_NEW + 7 + 4 * (3 - sum(odd)) + d[odd[0]] // 2
+                    + 2 * (d[odd[1]] // 2))
+        return _POOL_NEW
+    i, nsons = _FATHER[tuple(2 if a in inner else d[a] for a in range(3))]
+    if nsons == 3:
+        return _POOL_EDGE + 3 * i + _EDGE_SON[d[inner[0]]]
+    if nsons == 9:
+        return _POOL_FACE + 9 * i + _FACE_SON[tuple(d[a] for a in me.FACE_AXES[i])]
+    return i
+
+
+def _corners(d):
+    """Centers of an entity's vertices, in tensor order over its axes."""
+    out = [d]
+    for a in [a for a in range(3) if d[a] % 2]:
+        out = [c + s * _UNIT[a] for s in (-1, 1) for c in out]
+    return out
+
+
+def _lattice_tables():
+    """Pool positions of the axis edges' and mid-plane faces' vertices,
+    the mid-plane faces' edges, and the sons' 26 nodes."""
+    center = np.array([2, 2, 2])
+    iedges = [center + s * _UNIT[ax] for ax in range(3) for s in (-1, 1)]
+    ifaces = [center + (2 * s1 - 1) * _UNIT[o1] + (2 * s2 - 1) * _UNIT[o2]
+              for o1, o2 in (_others(m) for m in range(3))
+              for s2 in (0, 1) for s1 in (0, 1)]
+    iface_edges = [[d - _UNIT[a2], d + _UNIT[a2], d - _UNIT[a1], d + _UNIT[a1]]
+                   for d in ifaces
+                   for a1, a2 in [[a for a in range(3) if d[a] % 2]]]
+    sons = [[o + 2 * v for v in _VC]
+            + [o + 2 * _VC[a] + _UNIT[me.EDGE_AXIS[e]]
+               for e, (a, _) in enumerate(me.EDGE_VERTS)]
+            + [o + 1 + (2 * me.FACE_SIDE[f] - 1) * _UNIT[me.FACE_NORMAL_AXIS[f]]
+               for f in range(6)] for o in 2 * _VC]
+    return tuple(np.array([[_pool_index(d) for d in row] for row in rows])
+                 for rows in ([_corners(d) for d in iedges],
+                              [_corners(d) for d in ifaces], iface_edges, sons))
+
+
+_IEDGE_VERTS, _IFACE_VERTS, _IFACE_EDGES, _SON_NODES = _lattice_tables()
+
+
 def _refine_middle(mesh: Mesh, mdle: int):
+    """Make the center vertex, the 6 axis edges, the 12 mid-plane faces
+    and the 8 sons of an element whose edges and faces are refined,
+    reading every son entity off the lattice tables."""
     node = mesh.NODES[mdle]
     gv = node.elem_nodes[0:8]
-    ge = node.elem_nodes[8:20]
-    gf = node.elem_nodes[20:26]
     p = me.decode_order(node.order)
+    first = len(mesh.NODES)
+    pool = np.array(list(gv) + [s for n in node.elem_nodes[8:26] for s in
+                                mesh.NODES[n].sons] + list(range(first, first + 19)))
 
     ctr = mesh._new_node(VERTEX, father=mdle)
     ctr.coords = 0.125 * sum(mesh.NODES[v].coords for v in gv)
-    X = ctr.id
+    for j, verts in enumerate(pool[_IEDGE_VERTS].tolist()):
+        mesh._new_node(EDGE, order=p[j // 2], father=mdle).verts = tuple(verts)
+    forder = [me.encode_face_order(*(p[a] for a in _others(ax))) for ax in range(3)]
+    for j, (verts, edges) in enumerate(zip(pool[_IFACE_VERTS].tolist(),
+                                           pool[_IFACE_EDGES].tolist())):
+        fnode = mesh._new_node(FACE, order=forder[j // 4], father=mdle)
+        fnode.verts, fnode.edges = tuple(verts), tuple(edges)
+    for nodes in pool[_SON_NODES].tolist():
+        mesh._new_node(MIDDLE, order=node.order, father=mdle).elem_nodes = tuple(nodes)
 
-    def face_center(ax, side):
-        return mesh.NODES[gf[_FACE_BY_AXIS_SIDE[(ax, side)]]].sons[8]
-
-    iedges = []
-    for ax in range(3):
-        for side, verts in ((0, (face_center(ax, 0), X)),
-                            (1, (X, face_center(ax, 1)))):
-            e = mesh._new_node(EDGE, order=p[ax], father=mdle)
-            e.verts = verts
-            iedges.append(e.id)
-
-    def lat_vert(c):
-        odd = [ci % 2 for ci in c]
-        n = sum(odd)
-        if n == 0:
-            return gv[_VERT_BY_COORD[(c[0] // 2, c[1] // 2, c[2] // 2)]]
-        if n == 1:
-            ax = odd.index(1)
-            o1, o2 = _others(ax)
-            e = _EDGE_BY_AXIS_SIDES[(ax, c[o1] // 2, c[o2] // 2)]
-            return mesh.NODES[ge[e]].sons[2]
-        if n == 2:
-            ax = odd.index(0)
-            return face_center(ax, c[ax] // 2)
-        return X
-
-    def lat_edge(ax, start):
-        o1, o2 = _others(ax)
-        t1, t2 = start[o1], start[o2]
-        pos = start[ax]
-        if t1 % 2 == 0 and t2 % 2 == 0:
-            e = _EDGE_BY_AXIS_SIDES[(ax, t1 // 2, t2 // 2)]
-            return mesh.NODES[ge[e]].sons[pos]
-        if t1 % 2 == 1 and t2 % 2 == 1:
-            return iedges[2 * ax + pos]
-        if t1 % 2 == 1:
-            m_ax, side = o2, t2 // 2
-        else:
-            m_ax, side = o1, t1 // 2
-        f = _FACE_BY_AXIS_SIDE[(m_ax, side)]
-        fa1, _ = me.FACE_AXES[f]
-        return mesh.NODES[gf[f]].sons[4 + (0 if ax == fa1 else 2) + pos]
-
-    ifaces = []  # [plane axis][tensor index]
-    for m_ax in range(3):
-        o1, o2 = _others(m_ax)
-        plane = []
-        for s2 in (0, 1):
-            for s1 in (0, 1):
-                def corner(d1, d2):
-                    c = [0, 0, 0]
-                    c[m_ax] = 1
-                    c[o1] = s1 + d1
-                    c[o2] = s2 + d2
-                    return lat_vert(c)
-
-                def span_edge(ax, d1, d2):
-                    c = [0, 0, 0]
-                    c[m_ax] = 1
-                    c[o1] = s1 + d1
-                    c[o2] = s2 + d2
-                    return lat_edge(ax, c)
-
-                fnode = mesh._new_node(
-                    FACE, order=me.encode_face_order(p[o1], p[o2]), father=mdle
-                )
-                fnode.verts = (corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1))
-                fnode.edges = (
-                    span_edge(o1, 0, 0), span_edge(o1, 0, 1),
-                    span_edge(o2, 0, 0), span_edge(o2, 1, 0),
-                )
-                plane.append(fnode.id)
-        ifaces.append(plane)
-
-    def lat_face(m_ax, q, s1, s2):
-        if q % 2 == 0:
-            f = _FACE_BY_AXIS_SIDE[(m_ax, q // 2)]
-            return mesh.NODES[gf[f]].sons[s1 + 2 * s2]
-        return ifaces[m_ax][s1 + 2 * s2]
-
-    son_ids = []
-    for v in range(8):
-        o = [int(c) for c in me.VERT_COORDS[v]]
-        sverts = [lat_vert([o[0] + int(d[0]), o[1] + int(d[1]), o[2] + int(d[2])])
-                  for d in me.VERT_COORDS]
-        sedges = []
-        for e in range(12):
-            c = me.VERT_COORDS[me.EDGE_VERTS[e][0]]
-            start = [o[0] + int(c[0]), o[1] + int(c[1]), o[2] + int(c[2])]
-            sedges.append(lat_edge(me.EDGE_AXIS[e], start))
-        sfaces = []
-        for f in range(6):
-            m_ax = me.FACE_NORMAL_AXIS[f]
-            a1, a2 = me.FACE_AXES[f]
-            sfaces.append(lat_face(m_ax, o[m_ax] + me.FACE_SIDE[f], o[a1], o[a2]))
-        son = mesh._new_node(MIDDLE, order=node.order, father=mdle)
-        son.elem_nodes = tuple(sverts + sedges + sfaces)
-        son_ids.append(son.id)
-
-    node.sons = son_ids
-    node.interior = [fid for plane in ifaces for fid in plane] + iedges + [X]
+    node.sons = list(range(first + 19, first + 27))
+    node.interior = list(range(first + 7, first + 19)) + list(
+        range(first + 1, first + 7)) + [first]
     node.active = False
 
 
@@ -570,18 +517,10 @@ def traverse_active(mesh: Mesh) -> list:
 
 
 def _needs_closure(mesh: Mesh, mdle: int) -> bool:
-    node = mesh.NODES[mdle]
-    for fid in node.elem_nodes[20:26]:
-        fnode = mesh.NODES[fid]
-        for q in fnode.sons[0:4]:
-            if mesh.NODES[q].sons:
-                return True
-    for eid in node.elem_nodes[8:20]:
-        enode = mesh.NODES[eid]
-        for h in enode.sons[0:2]:
-            if mesh.NODES[h].sons:
-                return True
-    return False
+    """Some face quadrant or edge half of the element is itself refined."""
+    nodes, own = mesh.NODES, mesh.NODES[mdle].elem_nodes
+    return any(nodes[s].sons for fid in own[20:26] for s in nodes[fid].sons[0:4]) \
+        or any(nodes[s].sons for eid in own[8:20] for s in nodes[eid].sons[0:2])
 
 
 def close_mesh(mesh: Mesh):
@@ -732,6 +671,12 @@ def execute_pref(mesh: Mesh, mdles):
         px, py, pz = me.decode_order(mesh.element(m).order)
         targets.append((m, (px + 1, py + 1, pz + 1)))
     adaptive_pref(mesh, targets)
+
+
+def element_vertices(mesh: Mesh, mdles) -> np.ndarray:
+    """(E, 8, 3) vertex coordinates of a batch of active elements."""
+    return mesh.vertex_coords([v for m in mdles for v in
+                               mesh.element(m).elem_nodes[0:8]]).reshape(-1, 8, 3)
 
 
 def element_info(mesh: Mesh, mdle: int):

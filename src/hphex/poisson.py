@@ -36,7 +36,7 @@ from . import dpg
 from . import geometry as gm
 from . import masterel as me
 from .errors import ConfigError, OrderError
-from .mesh import element_info, generate_initial_mesh
+from .mesh import element_info, element_vertices, generate_initial_mesh
 from .physics import PhysicsAttr, PhysicsTable
 
 
@@ -289,7 +289,7 @@ def elem_galerkin(mesh, mdles, problem: Problem):
     """(grad u, grad v) and (f, v) for the continuous Galerkin field, on
     a batch of elements that share one order vector: K[E, n, n], b[E, n]."""
     norder = element_info(mesh, mdles[0])[0]
-    xnod = np.array([element_info(mesh, m)[1] for m in mdles])
+    xnod = element_vertices(mesh, mdles)
     qx, qy, qz = me.axis_orders(norder)
     rule = me.gauss_quadrature_3d((qx + 1, qy + 1, qz + 1))
     geom = gm.element_geometry(xnod, rule.points)
@@ -526,7 +526,7 @@ def compute_exact_error(mesh, problem: Problem):
             np.prod([qa + 2 for qa in me.axis_orders(norder)]))):
         rule = me.gauss_quadrature_3d(
             tuple(qa + 2 for qa in me.axis_orders(norder)))
-        xnod = np.array([element_info(mesh, m)[1] for m in mdles])
+        xnod = element_vertices(mesh, mdles)
         geom = gm.element_geometry(xnod, rule.points)
         wj = rule.weights * geom.rjac
         x = geom.x.reshape(-1, 3)

@@ -26,7 +26,7 @@ from . import conformity as cf
 from . import geometry as gm
 from . import masterel as me
 from .errors import ConfigError
-from .mesh import element_info
+from .mesh import element_vertices
 
 MAX_VLEVEL = 4
 _CELL_HEX = 12
@@ -74,7 +74,7 @@ def _evaluate_attr(mesh, mdles, norder, attr, pts, geom):
     a = mesh.physics.attrs[attr]
     space = a.fe_space
     shapes = me.shape_functions_elem(space, pts, norder)
-    val, _ = gm.piola_transform(space, shapes, geom)
+    val = gm.piola_values(space, shapes, geom)
     vector = space in (me.HCURL, me.HDIV)
     axis = -3 if vector else -2         # the shape-function axis of val
     if a.is_trace:
@@ -108,7 +108,7 @@ def export_vtu(mesh, config: ParaviewConfig, basename: str) -> str:
     for norder, mdles in asm.element_batches(
             mesh, lambda norder: 8 * npts * (
                 21 + 3 * int(me.layout_counts(me.H1, norder).sum()))):
-        xnod = np.array([element_info(mesh, m)[1] for m in mdles])
+        xnod = element_vertices(mesh, mdles)
         geom = gm.element_geometry(xnod, pts)
         coords.update(zip(mdles, geom.x))
         for attr in range(physics.nr_physa):

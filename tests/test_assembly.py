@@ -177,8 +177,8 @@ def test_numbering_and_determinism():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 1), 2)
     cf.update_Ddof(mesh, problem.dirichlet_fn())
-    sys1, _, _ = asm.assemble_system(mesh, problem.elems)
-    sys2, _, _ = asm.assemble_system(mesh, problem.elems)
+    sys1, _ = asm.assemble_system(mesh, problem.elems)
+    sys2, _ = asm.assemble_system(mesh, problem.elems)
     assert np.array_equal(sys1.matrix.data, sys2.matrix.data)
     assert np.array_equal(sys1.rhs, sys2.rhs)
     # numbered by node id, then attribute, then dof, comps innermost
@@ -192,8 +192,8 @@ def test_threaded_assembly_matches_serial():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 2), 2)
     cf.update_Ddof(mesh, problem.dirichlet_fn())
-    s1, _, _ = asm.assemble_system(mesh, problem.elems, workers=1)
-    s4, _, _ = asm.assemble_system(mesh, problem.elems, workers=4)
+    s1, _ = asm.assemble_system(mesh, problem.elems, workers=1)
+    s4, _ = asm.assemble_system(mesh, problem.elems, workers=4)
     assert np.array_equal(s1.matrix.data, s4.matrix.data)
     assert np.array_equal(s1.rhs, s4.rhs)
 
@@ -209,7 +209,7 @@ def test_galerkin_orthogonality_residual():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 2), 2)
     poisson.solve_problem(mesh, problem, tol=1e-13)
-    sys, _, _ = asm.assemble_system(mesh, problem.elems)
+    sys, _ = asm.assemble_system(mesh, problem.elems)
     x = np.empty(sys.ndof)
     for key, g in sys.index.items():
         nid, attr, comp, k = key
@@ -246,7 +246,7 @@ def test_dense_solver_reports_true_residual():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 1), 2)
     report = poisson.solve_problem(mesh, problem, solver="dense")
-    system, _, _ = asm.assemble_system(mesh, problem.elems)
+    system, _ = asm.assemble_system(mesh, problem.elems)
     x = np.zeros(system.ndof)
     for (nid, attr, comp, k), g in system.index.items():
         x[g] = mesh.NODES[nid].dofs[attr][k, comp]
@@ -261,6 +261,11 @@ def test_dense_solver_reports_true_residual():
 
 def _same(a, b):
     return a.shape == b.shape and np.array_equal(a, b)
+
+
+def _bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_stacked_condensation_matches_single_elements():
@@ -328,17 +333,24 @@ def test_batches_share_order_and_respect_the_cap(monkeypatch):
 
 
 def test_batched_kernels_match_single_elements_property(monkeypatch):
-    """On random hp meshes with jittered vertices, one stacked pass over
-    a batch gives the bits of the single-element passes: the Galerkin
-    kernel, the assembled system with one element per batch, and the
-    stacked geometry and Piola maps."""
+    """On random hp meshes with jittered vertices, hanging nodes and
+    Dirichlet faces, one stacked pass over a batch gives the bits of the
+    single-element passes: the Galerkin kernel, the stacked geometry and
+    Piola maps, the modified elements, and the Galerkin, primal and
+    ultraweak systems assembled with one element per batch."""
+    seen = set()
 
-    @settings(derandomize=True, max_examples=20, deadline=None)
-    @given(nx=st.integers(1, 2), ny=st.integers(1, 2), p=st.integers(1, 3),
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(kind=st.sampled_from((poisson.GALERKIN, poisson.PRIMAL, poisson.UW)),
+           nx=st.integers(1, 2), ny=st.integers(1, 2), p=st.integers(1, 3),
            ops=hp_ops(3), seed=st.integers(0, 2 ** 16))
-    def check(nx, ny, p, ops, seed):
-        problem = poisson.make_problem("galerkin", exact="smooth")
-        mesh = poisson.make_mesh(problem, grid_geometry(nx, ny, 1), p)
+    def check(kind, nx, ny, p, ops, seed):
+        problem = poisson.make_problem(
+            kind, exact="smooth", dp=2 if kind == poisson.PRIMAL else 1)
+        if kind == poisson.UW:      # h only, at p=1: ~40 ms per element build
+            ny, p, ops = 1, 1, [op for op in ops if op[0] == "h"]
+        mesh = poisson.make_mesh(problem, grid_geometry(nx, ny, 1),
+                                 min(p, 2) if kind == poisson.PRIMAL else p)
         apply_hp_ops(mesh, ops)
         rng = np.random.default_rng(seed)
         for node in mesh.NODES[1:]:
@@ -347,6 +359,19 @@ def test_batched_kernels_match_single_elements_property(monkeypatch):
         cf.update_Ddof(mesh, problem.dirichlet_fn())
 
         for norder, mdles in asm.element_batches(mesh, lambda norder: 1):
+            for mod in cf.modified_element(mesh, mdles):
+                for e, mdle in enumerate(mod.mdle.tolist()):
+                    one = cf.modified_element(mesh, mdle)
+                    assert one.mdle == mdle and one.conforming == mod.conforming
+                    for f in ("C", "dof_nodes", "dirichlet",
+                              "dirichlet_values", "bubble"):
+                        assert _bits(getattr(one, f), getattr(mod, f)[e])
+                    if len(mdles) > 1 and not mod.conforming:
+                        seen.add((kind, "constrained"))
+                    if mod.dirichlet_values[e].any():
+                        seen.add((kind, "dirichlet"))
+            if kind != poisson.GALERKIN:
+                continue
             K, b = poisson.elem_galerkin(mesh, mdles, problem)
             for e, mdle in enumerate(mdles):
                 K1, b1 = poisson.elem_galerkin(mesh, [mdle], problem)
@@ -371,13 +396,15 @@ def test_batched_kernels_match_single_elements_property(monkeypatch):
                         else:
                             assert _same(s[e], o)
 
-        whole, _, _ = asm.assemble_system(mesh, problem.elems)
+        whole, _ = asm.assemble_system(mesh, problem.elems)
         with monkeypatch.context() as m:
             m.setattr(asm, "_BATCH_BYTES", 1)
-            single, _, _ = asm.assemble_system(mesh, problem.elems)
-        assert _same(whole.matrix.indptr, single.matrix.indptr)
-        assert _same(whole.matrix.indices, single.matrix.indices)
-        assert _same(whole.matrix.data, single.matrix.data)
-        assert _same(whole.rhs, single.rhs)
+            single, _ = asm.assemble_system(mesh, problem.elems)
+        for f in ("indptr", "indices", "data"):
+            assert _bits(getattr(whole.matrix, f), getattr(single.matrix, f))
+        assert _bits(whole.rhs, single.rhs)
+        assert whole.index == single.index
 
     check()
+    assert seen == {(kind, what) for kind in poisson.KINDS
+                    for what in ("constrained", "dirichlet")}

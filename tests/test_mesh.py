@@ -4,6 +4,7 @@ import pytest
 from hphex import masterel as me
 from hphex import mesh as ms
 from hphex.errors import MeshError, OrderError, OrientationError
+from hphex.geometry import element_geometry
 
 from conftest import galerkin_physics, grid_geometry
 
@@ -367,6 +368,30 @@ def test_random_refinement_sequences_stay_consistent():
                     assert mesh.NODES[s].father == node.id
         assert ms.check_one_irregularity(mesh)
         assert _constrained_pairs(mesh) == []
+        _assert_element_structure(mesh)
+
+
+def _assert_element_structure(mesh):
+    """Every active element's edges and faces are its own, vertex by vertex
+    and edge by edge, and a son's vertices sit at its octant's lattice
+    points inside the father."""
+    for mdle in mesh.ELEM_ORDER:
+        node = mesh.NODES[mdle]
+        verts, edges = node.elem_nodes[0:8], node.elem_nodes[8:20]
+        for k, (a, b) in enumerate(me.EDGE_VERTS):
+            assert mesh.NODES[edges[k]].verts == (verts[a], verts[b])
+        for f, fid in enumerate(node.elem_nodes[20:26]):
+            face = mesh.NODES[fid]
+            assert face.verts == tuple(verts[i] for i in me.FACE_VERTS[f])
+            assert face.edges == tuple(edges[e] for e in me.FACE_EDGES[f])
+        if node.father:
+            father = mesh.NODES[node.father]
+            octant = me.VERT_COORDS[father.sons.index(mdle)]
+            corners = element_geometry(
+                mesh.vertex_coords(father.elem_nodes[0:8]),
+                0.5 * (octant + me.VERT_COORDS)).x
+            assert np.allclose(mesh.vertex_coords(verts), corners,
+                               rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
