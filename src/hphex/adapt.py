@@ -125,7 +125,7 @@ def estimate(mesh, problem, workers: int = 1) -> ErrorSummary:
 
 def adaptive_loop(mesh, problem, marking: MarkingConfig, tol: float,
                   max_steps: int, *, solver: str = "cg", workers: int = 1,
-                  solve_tol: float = 1e-12, on_step=None) -> list:
+                  on_step=None) -> list:
     """Iterate solve, estimate, mark, refine; returns the history table.
 
     Stops once sqrt(error_glob) <= tol or after max_steps solves.  After
@@ -137,7 +137,7 @@ def adaptive_loop(mesh, problem, marking: MarkingConfig, tol: float,
     history = []
     for step in range(1, max_steps + 1):
         report = poisson.solve_problem(mesh, problem, solver=solver,
-                                       tol=solve_tol, workers=workers)
+                                       workers=workers)
         errors = estimate(mesh, problem, workers)
         exact = None
         if problem.nexact:

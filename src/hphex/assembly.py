@@ -109,7 +109,6 @@ class SparseSystem:
     matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
     keys: np.ndarray            # (ndof, 4): (node, attr, comp, k) per dof
-    index: dict                 # (node, attr, comp, k) -> global dof
 
     @property
     def ndof(self) -> int:
@@ -335,9 +334,7 @@ def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1):
     rhs = np.zeros(n)
     np.add.at(rhs, bidx, bval)
     matrix = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    system = SparseSystem(matrix=matrix, rhs=rhs, keys=keys,
-                          index=dict(zip(map(tuple, keys.tolist()), range(n))))
-    return system, groups
+    return SparseSystem(matrix=matrix, rhs=rhs, keys=keys), groups
 
 
 def _write_dofs(mesh, keys, vals):
@@ -369,15 +366,14 @@ def _write_dofs(mesh, keys, vals):
 
 def assemble_and_solve(mesh, elem_fn, *, istc: bool = True,
                        solver: str = "cg", tol: float = 1e-12,
-                       maxit: int = None, workers: int = 1) -> SolveReport:
+                       workers: int = 1) -> SolveReport:
     """Element loop, global solve, and DOF storage (including bubbles)."""
     system, groups = assemble_system(
         mesh, elem_fn, istc=istc, workers=workers)
     if solver == "dense":
         x, iters, res = _dense_solve(system.matrix, system.rhs)
     elif solver == "cg":
-        x, iters, res = cg_solve(system.matrix, system.rhs,
-                                 tol=tol, maxit=maxit)
+        x, iters, res = cg_solve(system.matrix, system.rhs, tol=tol)
     else:
         raise ConfigError(f"unknown solver {solver!r}")
     # bubble recovery, one stack per element group

@@ -20,18 +20,29 @@ Shape functions for all four spaces of the sequence
 
     H1 --grad--> H(curl) --curl--> H(div) --div--> L2
 
-are hierarchical tensor products of two 1D families: the H1 family
-{1-s, s, integrated Legendre of degree 2..p} and the L2 family of
-shifted Legendre polynomials (the derivative of the first family spans
-the second, which is what makes the sequence exact by construction).
-Functions are emitted in blocks: 8 vertex blocks, 12 edge blocks, 6
-face blocks, then the interior block.  Inside a block the ordering is
-lexicographic with the last tensor index fastest; HCURL face blocks
-list the family directed along the first face axis before the second.
+are hierarchical tensor products of two 1D families, "H" = {1-s, s,
+integrated Legendre of degree 2..p} and "L" = shifted Legendre of degree
+0..p-1; the derivative of the first spans the second, which makes the
+sequence exact by construction.  One rule gives every space.  A space is
+a list of families, each naming its 1D family per axis: H1 is HHH, L2 is
+LLL, the H(curl) family along axis a takes L at a and H elsewhere, and
+the H(div) family along a takes H at a and L elsewhere.  A node (vertex,
+edge, face, middle) spans 0..3 axes.  A fixed axis takes the node's side
+as its H index (0 for 1-s, 1 for s), and a node has no function of a
+family with L on a fixed axis.  A spanned axis of order p runs over the
+bubbles 2..p of H or over 0..p-1 of L.
+
+Functions come node by node (8 vertices, 12 edges, 6 faces, middle),
+families in axis order, and indices lexicographic over the spanned axes,
+last fastest, except that a vector family's own axis runs slowest in the
+middle.  A value is the product of its x, y and z factors; the derivative
+along axis d differentiates the factor on d, which gives the H1
+gradient, the H(div) divergence and both terms of the H(curl) curl.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -271,124 +282,6 @@ def _norder_parts(norder):
     return edges, faces, middle
 
 
-def _h1_recipe(norder):
-    """(slot, ix, iy, iz) rows; index 0/1 are the endpoint functions, n>=2 bubbles."""
-    edges, faces, middle = _norder_parts(norder)
-    rows = []
-    for v in range(8):
-        c = VERT_COORDS[v].astype(int)
-        rows.append((v, c[0], c[1], c[2]))
-    for e in range(12):
-        ax = EDGE_AXIS[e]
-        c = VERT_COORDS[EDGE_VERTS[e][0]].astype(int)
-        for n in range(2, edges[e] + 1):
-            idx = c.copy()
-            idx[ax] = n
-            rows.append((8 + e, idx[0], idx[1], idx[2]))
-    for f in range(6):
-        a1, a2 = FACE_AXES[f]
-        p1, p2 = faces[f]
-        base = VERT_COORDS[FACE_VERTS[f][0]].astype(int)
-        for n1 in range(2, p1 + 1):
-            for n2 in range(2, p2 + 1):
-                idx = base.copy()
-                idx[a1] = n1
-                idx[a2] = n2
-                rows.append((20 + f, idx[0], idx[1], idx[2]))
-    px, py, pz = middle
-    for n1 in range(2, px + 1):
-        for n2 in range(2, py + 1):
-            for n3 in range(2, pz + 1):
-                rows.append((26, n1, n2, n3))
-    return rows
-
-
-def _hcurl_recipe(norder):
-    """(slot, family axis, i, j, k): the family-axis factor is an L2 index."""
-    edges, faces, middle = _norder_parts(norder)
-    rows = []
-    for e in range(12):
-        ax = EDGE_AXIS[e]
-        c = VERT_COORDS[EDGE_VERTS[e][0]].astype(int)
-        for n in range(edges[e]):
-            idx = c.copy()
-            idx[ax] = n
-            rows.append((8 + e, ax, idx[0], idx[1], idx[2]))
-    for f in range(6):
-        a1, a2 = FACE_AXES[f]
-        p1, p2 = faces[f]
-        base = VERT_COORDS[FACE_VERTS[f][0]].astype(int)
-        for n1 in range(p1):            # family along a1
-            for n2 in range(2, p2 + 1):
-                idx = base.copy()
-                idx[a1] = n1
-                idx[a2] = n2
-                rows.append((20 + f, a1, idx[0], idx[1], idx[2]))
-        for n1 in range(2, p1 + 1):     # family along a2
-            for n2 in range(p2):
-                idx = base.copy()
-                idx[a1] = n1
-                idx[a2] = n2
-                rows.append((20 + f, a2, idx[0], idx[1], idx[2]))
-    px, py, pz = middle
-    p = (px, py, pz)
-    for ax in range(3):
-        o1, o2 = [a for a in range(3) if a != ax]
-        for n in range(p[ax]):
-            for n1 in range(2, p[o1] + 1):
-                for n2 in range(2, p[o2] + 1):
-                    idx = [0, 0, 0]
-                    idx[ax] = n
-                    idx[o1] = n1
-                    idx[o2] = n2
-                    rows.append((26, ax, idx[0], idx[1], idx[2]))
-    return rows
-
-
-def _hdiv_recipe(norder):
-    """(slot, family axis, i, j, k): the family-axis factor is an H1 index."""
-    _, faces, middle = _norder_parts(norder)
-    rows = []
-    for f in range(6):
-        a1, a2 = FACE_AXES[f]
-        m = FACE_NORMAL_AXIS[f]
-        p1, p2 = faces[f]
-        for n1 in range(p1):
-            for n2 in range(p2):
-                idx = [0, 0, 0]
-                idx[m] = FACE_SIDE[f]
-                idx[a1] = n1
-                idx[a2] = n2
-                rows.append((20 + f, m, idx[0], idx[1], idx[2]))
-    px, py, pz = middle
-    p = (px, py, pz)
-    for ax in range(3):
-        o1, o2 = [a for a in range(3) if a != ax]
-        for n in range(2, p[ax] + 1):
-            for n1 in range(p[o1]):
-                for n2 in range(p[o2]):
-                    idx = [0, 0, 0]
-                    idx[ax] = n
-                    idx[o1] = n1
-                    idx[o2] = n2
-                    rows.append((26, ax, idx[0], idx[1], idx[2]))
-    return rows
-
-
-def _l2_recipe(norder):
-    _, _, (px, py, pz) = _norder_parts(norder)
-    return [
-        (26, n1, n2, n3)
-        for n1 in range(px)
-        for n2 in range(py)
-        for n3 in range(pz)
-    ]
-
-
-_RECIPES = {H1: _h1_recipe, HCURL: _hcurl_recipe, HDIV: _hdiv_recipe,
-            L2: _l2_recipe}
-
-
 def axis_orders(norder) -> tuple[int, int, int]:
     """Highest order per reference axis over the edges, faces and middle."""
     edges, fcs, middle = _norder_parts(norder)
@@ -406,23 +299,48 @@ def axis_orders(norder) -> tuple[int, int, int]:
     return tuple(pmax)
 
 
+# (slot, spanned axes, first vertex) of the 27 element nodes; the first
+# vertex gives the side of each fixed axis
+_ENTITIES = ([(v, (), v) for v in range(8)]
+             + [(8 + e, (EDGE_AXIS[e],), EDGE_VERTS[e][0]) for e in range(12)]
+             + [(20 + f, FACE_AXES[f], FACE_VERTS[f][0]) for f in range(6)]
+             + [(26, (0, 1, 2), 0)])
+
+# (family axis, 1D family per axis) of each shape family of a space
+_FAMILIES = {H1: ((None, "HHH"),), L2: ((None, "LLL"),),
+             HCURL: ((0, "LHH"), (1, "HLH"), (2, "HHL")),
+             HDIV: ((0, "HLL"), (1, "LHL"), (2, "LLH"))}
+
+
 @lru_cache(maxsize=1024)
 def _recipe(space: str, norder: tuple):
-    """Per-axis maximum order and read-only (slots, families, indices).
-
-    Families are None for the scalar spaces; indices are (nrdof, 3).
-    """
+    """Per-axis maximum order and read-only (slots, families, indices):
+    families are None in the scalar spaces, indices are (nrdof, 3)."""
     pmax = axis_orders(norder)
-    if space not in _RECIPES:
+    if space not in _FAMILIES:
         raise ConfigError(f"unknown space {space!r}")
-    rows = _RECIPES[space](norder)
+    edges, faces, middle = _norder_parts(norder)
+    orders = [()] * 8 + [(p,) for p in edges] + faces + [middle]
+    rows = []
+    for (slot, axes, v), ords in zip(_ENTITIES, orders):
+        span = dict(zip(axes, ords))
+        side = [int(c) for c in VERT_COORDS[v]]
+        for ax, letters in _FAMILIES[space]:
+            if any(letters[d] == "L" for d in range(3) if d not in span):
+                continue
+            # lexicographic, but a middle node's family axis runs slowest
+            run = sorted(span, key=lambda d: (slot == 26 and d != ax, d))
+            ranges = [range(span[d]) if letters[d] == "L"
+                      else range(2, span[d] + 1) for d in run]
+            for ns in itertools.product(*ranges):
+                i = list(side)
+                for d, n in zip(run, ns):
+                    i[d] = n
+                rows.append((slot, ax, *i))
     slots = np.array([r[0] for r in rows], dtype=int)
-    if space in (H1, L2):
-        fam = None
-        idx = np.array([r[1:] for r in rows], dtype=int).reshape(-1, 3)
-    else:
-        fam = _read_only(np.array([r[1] for r in rows], dtype=int))
-        idx = np.array([r[2:] for r in rows], dtype=int).reshape(-1, 3)
+    fam = None if space in (H1, L2) else _read_only(
+        np.array([r[1] for r in rows], dtype=int))
+    idx = np.array([r[2:] for r in rows], dtype=int).reshape(-1, 3)
     return pmax, _read_only(slots), fam, _read_only(idx)
 
 
@@ -439,88 +357,79 @@ def _axis_bases(p: int, column: bytes):
     return tuple(_read_only(a) for a in (H, dH, P, dP))
 
 
+@lru_cache(maxsize=1024)
+def _groups(space: str, norder: tuple):
+    """`_recipe(space, norder)` by family: pmax, slots, families, and per
+    family its axis, its rows (all rows in a scalar space) and per axis
+    (offset of its 1D family in (H, dH, P, dP), index column)."""
+    pmax, slots, fam, idx = _recipe(space, norder)
+    groups = []
+    for ax, letters in _FAMILIES[space]:
+        sel = (slice(None) if fam is None
+               else _read_only(np.flatnonzero(fam == ax)))
+        groups.append((ax, sel, tuple(
+            (2 * (c == "L"), _read_only(idx[sel, d].copy()))
+            for d, c in enumerate(letters))))
+    return pmax, slots, fam, tuple(groups)
+
+
 def shape_functions_elem(space: str, xi, norder) -> ShapeSet:
     """Variable-order shape set for one element (19-entry order vector).
 
     This is the engine behind `shape_functions`; element routines call it
     directly so that edge/face orders below the interior order select the
-    matching hierarchical subset.  Two caches sit underneath: `_recipe`
-    holds the function indices per (space, norder), and `_axis_bases`
-    the 1D bases per (order, coordinate column), so each point set's
-    bases are evaluated once.  The 3D products are formed on every call,
-    so no 3D table is held.  All returned arrays are read-only.
+    matching hierarchical subset.  Three caches sit underneath: `_recipe`
+    holds the function indices per (space, norder), `_groups` splits them
+    by family, and `_axis_bases` holds the 1D bases per (order, coordinate
+    column), so each point set's bases are evaluated once.  The 3D
+    products are formed on every call, so no 3D table is held.  All
+    returned arrays are read-only.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     npts = xi.shape[0]
-    pmax, slots, fam, idx = _recipe(space, tuple(int(q) for q in norder))
-    Hs, dHs, Ls, dLs = zip(*(_axis_bases(pmax[ax], xi[:, ax].tobytes())
-                             for ax in range(3)))
-
-    if space == H1:
-        fx, fy, fz = Hs[0][idx[:, 0]], Hs[1][idx[:, 1]], Hs[2][idx[:, 2]]
-        vals = fx * fy * fz
-        grad = np.empty((len(slots), 3, npts))
-        grad[:, 0] = dHs[0][idx[:, 0]] * fy * fz
-        grad[:, 1] = fx * dHs[1][idx[:, 1]] * fz
-        grad[:, 2] = fx * fy * dHs[2][idx[:, 2]]
-        return ShapeSet(H1, vals, grad, slots)
-
-    if space == L2:
-        vals = Ls[0][idx[:, 0]] * Ls[1][idx[:, 1]] * Ls[2][idx[:, 2]]
-        return ShapeSet(L2, vals, None, slots)
-
+    pmax, slots, fam, groups = _groups(space, tuple(int(q) for q in norder))
+    bases = [_axis_bases(pmax[d], xi[:, d].tobytes()) for d in range(3)]
     nf = len(slots)
-    vals = np.zeros((nf, 3, npts))
-    if space == HCURL:
-        curl = np.zeros((nf, 3, npts))
-        for ax in range(3):
-            sel = fam == ax
-            if not sel.any():
-                continue
-            o1, o2 = [a for a in range(3) if a != ax]
-            tabs = [None, None, None]
-            dtabs = [None, None, None]
-            tabs[ax] = Ls[ax][idx[sel, ax]]
-            dtabs[ax] = dLs[ax][idx[sel, ax]]
-            for o in (o1, o2):
-                tabs[o] = Hs[o][idx[sel, o]]
-                dtabs[o] = dHs[o][idx[sel, o]]
-            g = tabs[0] * tabs[1] * tabs[2]
-            vals[sel, ax] = g
-            # curl(g e_ax)_a = sum_b eps(a,b,ax) d_b g
-            parts = {}
-            for b in (o1, o2):
-                factors = [tabs[0], tabs[1], tabs[2]]
-                factors[b] = dtabs[b]
-                parts[b] = factors[0] * factors[1] * factors[2]
-            for a in range(3):
-                for b in (o1, o2):
-                    e = _LEVI[a][b][ax]
-                    if e:
-                        curl[sel, a] += e * parts[b]
-        return ShapeSet(HCURL, vals, curl, slots)
+    vals = None if fam is None else np.zeros((nf, 3, npts))
+    deriv = None if fam is None else np.zeros(
+        (nf, 3, npts) if space == HCURL else (nf, npts))
+    for ax, sel, cols in groups:
+        f = [bases[d][k][r] for d, (k, r) in enumerate(cols)]
 
-    div = np.zeros((nf, npts))
-    for ax in range(3):
-        sel = fam == ax
-        if not sel.any():
-            continue
-        o1, o2 = [a for a in range(3) if a != ax]
-        tabs = [None, None, None]
-        tabs[ax] = Hs[ax][idx[sel, ax]]
-        for o in (o1, o2):
-            tabs[o] = Ls[o][idx[sel, o]]
-        vals[sel, ax] = tabs[0] * tabs[1] * tabs[2]
-        dax = dHs[ax][idx[sel, ax]]
-        factors = [tabs[0], tabs[1], tabs[2]]
-        factors[ax] = dax
-        div[sel] = factors[0] * factors[1] * factors[2]
-    return ShapeSet(HDIV, vals, div, slots)
+        def times(d):
+            """x * y * z, left to right, with the factor on axis d
+            differentiated (a product of two commutes bit for bit)."""
+            k, r = cols[d]
+            if d == 2:
+                xy = f[0] * f[1]
+                xy *= bases[2][k + 1][r]
+                return xy
+            t = bases[d][k + 1][r]
+            t *= f[1 - d]
+            t *= f[2]
+            return t
 
-
-_LEVI = [[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
-         [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
-         [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]]
+        # L2 needs no factor afterwards, so its x table takes the product
+        value = np.multiply(f[0], f[1], out=f[0] if space == L2 else None)
+        value *= f[2]
+        if fam is None:
+            vals = value
+            # the gradient is allocated after the value: allocated first,
+            # large H1 calls took extra page faults
+            if space == H1:
+                deriv = np.empty((nf, 3, npts))
+        else:
+            vals[sel, ax] = value
+        if space == H1:
+            for d in range(3):
+                deriv[:, d] = times(d)
+        elif space == HDIV:
+            deriv[sel] = times(ax)
+        elif space == HCURL:  # curl(g e_ax) = d_b g e_a - d_a g e_b, cyclic
+            a, b = (ax + 1) % 3, (ax + 2) % 3
+            deriv[sel, a] += times(b)
+            deriv[sel, b] -= times(a)
+    return ShapeSet(space, vals, deriv, slots)
 
 
 def shape_functions(space, xi, order) -> ShapeSet:

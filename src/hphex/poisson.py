@@ -303,36 +303,50 @@ def elem_galerkin(mesh, mdles, problem: Problem):
     return K, b
 
 
-def _face_rule(f: int, orders, extra: int):
-    a1, a2 = me.FACE_AXES[f]
-    n1 = orders[a1] + extra + 1
-    n2 = orders[a2] + extra + 1
-    return me.gauss_quadrature_2d((n1, n2))
-
-
-def _primal_system(mesh, mdle: int, problem: Problem):
-    """Extended stiffness [B | Bhat | l] and Gram matrix, by GEMMs."""
+def _dpg_frame(mesh, mdle: int, problem: Problem):
+    """Setup shared by the DPG systems: the order vector and its
+    enrichment, the volume rule, geometry and weights wj, the enriched H1
+    test values and gradients, and per face (points, geometry, weights,
+    trial normal flux at the interface functions, enriched H1 test values)."""
     dp = problem.dp
     norder, xnod, _ = element_info(mesh, mdle)
     norder_enr = _enriched_norder(norder, dp)
     q = me.axis_orders(norder)
     rule = me.gauss_quadrature_3d(tuple(qa + dp + 1 for qa in q))
     geom = gm.element_geometry(xnod, rule.points)
-    wj = rule.weights * geom.rjac
+    vshp = me.shape_functions_elem(me.H1, rule.points, norder_enr)
+    vval, vgrad = gm.piola_transform(me.H1, vshp, geom)
+    faces = []
+    for f, (a1, a2) in enumerate(me.FACE_AXES):
+        t2, w2 = me.gauss_quadrature_2d((q[a1] + dp + 1, q[a2] + dp + 1))
+        xi, _ = me.face_param(f + 1, t2)
+        fgeom = gm.face_geometry(xnod, f + 1, t2)
+        fshp = me.shape_functions_elem(me.HDIV, xi, norder)
+        sval, _ = gm.piola_transform(me.HDIV, fshp, fgeom)
+        fluxn = np.einsum("kiq,qi->kq", sval[_interface(fshp)], fgeom.rn)
+        vtest = me.shape_functions_elem(me.H1, xi, norder_enr).values
+        faces.append((xi, fgeom, w2 * fgeom.bjac, fluxn, vtest))
+    return (norder, norder_enr, rule.points, geom, rule.weights * geom.rjac,
+            vval, vgrad, faces)
 
-    test = me.shape_functions_elem(me.H1, rule.points, norder_enr)
-    tval, tgrad = gm.piola_transform(me.H1, test, geom)
-    trial = me.shape_functions_elem(me.H1, rule.points, norder)
-    _, ugrad = gm.piola_transform(me.H1, trial, geom)
-    ntest = test.nrdof
-    nu = trial.nrdof
-    ns = int(me.layout_counts(me.HDIV, norder, include_middle=False).sum())
-    ntrial = nu + ns
+
+def _check_test_dominates(mdle: int, ntest: int, ntrial: int):
     if ntest <= ntrial:
         raise ConfigError(
             f"element {mdle}: enriched test space ({ntest}) does not "
             f"dominate the trial space ({ntrial}); increase dp"
         )
+
+
+def _primal_system(mesh, mdle: int, problem: Problem):
+    """Extended stiffness [B | Bhat | l] and Gram matrix, by GEMMs."""
+    norder, _, pts, geom, wj, tval, tgrad, faces = _dpg_frame(
+        mesh, mdle, problem)
+    trial = me.shape_functions_elem(me.H1, pts, norder)
+    _, ugrad = gm.piola_transform(me.H1, trial, geom)
+    ntest = len(tval)
+    ns = int(me.layout_counts(me.HDIV, norder, include_middle=False).sum())
+    _check_test_dominates(mdle, ntest, trial.nrdof + ns)
 
     G = _weighted_gram(wj, tval, tval) + _weighted_gram(wj, tgrad, tgrad)
     B = _weighted_gram(wj, tgrad, ugrad)
@@ -341,15 +355,8 @@ def _primal_system(mesh, mdle: int, problem: Problem):
 
     # skeleton flux: -<sigma_hat . n, v> over the six faces
     Bhat = np.zeros((ntest, ns))
-    for f in range(6):
-        t2, w2 = _face_rule(f, q, dp)
-        xi, _ = me.face_param(f + 1, t2)
-        fgeom = gm.face_geometry(xnod, f + 1, t2)
-        fshp = me.shape_functions_elem(me.HDIV, xi, norder)
-        sval, _ = gm.piola_transform(me.HDIV, fshp, fgeom)
-        fluxn = np.einsum("kiq,qi->kq", sval[_interface(fshp)], fgeom.rn)
-        vtest = me.shape_functions_elem(me.H1, xi, norder_enr).values
-        Bhat -= _weighted_gram(w2 * fgeom.bjac, vtest, fluxn)
+    for _, _, wb, fluxn, vtest in faces:
+        Bhat -= _weighted_gram(wb, vtest, fluxn)
     return np.column_stack([B, Bhat, load]), G
 
 
@@ -368,33 +375,19 @@ def elem_primal_dpg(mesh, mdle: int, problem: Problem):
 def _uw_system(mesh, mdle: int, problem: Problem):
     """Extended stiffness [B | Bhat | l] and full symmetric Gram matrix,
     by einsums: c09's pinned reference needs their bits until re-pinned."""
-    dp = problem.dp
-    norder, xnod, _ = element_info(mesh, mdle)
-    norder_enr = _enriched_norder(norder, dp)
-    q = me.axis_orders(norder)
-    rule = me.gauss_quadrature_3d(tuple(qa + dp + 1 for qa in q))
-    geom = gm.element_geometry(xnod, rule.points)
-    wj = rule.weights * geom.rjac
-
-    vshp = me.shape_functions_elem(me.H1, rule.points, norder_enr)
-    vval, vgrad = gm.piola_transform(me.H1, vshp, geom)
-    tshp = me.shape_functions_elem(me.HDIV, rule.points, norder_enr)
+    norder, norder_enr, pts, geom, wj, vval, vgrad, faces = _dpg_frame(
+        mesh, mdle, problem)
+    tshp = me.shape_functions_elem(me.HDIV, pts, norder_enr)
     tau, tdiv = gm.piola_transform(me.HDIV, tshp, geom)
-    nv, nt = vshp.nrdof, tshp.nrdof
+    nv, nt = len(vval), tshp.nrdof
     ntest = nv + nt
-
-    ushp = me.shape_functions_elem(me.L2, rule.points, norder)
+    ushp = me.shape_functions_elem(me.L2, pts, norder)
     uval, _ = gm.piola_transform(me.L2, ushp, geom)
     nL2 = ushp.nrdof
-
     sizes = tuple(int(me.layout_counts(sp, norder, include_middle=False).sum())
                   for sp in (me.H1, me.HDIV)) + (nL2, 3 * nL2)
     ntrial = sum(sizes)
-    if ntest <= ntrial:
-        raise ConfigError(
-            f"element {mdle}: enriched test space ({ntest}) does not "
-            f"dominate the trial space ({ntrial}); increase dp"
-        )
+    _check_test_dominates(mdle, ntest, ntrial)
 
     off = np.concatenate([[0], np.cumsum(sizes)])
     stiff_all = np.zeros((ntest, ntrial + 1))
@@ -408,15 +401,7 @@ def _uw_system(mesh, mdle: int, problem: Problem):
     stiff_all[nv:, off[3]:off[4]] = np.einsum(
         "q,kiq,lq->kli", wj, tau, uval).reshape(nt, 3 * nL2)
 
-    for f in range(6):
-        t2, w2 = _face_rule(f, q, dp)
-        xi, _ = me.face_param(f + 1, t2)
-        fgeom = gm.face_geometry(xnod, f + 1, t2)
-        wb = w2 * fgeom.bjac
-        fshp = me.shape_functions_elem(me.HDIV, xi, norder)
-        sval, _ = gm.piola_transform(me.HDIV, fshp, fgeom)
-        fluxn = np.einsum("kiq,qi->kq", sval[_interface(fshp)], fgeom.rn)
-        v_here = me.shape_functions_elem(me.H1, xi, norder_enr).values
+    for xi, fgeom, wb, fluxn, v_here in faces:
         stiff_all[:nv, off[1]:off[2]] -= np.einsum(
             "q,kq,lq->kl", wb, v_here, fluxn)
         tau_here = me.shape_functions_elem(me.HDIV, xi, norder_enr)
@@ -558,7 +543,7 @@ def compute_exact_error(mesh, problem: Problem):
 # driver
 
 def solve_problem(mesh, problem: Problem, *, solver: str = "cg",
-                  tol: float = 1e-12, maxit: int = None, workers: int = 1,
+                  tol: float = 1e-12, workers: int = 1,
                   istc: bool = True) -> asm.SolveReport:
     """Refresh Dirichlet data, assemble, solve, and store all DOFs."""
     if problem.istc and not istc:
@@ -566,4 +551,4 @@ def solve_problem(mesh, problem: Problem, *, solver: str = "cg",
     cf.update_Ddof(mesh, problem.dirichlet_fn())
     return asm.assemble_and_solve(
         mesh, problem.elems, istc=istc,
-        solver=solver, tol=tol, maxit=maxit, workers=workers)
+        solver=solver, tol=tol, workers=workers)

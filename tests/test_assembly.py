@@ -182,8 +182,9 @@ def test_numbering_and_determinism():
     assert np.array_equal(sys1.matrix.data, sys2.matrix.data)
     assert np.array_equal(sys1.rhs, sys2.rhs)
     # numbered by node id, then attribute, then dof, comps innermost
-    keys = sorted(sys1.index, key=sys1.index.get)
-    assert [sys1.index[key] for key in keys] == list(range(sys1.ndof))
+    index = {tuple(k): i for i, k in enumerate(sys1.keys.tolist())}
+    keys = sorted(index, key=index.get)
+    assert [index[key] for key in keys] == list(range(sys1.ndof))
     assert keys == sorted(keys, key=lambda t: (t[0], t[1], t[3], t[2]))
     assert sys1.symmetry_error() < 1e-12
 
@@ -211,7 +212,8 @@ def test_galerkin_orthogonality_residual():
     poisson.solve_problem(mesh, problem, tol=1e-13)
     sys, _ = asm.assemble_system(mesh, problem.elems)
     x = np.empty(sys.ndof)
-    for key, g in sys.index.items():
+    index = {tuple(k): i for i, k in enumerate(sys.keys.tolist())}
+    for key, g in index.items():
         nid, attr, comp, k = key
         x[g] = mesh.NODES[nid].dofs[attr][k, comp]
     resid = sys.matrix @ x - sys.rhs
@@ -248,7 +250,8 @@ def test_dense_solver_reports_true_residual():
     report = poisson.solve_problem(mesh, problem, solver="dense")
     system, _ = asm.assemble_system(mesh, problem.elems)
     x = np.zeros(system.ndof)
-    for (nid, attr, comp, k), g in system.index.items():
+    index = {tuple(k): i for i, k in enumerate(system.keys.tolist())}
+    for (nid, attr, comp, k), g in index.items():
         x[g] = mesh.NODES[nid].dofs[attr][k, comp]
     b = system.rhs
     true = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
@@ -403,7 +406,8 @@ def test_batched_kernels_match_single_elements_property(monkeypatch):
         for f in ("indptr", "indices", "data"):
             assert _bits(getattr(whole.matrix, f), getattr(single.matrix, f))
         assert _bits(whole.rhs, single.rhs)
-        assert whole.index == single.index
+        assert ({tuple(k): i for i, k in enumerate(whole.keys.tolist())}
+                == {tuple(k): i for i, k in enumerate(single.keys.tolist())})
 
     check()
     assert seen == {(kind, what) for kind in poisson.KINDS

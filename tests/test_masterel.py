@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -328,3 +330,53 @@ def test_edge_tables_consistent():
         verts = set(me.FACE_VERTS[f])
         for e in me.FACE_EDGES[f]:
             assert set(me.EDGE_VERTS[e]) <= verts
+
+
+def _recipe_digest():
+    """sha256 of the integer recipe tables of every space over uniform
+    orders 1..9 and 200 mixed order vectors; integers only, as little-endian
+    int64, so the digest does not depend on platform float formatting."""
+    rng = np.random.default_rng(0)
+    norders = [me.uniform_norder((p, p, p)) for p in range(1, 10)]
+    for _ in range(200):
+        e = rng.integers(1, 10, size=12)
+        f = rng.integers(1, 10, size=(6, 2))
+        m = rng.integers(1, 10, size=3)
+        norders.append([int(p) for p in e]
+                       + [me.encode_face_order(*map(int, q)) for q in f]
+                       + [me.encode_order(*map(int, m))])
+    h = hashlib.sha256()
+    for space in me.SPACES:
+        for norder in norders:
+            pmax, slots, fam, idx = me._recipe(space, tuple(norder))
+            h.update(f"{space}{norder}{pmax}{idx.shape}".encode())
+            for a in (slots, fam, idx):
+                h.update(b"-" if a is None else a.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+_RECIPE_DIGEST = "66e0f5a04b9c08fcc895448022da178872d77bea97b89f0f0edad11eddd3843e"
+
+
+def test_recipe_tables_digest():
+    # pins the function order of every space: slots, families and 1D indices
+    assert _recipe_digest() == _RECIPE_DIGEST
+
+
+@pytest.mark.parametrize("space", me.SPACES)
+def test_family_groups_split_the_recipe(space):
+    norder = me.uniform_norder((3, 2, 4))
+    norder[13] = me.encode_face_order(1, 2)
+    pmax, slots, fam, idx = me._recipe(space, tuple(norder))
+    gmax, gslots, gfam, groups = me._groups(space, tuple(norder))
+    assert gmax == pmax and gslots is slots and gfam is fam
+    seen = np.zeros(len(slots), dtype=int)
+    for ax, sel, cols in groups:
+        rows = np.arange(len(slots))[sel]
+        seen[rows] += 1
+        assert fam is None or (fam[rows] == ax).all()
+        for d, (offset, col) in enumerate(cols):
+            assert offset in (0, 2)
+            assert np.array_equal(col, idx[rows, d])
+            assert not col.flags.writeable
+    assert (seen == 1).all()
