@@ -34,7 +34,7 @@ from .errors import ConfigError, IrregularityError, MeshError, SolveError
 from .mesh import element_info
 
 def is_constrained(mesh, nid: int) -> bool:
-    return _is_hanging(mesh, mesh.NODES[nid], mesh.skeleton_in_use())
+    return bool(mesh.hanging_nodes()[nid])
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +338,7 @@ def modified_element(mesh, mdles):
                                   for k, v in vars(mod).items()})
     ids = np.array([mesh.element(m).elem_nodes + (m,) for m in mdles])
     nids, inv = np.unique(ids[:, :26], return_inverse=True)
-    used = mesh.skeleton_in_use()
-    hanging = np.array([_is_hanging(mesh, mesh.NODES[n], used)
-                        for n in nids.tolist()])
+    hanging = mesh.hanging_nodes()[nids]
     conforming = ~hanging[inv.reshape(-1, 26)].any(axis=1)
     stacks = []                     # (element ids, C, keys, conforming)
     if conforming.any():
@@ -363,19 +361,14 @@ def modified_element(mesh, mdles):
             for mdle, C, keys, conf in stacks]
 
 
-def _is_hanging(mesh, node, used) -> bool:
-    father = mesh.NODES[node.father] if node.father else None
-    return bool(father) and father.kind in ("EDGE", "FACE") and father.id in used
-
-
-def _node_solution(mesh, nid, attr, count, used):
+def _node_solution(mesh, nid, attr, count, hanging):
     """(count, ncomp) local coefficients of one node: its stored rows (zero
-    past them; only a masked node may store none) or, for a constrained
-    node, its parent group's values through `_hanging`."""
+    past them; only a masked node may store none) or, for a node flagged
+    in `hanging`, its parent group's values through `_hanging`."""
     node, a = mesh.NODES[nid], mesh.physics.attrs[attr]
-    if _is_hanging(mesh, node, used):
+    if hanging[nid]:
         group, M = _hanging(mesh, a.fe_space, nid)
-        return M @ np.array([_node_solution(mesh, g, attr, k + 1, used)[k]
+        return M @ np.array([_node_solution(mesh, g, attr, k + 1, hanging)[k]
                              for g, k in group])
     dofs = node.dofs.get(attr) if node.dofs else None
     if dofs is not None and len(dofs) >= count:
@@ -393,9 +386,9 @@ def _node_solution(mesh, nid, attr, count, used):
 def gather_solution(mesh, mdles, attr: int) -> np.ndarray:
     """Local conforming coefficients (E, nscalar, ncomp) of one attribute
     on a batch of elements that share one order vector; one element id
-    gives its (nscalar, ncomp) view of the batch of one.  The slot counts
-    and the in-use set are taken once per batch, and each distinct node
-    of the batch is read (or, when constrained, resolved) once."""
+    gives its (nscalar, ncomp) view of the batch of one.  Stored rows are
+    read by one index into their concatenation; only constrained nodes and
+    nodes storing too few rows are resolved one by one."""
     if np.isscalar(mdles):
         return gather_solution(mesh, [mdles], attr)[0]
     a = mesh.physics.attrs[attr]
@@ -405,15 +398,16 @@ def gather_solution(mesh, mdles, attr: int) -> np.ndarray:
     ids = np.array([mesh.element(m).elem_nodes + (m,) for m in mdles])[:, live]
     nids, first, where = np.unique(ids, return_index=True, return_inverse=True)
     ncount = count[first % len(live)]
-    nodes, used, table = mesh.NODES, mesh.skeleton_in_use(), []
-    for nid, c in zip(nids.tolist(), ncount.tolist()):
-        node = nodes[nid]
-        dofs = node.dofs.get(attr) if node.dofs else None
-        if dofs is None or len(dofs) < c or _is_hanging(mesh, node, used):
-            dofs = _node_solution(mesh, nid, attr, c, used)
-        table.append(dofs[:c])
-    table = np.concatenate(table)
-    rows = (np.cumsum(ncount) - ncount)[where.reshape(ids.shape)]
+    nodes, hanging = mesh.NODES, mesh.hanging_nodes()
+    stored = [nodes[n].dofs.get(attr) if nodes[n].dofs else None
+              for n in nids.tolist()]
+    size = np.array([0 if d is None else len(d) for d in stored])
+    slow = np.flatnonzero(hanging[nids] | (size < ncount))
+    for i in slow.tolist():
+        stored[i] = _node_solution(mesh, nids[i], attr, ncount[i], hanging)
+    size[slow] = ncount[slow]
+    table = np.concatenate(stored)
+    rows = (np.cumsum(size) - size)[where.reshape(ids.shape)]
     return table[np.repeat(rows, count, axis=1)
                  + np.concatenate([np.arange(c) for c in count])]
 

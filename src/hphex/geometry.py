@@ -27,7 +27,8 @@ class GeometryData:
 
     x : (n, 3) physical points
     dxdxi : (n, 3, 3) Jacobian J
-    dxidx : (n, 3, 3) inverse Jacobian, computed on first read
+    dxidx : (n, 3, 3) inverse Jacobian, computed on first read and held
+        points innermost, as dxdxi is, so an einsum over it loops over points
     rjac : (n,) det J
     rn, bjac : outward unit normal (n, 3) and surface Jacobian (n,);
         present only for face points.
@@ -41,7 +42,8 @@ class GeometryData:
 
     @cached_property
     def dxidx(self) -> np.ndarray:
-        return np.linalg.inv(self.dxdxi)
+        inv = np.moveaxis(np.linalg.inv(self.dxdxi), -3, -1)
+        return np.moveaxis(np.ascontiguousarray(inv), -1, -3)
 
 
 _NORD1 = me.uniform_norder((1, 1, 1))
@@ -79,12 +81,20 @@ def face_geometry(vertex_coords, face: int, t) -> GeometryData:
     return geom
 
 
+def _covariant(geom: GeometryData, a) -> np.ndarray:
+    """sum_j dxidx[..., p, j, i] a[..., k, j, p] as (..., k, 3, p), stored
+    components innermost: later einsums sum in that memory order."""
+    out = np.empty(np.broadcast_shapes(geom.dxidx.shape[:-3], a.shape[:-3])
+                   + (a.shape[-3], a.shape[-1], 3)).swapaxes(-1, -2)
+    return np.einsum("...pji,...kjp->...kip", geom.dxidx, a, out=out)
+
+
 def piola_values(space: str, shapes: me.ShapeSet, geom: GeometryData):
     """The value part of `piola_transform`, without the derivatives."""
     if space == me.H1:
         return shapes.values
     if space == me.HCURL:
-        return np.einsum("...pji,kjp->...kip", geom.dxidx, shapes.values)
+        return _covariant(geom, shapes.values)
     if space == me.HDIV:
         return np.einsum("...pij,kjp->...kip", geom.dxdxi,
                          shapes.values) / geom.rjac[..., None, None, :]
@@ -104,7 +114,7 @@ def piola_transform(space: str, shapes: me.ShapeSet, geom: GeometryData):
     val = piola_values(space, shapes, geom)
     rjac = geom.rjac[..., None, :]        # broadcasts over shape functions
     if space == me.H1:
-        return val, np.einsum("...pji,kjp->...kip", geom.dxidx, shapes.grad)
+        return val, _covariant(geom, shapes.grad)
     if space == me.HCURL:
         curl = np.einsum("...pij,kjp->...kip", geom.dxdxi, shapes.curl)
         return val, curl / rjac[..., None, :]

@@ -148,7 +148,7 @@ class Mesh:
         self.ELEM_ORDER = []
         self.NRELES = 0
         self.revision = 0
-        self._skeleton_cache = (-1, None)
+        self._skeleton_cache = self._hanging_cache = (-1, None)
 
     # -- node table ---------------------------------------------------
 
@@ -166,7 +166,6 @@ class Mesh:
 
     def _touch(self):
         self.revision += 1
-        self._skeleton_cache = (-1, None)
 
     # -- queries --------------------------------------------------------
 
@@ -186,6 +185,17 @@ class Mesh:
             used.add(mdle)
         self._skeleton_cache = (self.revision, used)
         return used
+
+    def hanging_nodes(self) -> np.ndarray:
+        """Read-only bool per node id, cached per revision: the node's father
+        is an edge or face in use by an active element (it is constrained)."""
+        if self._hanging_cache[0] != self.revision:
+            in_use = np.zeros(len(self.NODES), dtype=bool)
+            in_use[list(self.skeleton_in_use())] = True
+            in_use[1:] &= [n.kind in (EDGE, FACE) for n in self.NODES[1:]]
+            father = [0] + [n.father for n in self.NODES[1:]]
+            self._hanging_cache = (self.revision, me._read_only(in_use[father]))
+        return self._hanging_cache[1]
 
     def vertex_coords(self, vids) -> np.ndarray:
         return np.array([self.NODES[v].coords for v in vids])

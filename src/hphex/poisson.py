@@ -296,6 +296,7 @@ def elem_galerkin(mesh, mdles, problem: Problem):
     shp = me.shape_functions_elem(me.H1, rule.points, norder)
     val, grad = gm.piola_transform(me.H1, shp, geom)
     wj = rule.weights * geom.rjac
+    grad = np.ascontiguousarray(grad)   # one copy serves both operands
     g = grad.reshape(len(mdles), shp.nrdof, -1)
     K = (grad * wj[:, None, None, :]).reshape(g.shape) @ g.swapaxes(1, 2)
     fv = source_term(problem, geom.x.reshape(-1, 3)).reshape(len(mdles), -1)
@@ -527,7 +528,7 @@ def compute_exact_error(mesh, problem: Problem):
             gh = cs.swapaxes(1, 2) @ shp.values / geom.rjac[:, None, :]
         else:
             ref = (cu @ shp.grad.reshape(shp.nrdof, -1)).reshape(gu.shape)
-            gh = np.einsum("eqji,ejq->eiq", geom.dxidx, ref)
+            gh = gm._covariant(geom, ref[:, None])[:, 0]
         d2g = np.einsum("eq,eiq->e", wj, (gh - gu) ** 2)
         d2l = np.einsum("eq,eq->e", wj, (uh - uu) ** 2)
         table.update(zip(mdles, zip(d2g.tolist(), d2l.tolist())))

@@ -8,7 +8,8 @@ from hphex import conformity as cf
 from hphex import masterel as me
 from hphex import poisson
 from hphex.errors import ConfigError, IrregularityError, SolveError
-from hphex.mesh import element_info, generate_initial_mesh, refine_element
+from hphex.mesh import (close_mesh, element_info, element_vertices,
+                        generate_initial_mesh, refine_element)
 
 from conftest import (apply_hp_ops, galerkin_physics, grid_geometry, hp_ops,
                       uw_physics)
@@ -373,6 +374,24 @@ def test_gather_reproduces_linear_field_across_hanging_face():
         assert np.max(np.abs(local[:, 0] - xnod[:, 0])) < 1e-12
 
 
+def test_gather_resolves_constrained_nodes_whatever_they_store():
+    """A constrained vertex takes its values from its parent edge or face,
+    even when it holds stored rows of its own."""
+    mesh = build(grid_geometry(2, 1, 1, lengths=(2.0, 1.0, 1.0)),
+                 galerkin_physics(), order=(1, 1, 1))
+    refine_element(mesh, 1)
+    hanging = mesh.hanging_nodes()
+    vertices = [n for n in mesh.skeleton_in_use() if mesh.NODES[n].kind == "VERTEX"]
+    assert hanging[vertices].any()
+    for nid in vertices:
+        node = mesh.NODES[nid]
+        node.dofs = {0: np.array([[1e3 if hanging[nid] else node.coords[0]]])}
+    for mdle in mesh.ELEM_ORDER:
+        _, xnod, _ = element_info(mesh, mdle)
+        local = cf.gather_solution(mesh, mdle, 0)
+        assert np.max(np.abs(local[:, 0] - xnod[:, 0])) < 1e-12
+
+
 _CONSTRAINED_KINDS = {("H1", "VERTEX"), ("H1", "EDGE"), ("H1", "FACE"),
                       ("HDIV", "FACE")}
 
@@ -417,6 +436,51 @@ def test_gather_matches_modified_element_property():
 
     check()
     assert seen >= _CONSTRAINED_KINDS
+
+
+def _is_hanging(mesh, nid):
+    """The definition: the node's father is an edge or face in use."""
+    father = mesh.NODES[mesh.NODES[nid].father] if mesh.NODES[nid].father else None
+    return (father is not None and father.kind in ("EDGE", "FACE")
+            and father.id in mesh.skeleton_in_use())
+
+
+def _check_hanging_table(mesh):
+    table = mesh.hanging_nodes()
+    assert table.shape == (len(mesh.NODES),) and not table.flags.writeable
+    assert table.tolist() == [False] + [_is_hanging(mesh, n)
+                                        for n in range(1, len(mesh.NODES))]
+    assert mesh.hanging_nodes() is table        # cached while the revision stands
+    return table
+
+
+def test_hanging_table_matches_definition_property():
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(nx=st.integers(1, 2), ny=st.integers(1, 2), ops=hp_ops(6))
+    def check(nx, ny, ops):
+        mesh = build(grid_geometry(nx, ny, 1), galerkin_physics(), order=(1, 1, 1))
+        apply_hp_ops(mesh, ops)
+        _check_hanging_table(mesh)
+
+    check()
+
+
+def test_hanging_table_rebuilt_after_refine_and_close():
+    mesh = build(grid_geometry(2, 1, 1), galerkin_physics(), order=(1, 1, 1))
+    assert not _check_hanging_table(mesh).any()
+    refine_element(mesh, 1)
+    refined = _check_hanging_table(mesh)
+    assert refined.any()            # the sons of the face shared with element 2
+    # a son on the shared face: refining it makes the mesh 2-irregular, so
+    # closing refines element 2 and the face's sons hang no more
+    sons = mesh.NODES[1].sons
+    xmax = element_vertices(mesh, sons)[..., 0].max(axis=1)
+    refine_element(mesh, sons[int(np.argmax(xmax))])
+    before_close = _check_hanging_table(mesh)
+    close_mesh(mesh)
+    closed = _check_hanging_table(mesh)
+    assert (before_close & ~closed[:len(before_close)]).any()
+    assert 2 not in mesh.ELEM_ORDER
 
 
 def test_gather_before_solve_raises():

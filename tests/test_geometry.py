@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hphex import masterel as me
 from hphex.errors import GeometryError
@@ -139,3 +141,67 @@ def test_hdiv_flux_is_mapping_invariant():
         sign = 1.0 if me.FACE_SIDE[f - 1] == 1 else -1.0
         flux_master = (shp.values[:, nrm] * w2).sum(axis=1) * sign
         assert np.allclose(flux_phys, flux_master, atol=1e-12)
+
+
+def _trilinear_stack(seed, nelem):
+    """E unit cubes with every vertex moved by up to 0.1 per axis: general
+    trilinear (non-affine) maps with a positive Jacobian everywhere."""
+    rng = np.random.default_rng(seed)
+    return UNIT + 0.1 * (2.0 * rng.random((nelem, 8, 3)) - 1.0)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(nelem=st.integers(1, 8), seed=st.integers(0, 2**16),
+       order=st.tuples(*[st.integers(1, 4)] * 3),
+       npts=st.tuples(*[st.integers(1, 4)] * 3))
+def test_stacked_maps_equal_single_calls_bitwise(nelem, seed, order, npts):
+    """A vertex stack gives every geometry field and every Piola transform
+    of E single-element calls, bit for bit."""
+    xnod = _trilinear_stack(seed, nelem)
+    xi = me.gauss_quadrature_3d(npts).points
+    stack = element_geometry(xnod, xi)
+    singles = [element_geometry(x, xi) for x in xnod]
+    for field in ("x", "dxdxi", "rjac", "dxidx"):
+        assert _same_bits(getattr(stack, field),
+                          np.stack([getattr(g, field) for g in singles]))
+    for space in me.SPACES:
+        shp = me.shape_functions_elem(space, xi, me.uniform_norder(order))
+        val, der = piola_transform(space, shp, stack)
+        for e, g in enumerate(singles):
+            one_val, one_der = piola_transform(space, shp, g)
+            assert _same_bits(val if space == me.H1 else val[e], one_val)
+            assert (der is None and one_der is None) or _same_bits(der[e], one_der)
+
+
+def test_piola_matches_einsum_definition():
+    """Each space's map equals its contraction written as an einsum over J
+    and a C-ordered J^-1, to 1e-15 relative and in the same memory layout,
+    on non-affine elements; the inverse Jacobian is held points innermost."""
+    xi = me.gauss_quadrature_3d((3, 4, 2)).points
+    g = element_geometry(_trilinear_stack(26, 5), xi)
+    jac, inv = g.dxdxi, np.linalg.inv(g.dxdxi)
+    det = g.rjac[:, None, :]
+    assert _same_bits(g.dxidx, inv)
+    assert np.moveaxis(g.dxidx, -3, -1).flags.c_contiguous
+    for space in me.SPACES:
+        shp = me.shape_functions_elem(space, xi, me.uniform_norder((3, 2, 4)))
+        if space == me.H1:
+            want = shp.values, np.einsum("epji,kjp->ekip", inv, shp.grad)
+        elif space == me.HCURL:
+            want = (np.einsum("epji,kjp->ekip", inv, shp.values),
+                    np.einsum("epij,kjp->ekip", jac, shp.curl) / det[:, :, None])
+        elif space == me.HDIV:
+            want = (np.einsum("epij,kjp->ekip", jac, shp.values) / det[:, :, None],
+                    shp.div / det)
+        else:
+            want = shp.values / det, None
+        for got, ref in zip(piola_transform(space, shp, g), want):
+            if ref is None:
+                assert got is None
+            else:
+                assert got.shape == ref.shape and got.strides == ref.strides
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))

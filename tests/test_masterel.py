@@ -222,6 +222,7 @@ def test_variable_order_selection():
 
 def _fresh(space, xi, norder):
     me._recipe.cache_clear()
+    me._groups.cache_clear()
     me._axis_bases.cache_clear()
     return me.shape_functions_elem(space, xi, norder)
 
