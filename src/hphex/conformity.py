@@ -514,6 +514,13 @@ def _project_faces(mesh, group, dirichlet_fn, attr, nc):
             d[:, comp] = s
 
 
+def _flagged_nodes(mesh) -> list:
+    """Vertex, edge and face nodes in use with a Dirichlet bit, by id."""
+    nodes = mesh.NODES
+    return [nodes[nid] for nid in sorted(mesh.skeleton_in_use())
+            if nodes[nid].kind != "MIDDLE" and nodes[nid].bcond]
+
+
 def update_Ddof(mesh, dirichlet_fn=None):
     """Interpolate Dirichlet data onto masked H1 DOFs, one group at a time.
 
@@ -527,12 +534,11 @@ def update_Ddof(mesh, dirichlet_fn=None):
     skipped (a refined face an unrefined neighbour still uses stays in).
     """
     physics = mesh.physics
-    used = mesh.skeleton_in_use()
+    flagged = _flagged_nodes(mesh)
     for attr, a in enumerate(physics.attrs):
         gbits = [physics.global_comp(attr, c) for c in range(a.ncomp)]
         masked_nodes = [(node, [c for c, g in enumerate(gbits) if node.bcond >> g & 1])
-                        for node in mesh.NODES[1:]
-                        if node.kind != "MIDDLE" and node.bcond and node.id in used]
+                        for node in flagged]
         masked_nodes = [(node, comps) for node, comps in masked_nodes if comps]
         if not masked_nodes:
             continue

@@ -149,6 +149,9 @@ class Mesh:
         self.NRELES = 0
         self.revision = 0
         self._skeleton_cache = self._hanging_cache = (-1, None)
+        # ((revision, dp), problem, {mdle: (stiff_all, G)}): the DPG
+        # systems of the one batch Problem.elems keeps, for the estimate
+        self._dpg_systems = (None, None, {})
 
     # -- node table ---------------------------------------------------
 
@@ -199,14 +202,6 @@ class Mesh:
 
     def vertex_coords(self, vids) -> np.ndarray:
         return np.array([self.NODES[v].coords for v in vids])
-
-    def boundary_faces(self, bid=None) -> list:
-        out = []
-        for node in self.NODES[1:]:
-            if node.kind == FACE and node.bid is not None:
-                if bid is None or node.bid == bid:
-                    out.append(node.id)
-        return out
 
     # -- boundary conditions ---------------------------------------------
 

@@ -31,6 +31,11 @@ class PhysicsAttr:
             raise ConfigError(f"unknown space tag {self.space!r}")
         if self.ncomp < 1:
             raise ConfigError(f"attribute {self.nick}: ncomp must be >= 1")
+        if self.is_trace and self.space == DISCON:
+            raise ConfigError(
+                f"attribute {self.nick!r}: traces of discontinuous variables "
+                "are not defined"
+            )
 
     @property
     def fe_space(self) -> str:
@@ -74,15 +79,6 @@ class PhysicsTable:
         if not 0 <= comp < self.attrs[attr].ncomp:
             raise ConfigError(f"component {comp} out of range for attribute {attr}")
         return self._offsets[attr] + comp
-
-    def set_trace(self, attr: int):
-        a = self.attrs[attr]
-        if a.space == DISCON:
-            raise ConfigError(
-                f"attribute {a.nick!r}: traces of discontinuous variables "
-                "are not defined"
-            )
-        a.is_trace = True
 
 
 @dataclass

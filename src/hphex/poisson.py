@@ -14,7 +14,9 @@ a batch of elements sharing one order vector, rows and columns over the
 attributes in declaration order (the row order of C).  The Galerkin
 kernel and the exact error take a batch in one stacked pass; the DPG
 routines run per element and condense the extended stiffness against
-the factored Gram matrix.
+the factored Gram matrix.  `Problem.elems` leaves the extended systems
+of one batch, the one that holds the last element, on the mesh; the
+residual estimate reads those and builds the others again.
 
 Galerkin and primal integrals are weighted GEMMs.  Ultraweak ones stay
 einsums until c09's benchmark reference is re-pinned (c09 marks near-ties
@@ -177,13 +179,26 @@ class Problem:
         return self.exact.dirichlet if self.exact is not None else None
 
     def elems(self, mesh, mdles) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked local systems (K[E, n, n], b[E, n]) of one batch."""
+        """Stacked local systems (K[E, n, n], b[E, n]) of one batch.
+
+        The DPG batch that holds the mesh's last element also leaves its
+        read-only extended systems {mdle: (stiff_all, G)} on the mesh, in
+        one assignment when it is done, for `elem_residual` to read: one
+        batch per solve, the same one for any number of workers.
+        """
         if self.kind == GALERKIN:
             return elem_galerkin(mesh, mdles, self)
         build = {PRIMAL: elem_primal_dpg, UW: elem_uw_dpg}.get(self.kind)
         if build is None:
             raise ConfigError(f"unknown problem kind {self.kind!r}")
-        K, b = zip(*(build(mesh, mdle, self) for mdle in mdles))
+        if mesh.ELEM_ORDER[-1] not in mdles:
+            K, b = zip(*(build(mesh, mdle, self) for mdle in mdles))
+        else:
+            system = _SYSTEMS[self.kind]
+            systems = {mdle: tuple(map(me._read_only, system(mesh, mdle, self)))
+                       for mdle in mdles}
+            K, b = zip(*(_condensed(*s) for s in systems.values()))
+            mesh._dpg_systems = ((mesh.revision, self.dp), self, systems)
         return np.stack(K), np.stack(b)
 
 
@@ -428,6 +443,9 @@ def elem_uw_dpg(mesh, mdle: int, problem: Problem):
     return _condensed(*_uw_system(mesh, mdle, problem))
 
 
+_SYSTEMS = {PRIMAL: _primal_system, UW: _uw_system}
+
+
 # ---------------------------------------------------------------------------
 # residual estimator and exact errors
 
@@ -437,12 +455,25 @@ def _gather_trial(mesh, mdle: int) -> np.ndarray:
                            for attr in range(mesh.physics.nr_physa)])
 
 
+def _kept_system(mesh, mdle: int, problem: Problem):
+    """Pop `mdle`'s (stiff_all, G) from the batch `problem.elems` kept,
+    if it kept them for this problem object at this mesh revision and dp."""
+    key, owner, systems = mesh._dpg_systems
+    if owner is problem and key == (mesh.revision, problem.dp):
+        return systems.pop(mdle, None)
+    return None
+
+
 def elem_residual(mesh, mdle: int, problem: Problem) -> float:
-    """Squared DPG residual of the computed solution on one element."""
-    if problem.kind == GALERKIN:
+    """Squared DPG residual of the computed solution on one element.
+
+    The extended system is the one the solve left on the mesh when it
+    kept this element's, else a fresh build (same bits for the
+    ultraweak einsums)."""
+    if problem.kind not in _SYSTEMS:
         raise ConfigError("the residual estimator needs a DPG problem")
-    build = _primal_system if problem.kind == PRIMAL else _uw_system
-    stiff_all, G = build(mesh, mdle, problem)
+    stiff_all, G = (_kept_system(mesh, mdle, problem)
+                    or _SYSTEMS[problem.kind](mesh, mdle, problem))
     w = _gather_trial(mesh, mdle)
     resid = stiff_all[:, -1] - stiff_all[:, :-1] @ w
     return dpg.residual_norm_sq(G, resid)
@@ -487,11 +518,15 @@ def residual_summary(mesh, problem: Problem, workers: int = 1):
     spinning against the second element thread on two cores, and c09's
     estimate ran slow and erratic.  Assembly keeps threaded BLAS until
     c09's reference is re-pinned: its roundoff decides step-3 marking.
+
+    Elements whose systems the solve kept read them (see `Problem.elems`
+    and `elem_residual`); the slot is emptied on return.
     """
     with _one_blas_thread():
         vals = np.array(asm.map_elements(
             lambda mdle: elem_residual(mesh, mdle, problem),
             mesh.ELEM_ORDER, workers))
+    mesh._dpg_systems = (None, None, {})
     return vals, float(vals.sum())
 
 

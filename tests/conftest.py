@@ -34,10 +34,10 @@ def galerkin_physics() -> PhysicsTable:
     return PhysicsTable([PhysicsAttr("field", "contin", 1)])
 
 
-def uw_physics() -> PhysicsTable:
+def uw_physics(traces: bool = False) -> PhysicsTable:
     return PhysicsTable([
-        PhysicsAttr("Ut", "contin", 1),
-        PhysicsAttr("St", "normal", 1),
+        PhysicsAttr("Ut", "contin", 1, is_trace=traces),
+        PhysicsAttr("St", "normal", 1, is_trace=traces),
         PhysicsAttr("u", "discon", 1),
         PhysicsAttr("s", "discon", 3),
     ])

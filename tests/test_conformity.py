@@ -279,9 +279,7 @@ def test_face_coefficients_match_entrywise_loops(parent, child):
 
 
 def test_conforming_element_gives_identity():
-    physics = uw_physics()
-    physics.set_trace(0)
-    physics.set_trace(1)
+    physics = uw_physics(traces=True)
     mesh = build(grid_geometry(1, 1, 1), physics)
     mod = cf.modified_element(mesh, 1)
     n = mod.C.shape[0]
@@ -405,10 +403,7 @@ def test_gather_matches_modified_element_property():
     @given(nx=st.integers(1, 2), ny=st.integers(1, 2), uw=st.booleans(),
            p=st.integers(1, 2), seed=st.integers(0, 2**16), ops=hp_ops(5))
     def check(nx, ny, uw, p, seed, ops):
-        physics = uw_physics() if uw else galerkin_physics()
-        if uw:
-            physics.set_trace(0)
-            physics.set_trace(1)
+        physics = uw_physics(traces=True) if uw else galerkin_physics()
         mesh = build(grid_geometry(nx, ny, 1), physics, order=(p, p, p))
         apply_hp_ops(mesh, ops)
         rng = np.random.default_rng(seed)
@@ -662,6 +657,44 @@ def test_groups_of_one_match_whole_groups_property():
 
     check()
     assert seen == {"mixed orders", "constrained"}
+
+
+def test_flagged_walk_matches_the_node_scan():
+    """update_Ddof walks the in-use skeleton by id: on a refined hp mesh it
+    finds the nodes of a scan over every node, in the same order, and
+    projects the same Dirichlet bits."""
+    problem = poisson.make_problem("uw", exact="boundary_layer")
+    mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 1), 1)
+    apply_hp_ops(mesh, [("h", 0), ("p", 3), ("h", 5), ("p", 1), ("h", 9)])
+
+    class Reversed(set):    # small int sets iterate by id: make this one not
+        def __iter__(self):
+            return iter(sorted(set.__iter__(self), reverse=True))
+
+    used = Reversed(mesh.skeleton_in_use())
+    mesh.skeleton_in_use = lambda: used
+
+    def scan(mesh):
+        return [n for n in mesh.NODES[1:]
+                if n.kind != "MIDDLE" and n.bcond and n.id in used]
+
+    assert [n.id for n in cf._flagged_nodes(mesh)] == [n.id for n in scan(mesh)]
+    # refined boundary faces keep their bits but leave the skeleton
+    assert any(n.bcond and n.kind == "FACE" and n.id not in used
+               for n in mesh.NODES[1:])
+
+    def project():
+        for node in mesh.NODES[1:]:
+            node.dofs = None
+        cf.update_Ddof(mesh, problem.dirichlet_fn())
+        return {n.id: n.dofs[0] for n in mesh.NODES[1:] if n.dofs}
+
+    walked = project()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cf, "_flagged_nodes", scan)
+        scanned = project()
+    assert walked.keys() == scanned.keys() and walked
+    assert all(_bits(walked[nid], scanned[nid]) for nid in walked)
 
 
 # ---------------------------------------------------------------------------

@@ -135,12 +135,10 @@ def test_attr_validation():
         ph.PhysicsAttr("x", "sobolev", 1)
     with pytest.raises(ConfigError):
         ph.PhysicsAttr("x", "contin", 0)
-    table = uw_physics()
-    with pytest.raises(ConfigError):
-        table.set_trace(2)  # discontinuous variable has no trace
-    table.set_trace(0)
-    table.set_trace(1)
-    assert table.attrs[0].is_trace and table.attrs[1].is_trace
+    with pytest.raises(ConfigError, match="discontinuous"):
+        ph.PhysicsAttr("u", "discon", 1, is_trace=True)  # no trace
+    assert ph.PhysicsAttr("Ut", "contin", 1, is_trace=True).is_trace
+    assert ph.PhysicsAttr("St", "normal", 1, is_trace=True).is_trace
 
 
 def test_set_bcond_dirichlet_everywhere():

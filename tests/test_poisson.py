@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hphex import adapt
 from hphex import assembly as asm
 from hphex import conformity as cf
 from hphex import dpg
@@ -10,7 +13,7 @@ from hphex import geometry as gm
 from hphex import masterel as me
 from hphex import poisson
 from hphex.errors import ConfigError, OrderError
-from hphex.mesh import close_mesh, element_info, refine_element
+from hphex.mesh import close_mesh, element_info, execute_pref, refine_element
 
 from conftest import apply_hp_ops, grid_geometry, hp_ops
 
@@ -327,6 +330,134 @@ def test_residual_decreases_under_refinement():
         totals.append(total)
         global_href(mesh)
     assert totals[0] > totals[1] > totals[2]
+
+
+# ---------------------------------------------------------------------------
+# element systems kept from the solve for the estimate
+
+
+def _solved(kind, grid=(3, 1, 1), order=2):
+    mesh, problem = make(kind, exact="smooth", grid=grid, order=order)
+    poisson.solve_problem(mesh, problem)
+    kept = dict(mesh._dpg_systems[2])
+    assert mesh.ELEM_ORDER[-1] in kept and set(kept) <= set(mesh.ELEM_ORDER)
+    return mesh, problem, kept
+
+
+@pytest.mark.parametrize("kind", ["uw", "primal"])
+def test_kept_systems_give_the_indicators_of_a_rebuild(kind):
+    mesh, problem, kept = _solved(kind)
+    vals, _ = poisson.residual_summary(mesh, problem)
+    with poisson._one_blas_thread():    # the estimate's BLAS, rebuilt
+        fresh = np.array([poisson.elem_residual(mesh, mdle, problem)
+                          for mdle in mesh.ELEM_ORDER])
+    if kind == "uw":
+        assert np.array_equal(vals, fresh)
+    else:   # the solve built G on default BLAS threads
+        assert np.allclose(vals, fresh, rtol=1e-13, atol=0.0)
+
+
+def test_kept_systems_are_read_only_and_emptied_by_the_summary():
+    mesh, problem, kept = _solved("uw")
+    for stiff_all, G in kept.values():
+        assert not stiff_all.flags.writeable and not G.flags.writeable
+        with pytest.raises(ValueError):
+            G[0, 0] = 0.0
+    poisson.residual_summary(mesh, problem)
+    assert mesh._dpg_systems == (None, None, {})
+
+
+def test_kept_batch_is_the_one_with_the_last_element():
+    """The middle element's own order group is built last; the batch
+    kept is still the one holding the last element in natural order."""
+    mesh, problem = make("uw", exact="smooth", grid=(3, 1, 1), order=1)
+    first, middle, last = mesh.ELEM_ORDER
+    execute_pref(mesh, [middle])
+    batches = [m for _, m in asm.element_batches(mesh, lambda norder: 1)]
+    assert middle in batches[-1] and last not in batches[-1]
+    poisson.solve_problem(mesh, problem)
+    assert last in mesh._dpg_systems[2] and middle not in mesh._dpg_systems[2]
+
+
+def test_kept_systems_are_popped_once():
+    mesh, problem, kept = _solved("uw")
+    mdle = next(iter(kept))
+    assert poisson._kept_system(mesh, mdle, problem) is kept[mdle]
+    assert poisson._kept_system(mesh, mdle, problem) is None
+
+
+def test_kept_systems_need_the_same_revision_problem_and_dp():
+    mesh, problem, kept = _solved("uw")
+    mdle = next(iter(kept))
+
+    def unused(other=problem):
+        assert poisson._kept_system(mesh, mdle, other) is None
+        assert mdle in mesh._dpg_systems[2]     # a miss pops nothing
+
+    unused(poisson.make_problem("uw", exact="smooth"))
+    unused(poisson.Problem(**vars(problem)))    # equal fields, other object
+    problem.dp = 2
+    unused()
+    problem.dp = 1
+    assert poisson._kept_system(mesh, mdle, problem) is kept[mdle]
+
+
+def test_kept_systems_unused_after_h_refinement():
+    mesh, problem, kept = _solved("uw")
+    refine_element(mesh, mesh.ELEM_ORDER[0])
+    close_mesh(mesh)
+    cf.update_gdof(mesh)
+    for mdle in kept:
+        assert poisson._kept_system(mesh, mdle, problem) is None
+
+
+def test_kept_systems_unused_after_p_refinement():
+    mesh, problem, kept = _solved("uw")
+    execute_pref(mesh, list(kept))
+    for mdle in kept:
+        assert poisson._kept_system(mesh, mdle, problem) is None
+
+
+def test_threaded_solve_keeps_one_batch(monkeypatch):
+    """Four element threads, switching often: the slot holds exactly the
+    batch with the last element, and the threaded estimate has the
+    serial bits."""
+    batches, elems = [], poisson.Problem.elems
+
+    def spy(self, mesh, mdles):
+        batches.append(set(mdles))
+        return elems(self, mesh, mdles)
+
+    monkeypatch.setattr(poisson.Problem, "elems", spy)
+    mesh, problem = make("uw", exact="smooth", grid=(4, 2, 1), order=2)
+    refine_element(mesh, 1)
+    close_mesh(mesh)
+    cf.update_gdof(mesh)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        poisson.solve_problem(mesh, problem, workers=4)
+        kept = set(mesh._dpg_systems[2])
+        threaded, _ = poisson.residual_summary(mesh, problem, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(batches) > 4 and kept in batches
+    assert mesh.ELEM_ORDER[-1] in kept
+    serial, _ = poisson.residual_summary(mesh, problem)
+    assert np.array_equal(threaded, serial)
+
+
+def test_adaptive_history_independent_of_workers():
+    def run(workers):
+        problem = poisson.make_problem("uw", exact="boundary_layer")
+        mesh = poisson.make_mesh(problem, grid_geometry(4, 1, 1), 1)
+        return adapt.adaptive_loop(
+            mesh, problem, adapt.MarkingConfig(adapt.DOERFLER, 0.5),
+            tol=0.0, max_steps=3, workers=workers)
+
+    serial, threaded = run(1), run(2)
+    assert len(serial) == 3
+    assert [r.as_csv() for r in threaded] == [r.as_csv() for r in serial]
 
 
 # ---------------------------------------------------------------------------
