@@ -242,6 +242,14 @@ def element_batches(mesh, elem_bytes) -> list:
             for i in range(0, len(mdles), size)]
 
 
+def solve_batches(mesh) -> list:
+    """`element_batches` capped by one element's local matrix: the batches
+    of `assemble_system`, which the residual estimate walks too."""
+    return element_batches(mesh, lambda norder: 8 * sum(
+        a.ncomp * int(me.layout_counts(a.fe_space, norder, not a.is_trace).sum())
+        for a in mesh.physics.attrs) ** 2)
+
+
 def _condense_stack(K, b, mod, istc, codes, shape):
     """Groups of one modified element stack: its local systems (C already
     applied), split by (Dirichlet, bubble) layout, with the Dirichlet
@@ -278,13 +286,8 @@ def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1):
     `elem_fn(mesh, mdles)` returns the stacked (K, b) of one batch.
     With `istc` off no dof counts as a bubble, so nothing is condensed.
     """
-    def nbytes(norder):                 # one element's local matrix
-        return 8 * sum(a.ncomp * int(me.layout_counts(
-            a.fe_space, norder, not a.is_trace).sum())
-            for a in mesh.physics.attrs) ** 2
-
     batches = [(mdles, cf.modified_element(mesh, mdles))
-               for _, mdles in element_batches(mesh, nbytes)]
+               for _, mdles in solve_batches(mesh)]
     codes, keys, shape = _number_dofs(
         [m for _, mods in batches for m in mods], istc)
 

@@ -50,32 +50,10 @@ _FILE_FLAGS = ("-file-control", "-file-phys", "-file-geometry")
 
 
 @dataclass
-class RunConfig:
-    """Everything a run needs, resolved from flags and defaults."""
-
-    file_control: Optional[str] = None
-    file_phys: Optional[str] = None
-    file_geometry: Optional[str] = None
-    prob: str = po.GALERKIN
-    p: int = 1
-    dp: Optional[int] = None        # None: fall back to control NORD_ADD
-    job: int = 0                    # 0 = interactive menu
-    mark: str = adapt.GREEDY
-    perc: float = 0.5
-    tol: float = 0.0
-    maxsteps: int = 3
-    paraview_dir: Optional[str] = None
-    vlevel: int = 0
-    solver: str = "cg"
-    workers: int = 1
-    exact: Optional[str] = None     # None: job-appropriate default
-
-
-@dataclass
 class CliState:
     """Mutable session: the mesh plus the pieces menu actions touch."""
 
-    config: RunConfig
+    config: argparse.Namespace
     params: ph.Parameters
     problem: po.Problem
     mesh: msh.Mesh
@@ -94,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("-p", dest="p", type=int, default=1,
                     help="initial isotropic order, 1..%d" % me.MAXP)
     ap.add_argument("-dp", dest="dp", type=int, default=None,
-                    help="test-space order increment (default: NORD_ADD)")
+                    help="test-space order increment (default: the "
+                         "control file's NORD_ADD)")
     ap.add_argument("-job", dest="job", type=int, default=0)
     ap.add_argument("-mark", dest="mark", default=adapt.GREEDY,
                     choices=(adapt.GREEDY, adapt.DOERFLER))
@@ -112,23 +91,24 @@ def build_parser() -> argparse.ArgumentParser:
                          "of the residual estimate, at least 1")
     ap.add_argument("-exact", dest="exact", default=None,
                     choices=sorted(po.SOLUTIONS),
-                    help="manufactured solution when NEXACT=1")
+                    help="manufactured solution when NEXACT=1 (default: "
+                         "boundary_layer for job 2, smooth otherwise)")
     return ap
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     ns = build_parser().parse_args(argv)
     for flag, value in (("-workers", ns.workers), ("-maxsteps", ns.maxsteps)):
         if value < 1:
             raise ConfigError(f"{flag} {value} must be at least 1")
-    return RunConfig(**vars(ns))
+    return ns
 
 
 def _default_exact(job: int) -> str:
     return "boundary_layer" if job == 2 else "smooth"
 
 
-def _missing_file(cfg: RunConfig):
+def _missing_file(cfg: argparse.Namespace):
     """First required file flag that is absent or unreadable, if any."""
     paths = (cfg.file_control, cfg.file_phys, cfg.file_geometry)
     for flag, path in zip(_FILE_FLAGS, paths):
@@ -139,7 +119,7 @@ def _missing_file(cfg: RunConfig):
     return None
 
 
-def build_state(cfg: RunConfig) -> CliState:
+def build_state(cfg: argparse.Namespace) -> CliState:
     params = ph.read_control(cfg.file_control)
     table = ph.read_physics(cfg.file_phys)
     geometry = msh.read_geometry(cfg.file_geometry)
@@ -361,7 +341,7 @@ def exec_job(job: int, state: CliState) -> int:
     return 2
 
 
-def _outdir(cfg: RunConfig) -> str:
+def _outdir(cfg: argparse.Namespace) -> str:
     out = cfg.paraview_dir if cfg.paraview_dir is not None else "."
     os.makedirs(out, exist_ok=True)
     return out

@@ -150,7 +150,7 @@ class Mesh:
         self.revision = 0
         self._skeleton_cache = self._hanging_cache = (-1, None)
         # ((revision, dp), problem, {mdle: (stiff_all, G)}): the DPG
-        # systems of the one batch Problem.elems keeps, for the estimate
+        # systems of the one batch the DPG builders keep, for the estimate
         self._dpg_systems = (None, None, {})
 
     # -- node table ---------------------------------------------------

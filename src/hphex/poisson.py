@@ -9,14 +9,15 @@ Three discretizations of -div(grad u) = f on hexahedral meshes:
   skeleton carries an H1 trace and a normal trace, and the broken test
   space is H1 x H(div) at the enriched order.
 
-`Problem.elems` stacks the dense local systems (K[E, n, n], b[E, n]) of
-a batch of elements sharing one order vector, rows and columns over the
-attributes in declaration order (the row order of C).  The Galerkin
-kernel and the exact error take a batch in one stacked pass; the DPG
-routines run per element and condense the extended stiffness against
-the factored Gram matrix.  `Problem.elems` leaves the extended systems
-of one batch, the one that holds the last element, on the mesh; the
-residual estimate reads those and builds the others again.
+Every element routine takes (mesh, mdles, problem), a batch sharing one
+order vector, and returns stacks: the local systems (K[E, n, n], b[E, n])
+that `Problem.elems` dispatches for, rows and columns over the attributes
+in declaration order (the row order of C), or the squared residuals (E,)
+of `elem_residual`.  The Galerkin kernel is one stacked pass; the DPG
+builders condense each element's extended stiffness against its factored
+Gram matrix, and the batch that holds the last element leaves those
+systems on the mesh.  The estimate walks the solve's batches, reads them
+and builds the others again.
 
 Galerkin and primal integrals are weighted GEMMs.  Ultraweak ones stay
 einsums until c09's benchmark reference is re-pinned (c09 marks near-ties
@@ -26,6 +27,7 @@ by roundoff); symmetric Gram products evaluate only the half Cholesky reads.
 from __future__ import annotations
 
 import ctypes
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -179,27 +181,15 @@ class Problem:
         return self.exact.dirichlet if self.exact is not None else None
 
     def elems(self, mesh, mdles) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked local systems (K[E, n, n], b[E, n]) of one batch.
-
-        The DPG batch that holds the mesh's last element also leaves its
-        read-only extended systems {mdle: (stiff_all, G)} on the mesh, in
-        one assignment when it is done, for `elem_residual` to read: one
-        batch per solve, the same one for any number of workers.
-        """
+        """Stacked local systems (K[E, n, n], b[E, n]) of one batch, from
+        the kind's element routine (looked up at each call)."""
         if self.kind == GALERKIN:
             return elem_galerkin(mesh, mdles, self)
-        build = {PRIMAL: elem_primal_dpg, UW: elem_uw_dpg}.get(self.kind)
-        if build is None:
-            raise ConfigError(f"unknown problem kind {self.kind!r}")
-        if mesh.ELEM_ORDER[-1] not in mdles:
-            K, b = zip(*(build(mesh, mdle, self) for mdle in mdles))
-        else:
-            system = _SYSTEMS[self.kind]
-            systems = {mdle: tuple(map(me._read_only, system(mesh, mdle, self)))
-                       for mdle in mdles}
-            K, b = zip(*(_condensed(*s) for s in systems.values()))
-            mesh._dpg_systems = ((mesh.revision, self.dp), self, systems)
-        return np.stack(K), np.stack(b)
+        if self.kind == PRIMAL:
+            return elem_primal_dpg(mesh, mdles, self)
+        if self.kind == UW:
+            return elem_uw_dpg(mesh, mdles, self)
+        raise ConfigError(f"unknown problem kind {self.kind!r}")
 
 
 def make_problem(kind: str, exact: Optional[str] = "smooth",
@@ -376,16 +366,29 @@ def _primal_system(mesh, mdle: int, problem: Problem):
     return np.column_stack([B, Bhat, load]), G
 
 
-def _condensed(stiff_all, G):
-    """Condense [B | Bhat | l] against G into the trial system (K, b)."""
-    n = stiff_all.shape[1] - 1
-    cond = dpg.condense_dpg(stiff_all, G)
-    return cond[:n, :n], cond[:n, n]
+def _dpg_batch(system, mesh, mdles, problem: Problem):
+    """Stacked (K, b) of a batch, each element's [B | Bhat | l] condensed
+    against its G in turn.  The batch holding the mesh's last element also
+    leaves its read-only {mdle: (stiff_all, G)} on the mesh when done, for
+    `elem_residual`: one batch per solve, the same for any `workers`."""
+    keep = mesh.ELEM_ORDER[-1] in mdles
+    kept, K, b = {}, [], []
+    for mdle in mdles:
+        stiff_all, G = system(mesh, mdle, problem)
+        if keep:
+            kept[mdle] = (me._read_only(stiff_all), me._read_only(G))
+        cond = dpg.condense_dpg(stiff_all, G)     # (ntrial + 1)²
+        K.append(cond[:-1, :-1])
+        b.append(cond[:-1, -1])
+        del stiff_all, G        # freed before the next element's build
+    if keep:
+        mesh._dpg_systems = ((mesh.revision, problem.dp), problem, kept)
+    return np.stack(K), np.stack(b)
 
 
-def elem_primal_dpg(mesh, mdle: int, problem: Problem):
-    """Condensed primal DPG element: trial (u, flux), broken H1 test."""
-    return _condensed(*_primal_system(mesh, mdle, problem))
+def elem_primal_dpg(mesh, mdles, problem: Problem):
+    """Condensed primal DPG batch: trial (u, flux), broken H1 test."""
+    return _dpg_batch(_primal_system, mesh, mdles, problem)
 
 
 def _uw_system(mesh, mdle: int, problem: Problem):
@@ -438,9 +441,9 @@ def _uw_system(mesh, mdle: int, problem: Problem):
     return stiff_all, G
 
 
-def elem_uw_dpg(mesh, mdle: int, problem: Problem):
-    """Condensed ultraweak DPG element over (u_hat, flux, u, sigma)."""
-    return _condensed(*_uw_system(mesh, mdle, problem))
+def elem_uw_dpg(mesh, mdles, problem: Problem):
+    """Condensed ultraweak DPG batch over (u_hat, flux, u, sigma)."""
+    return _dpg_batch(_uw_system, mesh, mdles, problem)
 
 
 _SYSTEMS = {PRIMAL: _primal_system, UW: _uw_system}
@@ -449,14 +452,8 @@ _SYSTEMS = {PRIMAL: _primal_system, UW: _uw_system}
 # ---------------------------------------------------------------------------
 # residual estimator and exact errors
 
-def _gather_trial(mesh, mdle: int) -> np.ndarray:
-    """The element's trial coefficients, attribute by attribute."""
-    return np.concatenate([cf.gather_solution(mesh, mdle, attr).reshape(-1)
-                           for attr in range(mesh.physics.nr_physa)])
-
-
 def _kept_system(mesh, mdle: int, problem: Problem):
-    """Pop `mdle`'s (stiff_all, G) from the batch `problem.elems` kept,
+    """Pop `mdle`'s (stiff_all, G) from the batch the DPG builders kept,
     if it kept them for this problem object at this mesh revision and dp."""
     key, owner, systems = mesh._dpg_systems
     if owner is problem and key == (mesh.revision, problem.dp):
@@ -464,19 +461,23 @@ def _kept_system(mesh, mdle: int, problem: Problem):
     return None
 
 
-def elem_residual(mesh, mdle: int, problem: Problem) -> float:
-    """Squared DPG residual of the computed solution on one element.
-
-    The extended system is the one the solve left on the mesh when it
-    kept this element's, else a fresh build (same bits for the
-    ultraweak einsums)."""
+def elem_residual(mesh, mdles, problem: Problem) -> np.ndarray:
+    """Squared DPG residuals (E,) of the computed solution on a batch; each
+    element's extended system is the one the solve kept, else a fresh
+    build (same bits for the ultraweak einsums), one at a time."""
     if problem.kind not in _SYSTEMS:
         raise ConfigError("the residual estimator needs a DPG problem")
-    stiff_all, G = (_kept_system(mesh, mdle, problem)
-                    or _SYSTEMS[problem.kind](mesh, mdle, problem))
-    w = _gather_trial(mesh, mdle)
-    resid = stiff_all[:, -1] - stiff_all[:, :-1] @ w
-    return dpg.residual_norm_sq(G, resid)
+    w = np.concatenate([
+        cf.gather_solution(mesh, mdles, attr).reshape(len(mdles), -1)
+        for attr in range(mesh.physics.nr_physa)], axis=1)
+    out = np.empty(len(mdles))
+    for e, mdle in enumerate(mdles):
+        stiff_all, G = (_kept_system(mesh, mdle, problem)
+                        or _SYSTEMS[problem.kind](mesh, mdle, problem))
+        resid = stiff_all[:, -1] - stiff_all[:, :-1] @ w[e]
+        out[e] = dpg.residual_norm_sq(G, resid)
+        del stiff_all, G        # freed before the next element's build
+    return out
 
 
 _OPENBLAS_THREADS = ("scipy_openblas_%s_num_threads64_",
@@ -512,21 +513,22 @@ def _one_blas_thread():
 def residual_summary(mesh, problem: Problem, workers: int = 1):
     """Per-element squared residuals in natural order, plus their sum.
 
-    The element loop runs on `workers` threads, like assembly, and BLAS
-    on one thread for every `workers`, so the indicators do not depend
-    on it.  Threaded, each n=365 Gram factor kept OpenBLAS's own pool
-    spinning against the second element thread on two cores, and c09's
-    estimate ran slow and erratic.  Assembly keeps threaded BLAS until
-    c09's reference is re-pinned: its roundoff decides step-3 marking.
-
-    Elements whose systems the solve kept read them (see `Problem.elems`
-    and `elem_residual`); the slot is emptied on return.
+    The loop runs over the solve's batches on `workers` threads, like
+    assembly, and BLAS on one thread for every `workers`, so the
+    indicators do not depend on it.  Threaded, each n=365 Gram factor
+    kept OpenBLAS's own pool spinning against the second element thread
+    on two cores, and c09's estimate ran slow and erratic.  Assembly
+    keeps threaded BLAS until c09's reference is re-pinned: its roundoff
+    decides step-3 marking.  The kept systems' slot is emptied on return.
     """
+    batches = [mdles for _, mdles in asm.solve_batches(mesh)]
     with _one_blas_thread():
-        vals = np.array(asm.map_elements(
-            lambda mdle: elem_residual(mesh, mdle, problem),
-            mesh.ELEM_ORDER, workers))
+        vals = asm.map_elements(
+            lambda mdles: elem_residual(mesh, mdles, problem),
+            batches, workers)
     mesh._dpg_systems = (None, None, {})
+    table = dict(zip(itertools.chain(*batches), itertools.chain(*vals)))
+    vals = np.array([table[mdle] for mdle in mesh.ELEM_ORDER])
     return vals, float(vals.sum())
 
 

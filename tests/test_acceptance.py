@@ -231,14 +231,16 @@ def test_c05_dpg_oracle_equivalence():
     mesh = po.make_mesh(problem, grid_geometry(1, 1, 1), 2)
     mdle = mesh.ELEM_ORDER[0]
     brute = brute_saddle_reduction(*po._primal_system(mesh, mdle, problem))
-    cond = np.column_stack(po.elem_primal_dpg(mesh, mdle, problem))
+    K, b = po.elem_primal_dpg(mesh, [mdle], problem)
+    cond = np.column_stack([K[0], b[0]])
     worst = max(worst, float(np.abs(cond - brute).max()))
 
     problem = po.make_problem(po.UW, exact="smooth", dp=1)
     mesh = po.make_mesh(problem, grid_geometry(1, 1, 1), 2)
     mdle = mesh.ELEM_ORDER[0]
     brute = brute_saddle_reduction(*po._uw_system(mesh, mdle, problem))
-    cond = np.column_stack(po.elem_uw_dpg(mesh, mdle, problem))
+    K, b = po.elem_uw_dpg(mesh, [mdle], problem)
+    cond = np.column_stack([K[0], b[0]])
     worst = max(worst, float(np.abs(cond - brute).max()))
 
     ok = worst < 1e-10

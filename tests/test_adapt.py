@@ -162,14 +162,14 @@ def test_estimate_runs_blas_on_one_thread_and_restores_it(monkeypatch):
         pytest.skip("no OpenBLAS loaded")
     seen, residual = [], poisson.elem_residual
 
-    def spy(*args):
-        seen.append(_openblas_threads())
-        return residual(*args)
+    def spy(mesh, mdles, problem):
+        seen.append((len(mdles), _openblas_threads()))
+        return residual(mesh, mdles, problem)
 
     monkeypatch.setattr(poisson, "elem_residual", spy)
     adapt.estimate(mesh, problem, workers=2)
-    assert len(seen) == 2
-    assert all(counts == [1] * len(before) for counts in seen)
+    assert sum(n for n, _ in seen) == 2
+    assert all(counts == [1] * len(before) for _, counts in seen)
     assert _openblas_threads() == before
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hphex import assembly as asm
@@ -337,16 +337,17 @@ def test_batches_share_order_and_respect_the_cap(monkeypatch):
 
 def test_batched_kernels_match_single_elements_property(monkeypatch):
     """On random hp meshes with jittered vertices, hanging nodes and
-    Dirichlet faces, one stacked pass over a batch gives the bits of the
-    single-element passes: the Galerkin kernel, the stacked geometry and
-    Piola maps, the modified elements, and the Galerkin, primal and
-    ultraweak systems assembled with one element per batch."""
+    Dirichlet faces, one pass over a batch gives the bits of the
+    single-element passes: each kind's element routine, the stacked
+    geometry and Piola maps, the modified elements, and the Galerkin,
+    primal and ultraweak systems assembled with one element per batch."""
     seen = set()
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(kind=st.sampled_from((poisson.GALERKIN, poisson.PRIMAL, poisson.UW)),
            nx=st.integers(1, 2), ny=st.integers(1, 2), p=st.integers(1, 3),
            ops=hp_ops(3), seed=st.integers(0, 2 ** 16))
+    @example(kind=poisson.GALERKIN, nx=2, ny=1, p=1, ops=[("h", 0)], seed=0)
     def check(kind, nx, ny, p, ops, seed):
         problem = poisson.make_problem(
             kind, exact="smooth", dp=2 if kind == poisson.PRIMAL else 1)
@@ -373,11 +374,9 @@ def test_batched_kernels_match_single_elements_property(monkeypatch):
                         seen.add((kind, "constrained"))
                     if mod.dirichlet_values[e].any():
                         seen.add((kind, "dirichlet"))
-            if kind != poisson.GALERKIN:
-                continue
-            K, b = poisson.elem_galerkin(mesh, mdles, problem)
+            K, b = problem.elems(mesh, mdles)
             for e, mdle in enumerate(mdles):
-                K1, b1 = poisson.elem_galerkin(mesh, [mdle], problem)
+                K1, b1 = problem.elems(mesh, [mdle])
                 assert _same(K1[0], K[e]) and _same(b1[0], b[e])
 
             rule = me.gauss_quadrature_3d((4, 3, 2))
@@ -412,3 +411,42 @@ def test_batched_kernels_match_single_elements_property(monkeypatch):
     check()
     assert seen == {(kind, what) for kind in poisson.KINDS
                     for what in ("constrained", "dirichlet")}
+
+
+def test_batched_estimate_matches_single_elements_property():
+    """On random solved hp meshes, `elem_residual` on a batch gives the
+    bits of the single-element calls, and `residual_summary` returns them
+    in natural order, not batch order, at `workers` 1 and 2.  Solve and
+    estimate run on one BLAS thread, so kept and rebuilt systems agree."""
+    seen = set()
+
+    @settings(derandomize=True, max_examples=16, deadline=None)
+    @given(kind=st.sampled_from((poisson.PRIMAL, poisson.UW)),
+           nx=st.integers(1, 2), p=st.integers(1, 2), ops=hp_ops(3),
+           workers=st.sampled_from((1, 2)))
+    def check(kind, nx, p, ops, workers):
+        problem = poisson.make_problem(kind, exact="smooth")
+        if kind == poisson.UW:      # ~40 ms per element build at p=1
+            p = 1
+        mesh = poisson.make_mesh(problem, grid_geometry(nx, 1, 1), p)
+        apply_hp_ops(mesh, ops)
+        cf.update_gdof(mesh)
+        with poisson._one_blas_thread():
+            poisson.solve_problem(mesh, problem)
+            vals, _ = poisson.residual_summary(mesh, problem, workers)
+            single = {m: poisson.elem_residual(mesh, [m], problem)
+                      for m in mesh.ELEM_ORDER}
+            batches = [m for _, m in asm.solve_batches(mesh)]
+            for mdles in batches:
+                got = poisson.elem_residual(mesh, mdles, problem)
+                assert _bits(got, np.concatenate([single[m] for m in mdles]))
+        assert _bits(vals, np.concatenate([single[m]
+                                           for m in mesh.ELEM_ORDER]))
+        if sum(batches, []) != mesh.ELEM_ORDER:
+            seen.add((kind, "batch order"))
+        if max(map(len, batches)) > 1:
+            seen.add((kind, "batch"))
+
+    check()
+    assert seen == {(kind, what) for kind in (poisson.PRIMAL, poisson.UW)
+                    for what in ("batch order", "batch")}

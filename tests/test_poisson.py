@@ -165,24 +165,24 @@ def test_weighted_gram_matches_einsum(n, m, ncomp, nq, seed):
 
 def test_primal_blocks_symmetric():
     mesh, problem = make("primal", order=2)
-    K, _ = poisson.elem_primal_dpg(mesh, 1, problem)
-    assert np.array_equal(K, K.T)
+    K, _ = poisson.elem_primal_dpg(mesh, [1], problem)
+    assert np.array_equal(K[0], K[0].T)
 
 
 def test_primal_condensation_matches_saddle_oracle():
     mesh, problem = make("primal", exact="smooth", order=2)
     stiff_all, G = poisson._primal_system(mesh, 1, problem)
     brute = stiff_all.T @ np.linalg.solve(G, stiff_all)
-    K, b = poisson.elem_primal_dpg(mesh, 1, problem)
-    n = K.shape[0]
-    assert np.max(np.abs(np.column_stack([K, b]) - brute[:n, :])) < 1e-10
+    K, b = poisson.elem_primal_dpg(mesh, [1], problem)
+    n = K.shape[1]
+    assert np.max(np.abs(np.column_stack([K[0], b[0]]) - brute[:n, :])) < 1e-10
 
 
 def test_primal_requires_test_space_domination():
     mesh, problem = make("primal", order=2)
     problem.dp = 0
     with pytest.raises(ConfigError):
-        poisson.elem_primal_dpg(mesh, 1, problem)
+        poisson.elem_primal_dpg(mesh, [1], problem)
 
 
 def test_primal_patch_single_element():
@@ -190,7 +190,7 @@ def test_primal_patch_single_element():
     poisson.solve_problem(mesh, problem)
     err, el2, _ = poisson.compute_exact_error(mesh, problem)
     assert err < 1e-10 and el2 < 1e-10
-    assert poisson.elem_residual(mesh, 1, problem) < 1e-12
+    assert poisson.elem_residual(mesh, [1], problem)[0] < 1e-12
 
 
 def test_primal_patch_irregular_mesh():
@@ -202,7 +202,7 @@ def test_primal_patch_irregular_mesh():
     err, _, _ = poisson.compute_exact_error(mesh, problem)
     assert err < 1e-9
     for mdle in mesh.ELEM_ORDER:
-        assert poisson.elem_residual(mesh, mdle, problem) < 1e-12
+        assert poisson.elem_residual(mesh, [mdle], problem)[0] < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def test_uw_patch_single_element():
     assert np.max(np.abs(sh - np.array([[1.0], [0.0], [0.0]]))) < 1e-9
     uhat, x2 = eval_h1(mesh, 1, 0, me.face_param(3, pts[:, :2])[0])
     assert np.max(np.abs(uhat - x2[:, 0])) < 1e-9
-    assert poisson.elem_residual(mesh, 1, problem) < 1e-12
+    assert poisson.elem_residual(mesh, [1], problem)[0] < 1e-12
 
 
 def test_uw_flux_trace_on_x_faces():
@@ -306,8 +306,8 @@ def test_patch_and_symmetry_on_random_hp_meshes():
 
 def test_uw_condensed_blocks_symmetric():
     mesh, problem = make("uw", order=1)
-    K, _ = poisson.elem_uw_dpg(mesh, 1, problem)
-    assert np.array_equal(K, K.T)
+    K, _ = poisson.elem_uw_dpg(mesh, [1], problem)
+    assert np.array_equal(K[0], K[0].T)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ def test_uw_condensed_blocks_symmetric():
 def test_residual_unsupported_for_galerkin():
     mesh, problem = make("galerkin", order=1)
     with pytest.raises(ConfigError):
-        poisson.elem_residual(mesh, 1, problem)
+        poisson.elem_residual(mesh, [1], problem)
 
 
 def test_residual_decreases_under_refinement():
@@ -349,7 +349,7 @@ def test_kept_systems_give_the_indicators_of_a_rebuild(kind):
     mesh, problem, kept = _solved(kind)
     vals, _ = poisson.residual_summary(mesh, problem)
     with poisson._one_blas_thread():    # the estimate's BLAS, rebuilt
-        fresh = np.array([poisson.elem_residual(mesh, mdle, problem)
+        fresh = np.array([poisson.elem_residual(mesh, [mdle], problem)[0]
                           for mdle in mesh.ELEM_ORDER])
     if kind == "uw":
         assert np.array_equal(vals, fresh)
