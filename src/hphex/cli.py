@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from . import adapt
 from . import assembly as asm
@@ -57,7 +56,6 @@ class CliState:
     params: ph.Parameters
     problem: po.Problem
     mesh: msh.Mesh
-    report: Optional[asm.SolveReport] = None
     exports: int = 0
 
 
@@ -278,7 +276,7 @@ def _dump_elements(mesh: msh.Mesh, out):
     print(f" {len(order)} active elements (natural order)", file=out)
     for m in order:
         node = mesh.NODES[m]
-        px, py, pz = me.decode_order(node.order)
+        px, py, pz = node.orders
         print(f"  mdle {m:5d}: order ({px},{py},{pz}) "
               f"verts {tuple(node.elem_nodes[:8])}", file=out)
 
@@ -320,11 +318,9 @@ def _menu_residual(state: CliState, out):
 
 def _solve(state: CliState) -> asm.SolveReport:
     cfg = state.config
-    rep = po.solve_problem(state.mesh, state.problem, solver=cfg.solver,
-                           workers=cfg.workers,
-                           istc=bool(state.params.istc_flag))
-    state.report = rep
-    return rep
+    return po.solve_problem(state.mesh, state.problem, solver=cfg.solver,
+                            workers=cfg.workers,
+                            istc=bool(state.params.istc_flag))
 
 
 # ---------------------------------------------------------------------------

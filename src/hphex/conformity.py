@@ -133,9 +133,10 @@ def constraint_coefficients(space: str, case: str, parent_order,
                             child_order=None) -> np.ndarray:
     """Coefficient matrix (child dofs x parent-group dofs) for one hanging node.
 
-    Edge cases take an integer parent order; face cases take (p1, p2) or
-    (p1, p2, q_bottom, q_top, q_left, q_right) to give the parent face's
-    edges their own orders.  The child defaults to the parent's order.
+    Edge cases take an integer parent order or (p,); face cases take
+    (p1, p2) or (p1, p2, q_bottom, q_top, q_left, q_right) to give the
+    parent face's edges their own orders.  The child defaults to the
+    parent's order.
     The result is C-contiguous.
     """
     if case in _EDGE_SONS:
@@ -159,7 +160,7 @@ def constraint_coefficients(space: str, case: str, parent_order,
         raise ConfigError(f"no constraints defined for space {space!r}, case {case!r}")
 
     if not face:
-        p = int(parent_order)
+        (p,) = (int(v) for v in np.atleast_1d(parent_order))
         if son == 2:
             return _h1_values_at_half(p)[None, :]
         (pc,) = _child_orders((p,), child_order)
@@ -216,15 +217,16 @@ def _node_count(space, kind, order):
 
 
 def _parent_group(mesh, space, parent):
-    """Parent-group columns [(node, k), ...] plus the order bundle."""
+    """Parent-group columns [(node, k), ...] plus the order bundle: the
+    parent's per-axis orders, then its edges' orders for an H1 face."""
     if parent.kind == "EDGE":
-        nids, order = parent.verts + (parent.id,), parent.order
+        nids = parent.verts + (parent.id,)
     elif space == "HDIV":
-        nids, order = (parent.id,), me.decode_face_order(parent.order)
+        nids = (parent.id,)
     else:
         nids = parent.verts + parent.edges + (parent.id,)
-        order = me.decode_face_order(parent.order) + tuple(
-            mesh.NODES[e].order for e in parent.edges)
+    edges = () if space == "HDIV" else parent.edges
+    order = sum((mesh.NODES[e].orders for e in edges), parent.orders)
     _assert_unconstrained(mesh, nids, f"{parent.kind.lower()} {parent.id}")
     return [(n, k) for n in nids
             for k in range(_node_count(space, mesh.NODES[n].kind,
@@ -239,13 +241,7 @@ def _hanging(mesh, space, nid):
     sons = _EDGE_SONS if parent.kind == "EDGE" else _FACE_SONS
     case = sons[parent.sons.index(nid)]
     group, parent_order = _parent_group(mesh, space, parent)
-    if node.kind == "VERTEX":
-        child_order = None
-    elif node.kind == "EDGE":
-        child_order = node.order
-    else:
-        child_order = me.decode_face_order(node.order)
-    return group, constraint_coefficients(space, case, parent_order, child_order)
+    return group, constraint_coefficients(space, case, parent_order, node.orders)
 
 
 def scalar_slot_counts(mesh, mdle, space, interface_only=False):

@@ -14,6 +14,11 @@ the center, and the center vertex).  Shared entities are refined once
 and reused by neighbors.  All derived coordinates are exact for the
 trilinear geometry in use (midpoints and cell/face centers).
 
+p-refinement reads and writes orders through one per-axis codec,
+`Node.orders`.  Edge and face orders follow the minimum rule: per axis,
+the least order of the active elements using the node, raised to the
+father's order wherever the father is an edge or face in use.
+
 The "natural order" of active elements is a depth-first pre-order over
 the middle-node forest, initial elements first, sons in octant order.
 """
@@ -35,6 +40,12 @@ from .errors import (
 from .geometry import element_geometry
 
 VERTEX, EDGE, FACE, MIDDLE = "VERTEX", "EDGE", "FACE", "MIDDLE"
+# per kind, masterel's order encoding; an edge's order is its one axis order
+_DECODE = {VERTEX: lambda order: (), EDGE: lambda order: (order,),
+           FACE: me.decode_face_order, MIDDLE: me.decode_order}
+_ENCODE = {VERTEX: lambda: 0, EDGE: lambda p: p,
+           FACE: me.encode_face_order, MIDDLE: me.encode_order}
+
 
 class Node:
     """One mesh entity.  Sons layouts by kind:
@@ -69,6 +80,21 @@ class Node:
         self.elem_nodes = ()
         self.bid = None
         self.dofs = None
+
+    @property
+    def orders(self) -> tuple:
+        """Per-axis orders, decoded from `order` by kind: () for a vertex,
+        (p,) for an edge, (p1, p2) over a face's two axes, (px, py, pz)
+        for a middle node."""
+        return _DECODE[self.kind](self.order)
+
+    @orders.setter
+    def orders(self, orders):
+        """Encode per-axis orders into `order`; the dofs are dropped only
+        when the order changes."""
+        new = _ENCODE[self.kind](*orders)
+        if new != self.order:
+            self.order, self.dofs = new, None
 
     def __repr__(self):  # pragma: no cover - debugging aid
         state = "act" if self.active else "ref"
@@ -366,7 +392,7 @@ def _refine_face(mesh: Mesh, fid: int):
     first = len(mesh.NODES)
     pool = list(face.verts) + [s for e in face.edges for s in mesh.NODES[e].sons]
     pool += range(first, first + 5)
-    p1, p2 = me.decode_face_order(face.order)
+    p1, p2 = face.orders
 
     ctr = mesh._new_node(VERTEX, father=fid)
     ctr.coords = 0.25 * sum(mesh.NODES[v].coords for v in face.verts)
@@ -461,7 +487,7 @@ def _refine_middle(mesh: Mesh, mdle: int):
     reading every son entity off the lattice tables."""
     node = mesh.NODES[mdle]
     gv = node.elem_nodes[0:8]
-    p = me.decode_order(node.order)
+    p = node.orders
     first = len(mesh.NODES)
     pool = np.array(list(gv) + [s for n in node.elem_nodes[8:26] for s in
                                 mesh.NODES[n].sons] + list(range(first, first + 19)))
@@ -547,38 +573,34 @@ def check_one_irregularity(mesh: Mesh) -> bool:
 # p-refinement
 
 def global_pref(mesh: Mesh):
-    """Raise every edge, face and middle order by one.
+    """Raise every edge, face and middle order by one per axis, inactive
+    nodes included, and drop every node's dofs.
 
     OrderError, with no node changed, if an order would pass MAXP.
     """
     for node in mesh.NODES[1:]:
-        if node.kind == EDGE:
-            orders = (node.order,)
-        elif node.kind == FACE:
-            orders = me.decode_face_order(node.order)
-        elif node.kind == MIDDLE:
-            orders = me.decode_order(node.order)
-        else:
-            continue
-        if max(orders) >= me.MAXP:
+        if max(node.orders, default=0) >= me.MAXP:
             raise OrderError(f"{node.kind.lower()} {node.id}: order "
-                             f"{max(orders) + 1} outside [1,{me.MAXP}]")
+                             f"{max(node.orders) + 1} outside [1,{me.MAXP}]")
     for node in mesh.NODES[1:]:
-        if node.kind == EDGE:
-            node.order += 1
-        elif node.kind == FACE:
-            p1, p2 = me.decode_face_order(node.order)
-            node.order = me.encode_face_order(p1 + 1, p2 + 1)
-        elif node.kind == MIDDLE:
-            px, py, pz = me.decode_order(node.order)
-            node.order = me.encode_order(px + 1, py + 1, pz + 1)
+        node.orders = tuple(p + 1 for p in node.orders)
         node.dofs = None
     mesh._touch()
 
 
+# per father kind, the father axes that each edge or face son spans:
+# edge halves; face quadrants, then interior edges along axis 1 and axis 2
+_SON_AXES = {EDGE: ((0,),) * 2, FACE: ((0, 1),) * 4 + ((0,),) * 2 + ((1,),) * 2}
+
+
 def adaptive_pref(mesh: Mesh, targets):
-    """Set middle orders, then give each face and edge the minimum order
-    that the active elements sharing it ask for.
+    """Set middle orders, then edge and face orders by the minimum rule.
+
+    Every in-use edge and face takes, per axis, the least order of the
+    active elements using it.  Then every son of an in-use edge or face
+    is raised, per axis, to its father's order, down the tree: a hanging
+    node's expansion must reproduce the father trace exactly.  A node
+    whose order changes loses its dofs; a targeted middle always does.
 
     `targets` holds (mdle, (px, py, pz)) pairs.  Every pair is checked
     before any node changes: MeshError for an id that is not an active
@@ -586,96 +608,36 @@ def adaptive_pref(mesh: Mesh, targets):
     """
     checked = [(mesh.element(mdle), me.check_order_triple(want))
                for mdle, want in targets]
-    for node, (px, py, pz) in checked:
-        node.order = me.encode_order(px, py, pz)
-        node.dofs = None
+    for node, want in checked:
+        node.orders, node.dofs = want, None
 
-    face_contrib = {}
+    least = {}
     for m in mesh.ELEM_ORDER:
         node = mesh.NODES[m]
-        p = me.decode_order(node.order)
-        for lf in range(6):
-            a1, a2 = me.FACE_AXES[lf]
-            face_contrib.setdefault(node.elem_nodes[20 + lf], []).append(
-                (p[a1], p[a2])
-            )
-    for fid, pairs in face_contrib.items():
-        fnode = mesh.NODES[fid]
-        new = me.encode_face_order(min(q[0] for q in pairs), min(q[1] for q in pairs))
-        if new != fnode.order:
-            fnode.order = new
-            fnode.dofs = None
+        p = node.orders
+        for slot, axes, _ in me._ENTITIES[8:26]:
+            nid = node.elem_nodes[slot]
+            have = least.get(nid, (me.MAXP, me.MAXP))
+            least[nid] = tuple(min(p[a], q) for a, q in zip(axes, have))
+    for nid, orders in least.items():
+        mesh.NODES[nid].orders = orders
 
-    edge_contrib = {}
-    for m in mesh.ELEM_ORDER:
-        node = mesh.NODES[m]
-        for lf in range(6):
-            fid = node.elem_nodes[20 + lf]
-            p1, p2 = me.decode_face_order(mesh.NODES[fid].order)
-            for pos, le in enumerate(me.FACE_EDGES[lf]):
-                edge_contrib.setdefault(node.elem_nodes[8 + le], []).append(
-                    p1 if pos < 2 else p2
-                )
-    for eid, ps in edge_contrib.items():
-        enode = mesh.NODES[eid]
-        new = min(ps)
-        if new != enode.order:
-            enode.order = new
-            enode.dofs = None
-
-    _push_orders_to_constrained_sons(mesh)
+    stack = [nid for nid in mesh.skeleton_in_use()
+             if mesh.NODES[nid].kind in _SON_AXES]
+    while stack:
+        node = mesh.NODES[stack.pop()]
+        p = node.orders
+        for sid, axes in zip(node.sons, _SON_AXES[node.kind]):
+            son = mesh.NODES[sid]
+            son.orders = tuple(max(p[a], q) for a, q in zip(axes, son.orders))
+            stack.append(sid)
     mesh._touch()
-
-
-def _push_orders_to_constrained_sons(mesh: Mesh):
-    """Raise son-entity orders to at least the father's.
-
-    A hanging node's expansion must reproduce the father trace exactly,
-    which needs the son order to dominate the father order direction by
-    direction; refined in-use entities are pushed down their trees.
-    """
-    used = mesh.skeleton_in_use()
-    queue = [nid for nid in used
-             if mesh.NODES[nid].kind in (EDGE, FACE) and mesh.NODES[nid].sons]
-    while queue:
-        nid = queue.pop()
-        node = mesh.NODES[nid]
-        if node.kind == EDGE:
-            for h in node.sons[0:2]:
-                son = mesh.NODES[h]
-                if son.order < node.order:
-                    son.order = node.order
-                    son.dofs = None
-                if son.sons:
-                    queue.append(h)
-        else:
-            p1, p2 = me.decode_face_order(node.order)
-            for q in node.sons[0:4]:
-                son = mesh.NODES[q]
-                q1, q2 = me.decode_face_order(son.order)
-                new = me.encode_face_order(max(q1, p1), max(q2, p2))
-                if new != son.order:
-                    son.order = new
-                    son.dofs = None
-                if son.sons:
-                    queue.append(q)
-            for k, eid in enumerate(node.sons[4:8]):
-                son = mesh.NODES[eid]
-                want = p1 if k < 2 else p2
-                if son.order < want:
-                    son.order = want
-                    son.dofs = None
-                if son.sons:
-                    queue.append(eid)
 
 
 def execute_pref(mesh: Mesh, mdles):
     """Isotropic p-refinement of the listed elements by one order."""
-    targets = []
-    for m in mdles:
-        px, py, pz = me.decode_order(mesh.element(m).order)
-        targets.append((m, (px + 1, py + 1, pz + 1)))
-    adaptive_pref(mesh, targets)
+    adaptive_pref(mesh, [(m, tuple(p + 1 for p in mesh.element(m).orders))
+                         for m in mdles])
 
 
 def element_vertices(mesh: Mesh, mdles) -> np.ndarray:

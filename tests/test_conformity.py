@@ -8,6 +8,7 @@ from hphex import conformity as cf
 from hphex import masterel as me
 from hphex import poisson
 from hphex.errors import ConfigError, IrregularityError, SolveError
+from hphex.geometry import element_geometry, piola_transform
 from hphex.mesh import (close_mesh, element_info, element_vertices,
                         generate_initial_mesh, refine_element)
 
@@ -431,6 +432,61 @@ def test_gather_matches_modified_element_property():
 
     check()
     assert seen >= _CONSTRAINED_KINDS
+
+
+def _h1_value(mesh, mdle, x):
+    """The first H1 field of an element at physical points inside its box,
+    evaluated as c07 does."""
+    norder, xnod, _ = element_info(mesh, mdle)
+    lo, hi = xnod.min(axis=0), xnod.max(axis=0)
+    xi = (x - lo) / (hi - lo)
+    geom = element_geometry(xnod, xi)
+    val, _ = piola_transform(me.H1, me.shape_functions_elem(me.H1, xi, norder), geom)
+    return cf.gather_solution(mesh, mdle, 0)[:, 0] @ val
+
+
+def test_h1_continuous_across_hanging_faces_property():
+    """On random 1-irregular Galerkin hp meshes with random free dofs, the
+    H1 field is continuous across every hanging face, by c07's jump measure
+    (the largest gap between the values from either side at points of the
+    face), to 1e-9."""
+    seen = set()
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(nx=st.integers(1, 2), ny=st.integers(1, 2), p=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16), ops=hp_ops(4))
+    def check(nx, ny, p, seed, ops):
+        mesh = build(grid_geometry(nx, ny, 1), galerkin_physics(), order=(p, p, p))
+        apply_hp_ops(mesh, ops)
+        rng = np.random.default_rng(seed)
+        for mdle in mesh.ELEM_ORDER:
+            slots, _ = cf.scalar_slot_counts(mesh, mdle, me.H1)
+            for nid, count in slots:
+                node = mesh.NODES[nid]
+                if count and not cf.is_constrained(mesh, nid):
+                    node.dofs = node.dofs or {}
+                    node.dofs.setdefault(0, rng.standard_normal((count, 1)))
+        boxes = {m: (xnod.min(axis=0), xnod.max(axis=0)) for m, xnod
+                 in zip(mesh.ELEM_ORDER, element_vertices(mesh, mesh.ELEM_ORDER))}
+        hanging = mesh.hanging_nodes()
+        for m in mesh.ELEM_ORDER:
+            lo, hi = boxes[m]
+            for f, fid in enumerate(mesh.NODES[m].elem_nodes[20:26]):
+                if not hanging[fid]:
+                    continue
+                xi = rng.uniform(0.05, 0.95, (6, 3))
+                xi[:, me.FACE_NORMAL_AXIS[f]] = me.FACE_SIDE[f]
+                x = lo + xi * (hi - lo)
+                other = [n for n, (a, b) in boxes.items() if n != m
+                         and (a - 1e-12 <= x).all() and (x <= b + 1e-12).all()]
+                assert len(other) == 1
+                jump = np.abs(_h1_value(mesh, m, x) - _h1_value(mesh, other[0], x))
+                assert jump.max() < 1e-9
+                coarse = mesh.NODES[other[0]].order
+                seen.add("same order" if coarse == mesh.NODES[m].order else "mixed")
+
+    check()
+    assert seen == {"same order", "mixed"}
 
 
 def _is_hanging(mesh, nid):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hphex import masterel as me
 from hphex import mesh as ms
 from hphex.errors import MeshError, OrderError, OrientationError
 from hphex.geometry import element_geometry
 
-from conftest import galerkin_physics, grid_geometry
+from conftest import apply_hp_ops, galerkin_physics, grid_geometry, hp_ops
 
 
 def build(nx=1, ny=1, nz=1, order=(2, 2, 2), lengths=None):
@@ -399,6 +401,10 @@ def _assert_element_structure(mesh):
 # p-refinement
 
 def test_global_pref_punref():
+    """Every non-vertex node rises by one per axis, inactive ones included,
+    and every node drops its dofs: on a uniform mesh, and on one with an
+    h-refined element beside a p-refined neighbour (where p-refining every
+    active element would leave the inactive nodes as they are)."""
     mesh = build(2, 1, 1)
     ms.global_pref(mesh)
     for node in mesh.NODES[1:]:
@@ -408,6 +414,19 @@ def test_global_pref_punref():
             assert node.order == 33
         elif node.kind == "MIDDLE":
             assert node.order == 333
+
+    mesh = build(2, 1, 1)
+    ms.refine_element(mesh, 1)
+    ms.execute_pref(mesh, [2])
+    assert not mesh.NODES[1].active and mesh.NODES[2].order == 333
+    before = {n.id: n.order for n in mesh.NODES[1:]}
+    for node in mesh.NODES[1:]:
+        node.dofs = {0: np.zeros((1, 1))}
+    ms.global_pref(mesh)
+    step = {"VERTEX": 0, "EDGE": 1, "FACE": 11, "MIDDLE": 111}
+    for node in mesh.NODES[1:]:
+        assert node.order == before[node.id] + step[node.kind]
+        assert node.dofs is None
 
 
 def test_global_pref_at_ceiling():
@@ -462,6 +481,66 @@ def test_execute_pref(two_block_geo):
     assert mesh.NODES[2].order == 333
     shared = mesh.NODES[1].elem_nodes[20 + 3]
     assert mesh.NODES[shared].order == 33
+
+
+def test_adaptive_pref_minimum_rule_property():
+    """On random hp meshes, one adaptive_pref that raises and lowers orders
+    leaves every in-use edge and face at, per axis, the least order of the
+    active elements using it, raised to its father's order when the father
+    is an in-use edge or face.  A node whose order changed has no dofs; one
+    whose order stayed keeps its array.  Exempt from the last check are the
+    targeted middles, which always drop their dofs, and the in-use hanging
+    nodes: the minimum rule may lower one before dominance restores it."""
+    seen = set()
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(nx=st.integers(1, 2), ny=st.integers(1, 2), p=st.integers(1, 3),
+           ops=hp_ops(4), picks=st.lists(st.tuples(
+               st.integers(0, 63), st.tuples(*[st.integers(1, 4)] * 3)),
+               min_size=1, max_size=6))
+    def check(nx, ny, p, ops, picks):
+        mesh = build(nx, ny, 1, order=(p, p, p))
+        apply_hp_ops(mesh, ops)
+        before = {n.id: n.order for n in mesh.NODES[1:]}
+        for node in mesh.NODES[1:]:
+            node.dofs = {0: np.full((1, 1), node.id)}
+        sentinels = {n.id: n.dofs for n in mesh.NODES[1:]}
+        targets = [(mesh.ELEM_ORDER[k % len(mesh.ELEM_ORDER)], want)
+                   for k, want in picks]
+        ms.adaptive_pref(mesh, targets)
+
+        least = {}
+        for m in mesh.ELEM_ORDER:
+            p = me.decode_order(mesh.NODES[m].order)
+            own = mesh.NODES[m].elem_nodes
+            for e in range(12):
+                least.setdefault(own[8 + e], []).append((p[me.EDGE_AXIS[e]],))
+            for f, (a1, a2) in enumerate(me.FACE_AXES):
+                least.setdefault(own[20 + f], []).append((p[a1], p[a2]))
+        for nid, asks in least.items():
+            node = mesh.NODES[nid]
+            want = tuple(min(col) for col in zip(*asks))
+            if node.father in least:        # an in-use edge or face
+                father = mesh.NODES[node.father]
+                pf = father.orders
+                if node.kind == "EDGE" and father.kind == "FACE":
+                    pf = (pf[(father.sons.index(nid) - 4) // 2],)
+                raised = tuple(max(w, q) for w, q in zip(want, pf))
+                seen.add("raised" if raised != want else "dominant")
+                want = raised
+            assert node.orders == want
+        exempt = {m for m, _ in targets}
+        exempt |= {nid for nid in least if mesh.hanging_nodes()[nid]}
+        for node in mesh.NODES[1:]:
+            if node.order != before[node.id]:
+                assert node.dofs is None
+                seen.add("changed")
+            elif node.id not in exempt:
+                assert node.dofs is sentinels[node.id]
+                seen.add("kept")
+
+    check()
+    assert seen == {"raised", "dominant", "changed", "kept"}
 
 
 def _orders(mesh):
