@@ -368,15 +368,14 @@ def _write_dofs(mesh, keys, vals):
 
 
 def assemble_and_solve(mesh, elem_fn, *, istc: bool = True,
-                       solver: str = "cg", tol: float = 1e-12,
-                       workers: int = 1) -> SolveReport:
+                       solver: str = "cg", workers: int = 1) -> SolveReport:
     """Element loop, global solve, and DOF storage (including bubbles)."""
     system, groups = assemble_system(
         mesh, elem_fn, istc=istc, workers=workers)
     if solver == "dense":
         x, iters, res = _dense_solve(system.matrix, system.rhs)
     elif solver == "cg":
-        x, iters, res = cg_solve(system.matrix, system.rhs, tol=tol)
+        x, iters, res = cg_solve(system.matrix, system.rhs)
     else:
         raise ConfigError(f"unknown solver {solver!r}")
     # bubble recovery, one stack per element group

@@ -12,6 +12,9 @@ recovers the expansion exactly.
 The refinement catalogue is isotropic only, so the case list is short:
 edge bisection (two halves and the midpoint vertex) and face
 quadrisection (four quadrants, four interior edges, the center vertex).
+Each case is a son position in the mesh's one son table, `SONS`, and
+the parent half a son spans on each parent axis is read off its centre
+on the parent's lattice there: 1 the low half, 3 the high, 2 the midline.
 H1 and H(div) carry interface DOFs; discontinuous attributes are never
 constrained, and tangential-trace attributes are outside the supported
 problem set.
@@ -31,7 +34,7 @@ import scipy.linalg
 
 from . import masterel as me
 from .errors import ConfigError, IrregularityError, MeshError, SolveError
-from .mesh import element_info
+from .mesh import SONS, _centre, element_info
 
 def is_constrained(mesh, nid: int) -> bool:
     return bool(mesh.hanging_nodes()[nid])
@@ -81,16 +84,18 @@ def _h1_values_at_half(p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # case catalogue
 
-# case names in the mesh's son order: edge sons are two halves and the
-# midpoint vertex; face sons four quadrants, four interior edges (two
-# along a1, two along a2) and the center vertex
-_EDGE_SONS = ("edge-half-1", "edge-half-2", "edge-midpoint-vertex")
-_FACE_SONS = (tuple(f"face-quadrant-{q}" for q in range(1, 5))
-              + tuple(f"face-interior-edge-{k}" for k in range(1, 5))
-              + ("face-center-vertex",))
-# per face son and face axis: the parent half it spans, None for the midline
-_FACE_HALVES = ((0, 0), (1, 0), (0, 1), (1, 1),
-                (0, None), (1, None), (None, 0), (None, 1), (None, None))
+# case names in the mesh's son order (mesh.SONS): an edge's two halves
+# and midpoint vertex; a face's four quadrants, four interior edges (two
+# along a1, two along a2) and center vertex
+_CASES = {"EDGE": ("edge-half-1", "edge-half-2", "edge-midpoint-vertex"),
+          "FACE": (tuple(f"face-quadrant-{q}" for q in range(1, 5))
+                   + tuple(f"face-interior-edge-{k}" for k in range(1, 5))
+                   + ("face-center-vertex",))}
+# per case and parent axis, the parent half the son spans, read off its
+# centre on the parent's lattice (1: low, 3: high); None on the midline (2)
+_HALVES = {case: tuple(c // 2 if c % 2 else None for c in centre)
+           for kind, names in _CASES.items()
+           for case, centre in zip(names, SONS[kind])}
 
 
 def _face_parent_layout(p1, p2, qb, qt, ql, qr):
@@ -139,38 +144,34 @@ def constraint_coefficients(space: str, case: str, parent_order,
     parent's order.
     The result is C-contiguous.
     """
-    if case in _EDGE_SONS:
-        face, son = False, _EDGE_SONS.index(case)
-    elif case in _FACE_SONS:
-        face, son = True, _FACE_SONS.index(case)
-    else:
+    if case not in _HALVES:
         raise ConfigError(f"unknown constraint case {case!r}")
+    halves = _HALVES[case]
 
     if space == "HDIV":
-        if not face or son >= 4:
-            # interior edges and vertices carry no flux dofs
+        if len(halves) < 2 or None in halves:
+            # edges and vertices carry no flux dofs
             return np.zeros((0, 0))
         p1, p2 = (int(v) for v in parent_order)
         c1, c2 = _child_orders((p1, p2), child_order)
-        h1, h2 = _FACE_HALVES[son]
+        h1, h2 = halves
         L1 = _legendre_restriction(c1, p1, h1)
         L2 = _legendre_restriction(c2, p2, h2)
         return np.ascontiguousarray(np.kron(0.25 * L1, L2))
     if space != "H1":
         raise ConfigError(f"no constraints defined for space {space!r}, case {case!r}")
 
-    if not face:
+    if len(halves) == 1:
         (p,) = (int(v) for v in np.atleast_1d(parent_order))
-        if son == 2:
+        if halves[0] is None:
             return _h1_values_at_half(p)[None, :]
         (pc,) = _child_orders((p,), child_order)
-        return _h1_restriction(pc, p, son)[2:]
+        return _h1_restriction(pc, p, halves[0])[2:]
 
     # every face case is an outer product of one 1D factor per face axis
     p1, p2, qb, qt, ql, qr = _h1_face_orders(parent_order)
     cols = np.array(_face_parent_layout(p1, p2, qb, qt, ql, qr)).T
     pp = (max(p1, qb, qt), max(p2, ql, qr))
-    halves = _FACE_HALVES[son]
     split = [a for a in (0, 1) if halves[a] is not None]
     child = dict(zip(split, _child_orders(tuple((p1, p2)[a] for a in split),
                                           child_order)))
@@ -238,8 +239,7 @@ def _hanging(mesh, space, nid):
     (node dofs x columns) of a constrained node."""
     node = mesh.NODES[nid]
     parent = mesh.NODES[node.father]
-    sons = _EDGE_SONS if parent.kind == "EDGE" else _FACE_SONS
-    case = sons[parent.sons.index(nid)]
+    case = _CASES[parent.kind][parent.sons.index(nid)]
     group, parent_order = _parent_group(mesh, space, parent)
     return group, constraint_coefficients(space, case, parent_order, node.orders)
 
@@ -568,14 +568,5 @@ def update_Ddof(mesh, dirichlet_fn=None):
 def update_gdof(mesh):
     """Recompute derived vertex coordinates down the refinement trees."""
     for node in mesh.NODES[1:]:
-        if node.kind != "VERTEX" or not node.father:
-            continue
-        father = mesh.NODES[node.father]
-        if father.kind == "EDGE":
-            va, vb = father.verts
-            node.coords = 0.5 * (mesh.NODES[va].coords + mesh.NODES[vb].coords)
-        elif father.kind == "FACE":
-            node.coords = 0.25 * sum(mesh.NODES[v].coords for v in father.verts)
-        else:
-            node.coords = 0.125 * sum(mesh.NODES[v].coords
-                                      for v in father.elem_nodes[0:8])
+        if node.kind == "VERTEX" and node.father:
+            node.coords = _centre(mesh, mesh.NODES[node.father])

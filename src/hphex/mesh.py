@@ -6,13 +6,18 @@ middle-node id doubles as the element id.  The first NRELIS slots are
 the initial elements' middle nodes, so initial element i has middle
 node i.
 
-h-refinement is isotropic only.  Refining an element splits
-its edges into halves (with a midpoint vertex), its faces into
-quadrants (with four interior edges and a center vertex), and the
-interior into 8 octants (with 12 mid-plane faces, 6 axis edges through
-the center, and the center vertex).  Shared entities are refined once
-and reused by neighbors.  All derived coordinates are exact for the
-trilinear geometry in use (midpoints and cell/face centers).
+h-refinement is isotropic only, and one lattice rule refines edges,
+faces and middle nodes alike.  A node of k axes is laid on its doubled
+lattice {0..4}^k, where an entity is named by its centre and spans the
+axes where that centre is odd.  `SONS` is the one son table: each son's
+centre on {1,2,3}^k, in `sons` order.  From it and the centres of the
+sub-entities a node stores (masterel's edge 1, face 1 and cube), the
+refiner finds the vertices, edges and faces of every son; sons are made
+by dimension, centre vertex first, and take the father's orders on
+their axes.  An element's edges and faces are refined before it, shared
+ones once.  A centre vertex is the mean of its father's vertices, exact
+for the trilinear geometry.  conformity reads its hanging-node cases,
+and p-refinement its son axes, off the same table.
 
 p-refinement reads and writes orders through one per-axis codec,
 `Node.orders`.  Edge and face orders follow the minimum rule: per axis,
@@ -26,6 +31,7 @@ the middle-node forest, initial elements first, sons in octant order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,17 +54,8 @@ _ENCODE = {VERTEX: lambda: 0, EDGE: lambda p: p,
 
 
 class Node:
-    """One mesh entity.  Sons layouts by kind:
-
-    EDGE   : [low half, high half, midpoint vertex]
-    FACE   : [4 quadrants (tensor order), 4 interior edges
-              (along axis1 low/high, along axis2 low/high), center vertex]
-    MIDDLE : sons = 8 octant middles (vertex order); the interior
-             entities live in `interior` = [12 mid-plane faces
-             (x-plane 4, y-plane 4, z-plane 4, each in tensor order),
-             6 axis edges (x low/high, y low/high, z low/high),
-             center vertex]
-    """
+    """One mesh entity.  A refined node's `sons` are in `SONS` order; a
+    middle node keeps its 8 octants there and the rest in `interior`."""
 
     __slots__ = (
         "id", "kind", "order", "active", "father", "sons", "interior",
@@ -359,154 +356,122 @@ def generate_initial_mesh(geometry: GeometryFile, physics, initial_order,
 # ---------------------------------------------------------------------------
 # refinement
 
-def _refine_edge(mesh: Mesh, eid: int):
-    edge = mesh.NODES[eid]
-    if edge.sons:
-        return
-    va, vb = edge.verts
-    mid = mesh._new_node(VERTEX, father=eid)
-    mid.coords = 0.5 * (mesh.NODES[va].coords + mesh.NODES[vb].coords)
-    lo = mesh._new_node(EDGE, order=edge.order, father=eid)
-    hi = mesh._new_node(EDGE, order=edge.order, father=eid)
-    lo.verts, hi.verts = (va, mid.id), (mid.id, vb)
-    for son in (lo, hi, mid):
-        son.bcond = edge.bcond
-    edge.sons, edge.active = [lo.id, hi.id, mid.id], False
+# Each son's centre on its father's lattice, in `sons` order (`sons +
+# interior` for a middle node): an edge's two halves and midpoint vertex;
+# a face's four quadrants in tensor order, its interior edges (along axis
+# 1 low/high, along axis 2 low/high) and centre vertex; a middle node's
+# eight octants in vertex order, then its mid-plane faces (x-, y-,
+# z-plane, each in tensor order), axis edges (x, y, z, each low/high)
+# and centre vertex.
+SONS = {
+    EDGE: ((1,), (3,), (2,)),
+    FACE: ((1, 1), (3, 1), (1, 3), (3, 3), (1, 2), (3, 2), (2, 1), (2, 3), (2, 2)),
+    MIDDLE: ((1, 1, 1), (3, 1, 1), (3, 3, 1), (1, 3, 1),
+             (1, 1, 3), (3, 1, 3), (3, 3, 3), (1, 3, 3),
+             (2, 1, 1), (2, 3, 1), (2, 1, 3), (2, 3, 3),
+             (1, 2, 1), (3, 2, 1), (1, 2, 3), (3, 2, 3),
+             (1, 1, 2), (3, 1, 2), (1, 3, 2), (3, 3, 2),
+             (1, 2, 2), (3, 2, 2), (2, 1, 2), (2, 3, 2), (2, 2, 1), (2, 2, 3),
+             (2, 2, 2)),
+}
+_KINDS = (VERTEX, EDGE, FACE, MIDDLE)       # by number of axes
 
 
-# Face refinement pool: the 4 vertices, the (low half, high half,
-# midpoint) of the bottom, top, left and right edges, then the new center
-# vertex and interior edges (along axis 1 low/high, along axis 2 low/high).
-_FACE_IEDGE_VERTS = ((12, 16), (16, 15), (6, 16), (16, 9))
-_QUAD_VERTS = ((0, 6, 12, 16), (6, 1, 16, 15), (12, 16, 2, 9), (16, 15, 9, 3))
-_QUAD_EDGES = ((4, 17, 10, 19), (5, 18, 19, 13), (17, 7, 11, 20), (18, 8, 20, 14))
+def _axes(d):
+    """The axes an entity with centre `d` spans: where `d` is odd."""
+    return tuple(a for a, c in enumerate(d) if c % 2)
 
 
-def _refine_face(mesh: Mesh, fid: int):
-    face = mesh.NODES[fid]
-    if face.sons:
-        return
-    for eid in face.edges:
-        if not mesh.NODES[eid].sons:
-            raise MeshError(f"face {fid}: edge {eid} not refined first")
-    first = len(mesh.NODES)
-    pool = list(face.verts) + [s for e in face.edges for s in mesh.NODES[e].sons]
-    pool += range(first, first + 5)
-    p1, p2 = face.orders
-
-    ctr = mesh._new_node(VERTEX, father=fid)
-    ctr.coords = 0.25 * sum(mesh.NODES[v].coords for v in face.verts)
-    for order, verts in zip((p1, p1, p2, p2), _FACE_IEDGE_VERTS):
-        mesh._new_node(EDGE, order=order, father=fid).verts = tuple(
-            pool[v] for v in verts)
-    for verts, edges in zip(_QUAD_VERTS, _QUAD_EDGES):
-        q = mesh._new_node(FACE, order=face.order, father=fid)
-        q.verts, q.edges = tuple(pool[v] for v in verts), tuple(pool[e] for e in edges)
-        q.bid = face.bid
-    face.sons = list(range(first + 5, first + 9)) + list(range(first + 1, first + 5)) + [first]
-    for nid in face.sons:
-        mesh.NODES[nid].bcond = face.bcond
-    face.active = False
+def _shift(d, axes, local, by):
+    """The point `local - by` away from `d` along `axes`."""
+    d = list(d)
+    for a, c in zip(axes, local):
+        d[a] += c - by
+    return tuple(d)
 
 
-def _others(ax):
-    return tuple(a for a in range(3) if a != ax)
+def _reference(slots, axes):
+    """Centres on the unit lattice {0,1,2}^k, over `axes`, of the element
+    entities in `slots`: twice the first vertex, plus one on each axis the
+    entity spans."""
+    return [tuple(int(2 * me.VERT_COORDS[v][a]) + (a in span) for a in axes)
+            for _, span, v in (me._ENTITIES[s] for s in slots)]
 
 
-# Where the nodes made by refining a middle node come from.  Positions
-# index a per-element pool: the 8 vertices, the 3 sons of each of the 12
-# edges, the 9 sons of each of the 6 faces, then the new nodes in
-# creation order (center vertex, 6 axis edges, 12 mid-plane faces).  An
-# entity is named by its center d on the doubled son lattice {0..4}^3:
-# its odd coordinates are its axes, and with its coordinates inside the
-# father (1..3) set to 2 it names the father entity it lies in.
-_POOL_EDGE, _POOL_FACE, _POOL_NEW = 8, 44, 98
-_UNIT, _VC = np.eye(3, dtype=int), me.VERT_COORDS.astype(int)
-_FATHER = {**{tuple(4 * _VC[v]): (v, None) for v in range(8)},
-           **{tuple(2 * (_VC[a] + _VC[b])): (e, 3) for e, (a, b)
-              in enumerate(me.EDGE_VERTS)},
-           **{tuple(_VC[list(q)].sum(0)): (f, 9) for f, q in enumerate(me.FACE_VERTS)}}
-_EDGE_SON = {1: 0, 3: 1, 2: 2}
-_FACE_SON = {(1, 1): 0, (3, 1): 1, (1, 3): 2, (3, 3): 3, (1, 2): 4, (3, 2): 5,
-             (2, 1): 6, (2, 3): 7, (2, 2): 8}
+# the sub-entities a node stores, as reference edge 1, face 1 and cube:
+# verts; verts + edges; elem_nodes
+_STORED = {EDGE: _reference(me.EDGE_VERTS[0], (0,)),
+           FACE: _reference(me.FACE_VERTS[0] + tuple(8 + e for e in me.FACE_EDGES[0]),
+                            me.FACE_AXES[0]),
+           MIDDLE: _reference(range(26), range(3))}
 
 
-def _pool_index(d):
-    inner = [a for a in range(3) if 0 < d[a] < 4]
-    odd = [a for a in range(3) if d[a] % 2]
-    if len(inner) == 3:
-        if len(odd) == 1:
-            return _POOL_NEW + 1 + 2 * odd[0] + d[odd[0]] // 2
-        if len(odd) == 2:
-            return (_POOL_NEW + 7 + 4 * (3 - sum(odd)) + d[odd[0]] // 2
-                    + 2 * (d[odd[1]] // 2))
-        return _POOL_NEW
-    i, nsons = _FATHER[tuple(2 if a in inner else d[a] for a in range(3))]
-    if nsons == 3:
-        return _POOL_EDGE + 3 * i + _EDGE_SON[d[inner[0]]]
-    if nsons == 9:
-        return _POOL_FACE + 9 * i + _FACE_SON[tuple(d[a] for a in me.FACE_AXES[i])]
-    return i
+def _plan(kind):
+    """The sons in creation order (by number of axes), each with its kind,
+    its axes and a getter of the sub-entities it stores from the pool; and
+    the creation rank of each son in SONS order.  The pool lists the points
+    of the father's lattice: the father's stored sub-entities (a vertex
+    stands for itself, an edge or face for its sons), then the new nodes."""
+    points = []
+    for r in _STORED[kind]:
+        axes = _axes(r)
+        points += [_shift([2 * c for c in r], axes, s, 2)
+                   for s in SONS.get(_KINDS[len(axes)], [()])]
+    made = sorted(range(len(SONS[kind])), key=lambda i: len(_axes(SONS[kind][i])))
+    points += [SONS[kind][i] for i in made]
+    pool = {d: i for i, d in enumerate(points)}
+    plan = []
+    for i in made:
+        d = SONS[kind][i]
+        axes = _axes(d)
+        son = _KINDS[len(axes)]
+        at = [pool[_shift(d, axes, r, 1)] for r in _STORED.get(son, ())]
+        plan.append((son, axes, itemgetter(*at) if at else None))
+    return plan, [made.index(i) for i in range(len(made))]
 
 
-def _corners(d):
-    """Centers of an entity's vertices, in tensor order over its axes."""
-    out = [d]
-    for a in [a for a in range(3) if d[a] % 2]:
-        out = [c + s * _UNIT[a] for s in (-1, 1) for c in out]
-    return out
+_PLAN = {kind: _plan(kind) for kind in SONS}
 
 
-def _lattice_tables():
-    """Pool positions of the axis edges' and mid-plane faces' vertices,
-    the mid-plane faces' edges, and the sons' 26 nodes."""
-    center = np.array([2, 2, 2])
-    iedges = [center + s * _UNIT[ax] for ax in range(3) for s in (-1, 1)]
-    ifaces = [center + (2 * s1 - 1) * _UNIT[o1] + (2 * s2 - 1) * _UNIT[o2]
-              for o1, o2 in (_others(m) for m in range(3))
-              for s2 in (0, 1) for s1 in (0, 1)]
-    iface_edges = [[d - _UNIT[a2], d + _UNIT[a2], d - _UNIT[a1], d + _UNIT[a1]]
-                   for d in ifaces
-                   for a1, a2 in [[a for a in range(3) if d[a] % 2]]]
-    sons = [[o + 2 * v for v in _VC]
-            + [o + 2 * _VC[a] + _UNIT[me.EDGE_AXIS[e]]
-               for e, (a, _) in enumerate(me.EDGE_VERTS)]
-            + [o + 1 + (2 * me.FACE_SIDE[f] - 1) * _UNIT[me.FACE_NORMAL_AXIS[f]]
-               for f in range(6)] for o in 2 * _VC]
-    return tuple(np.array([[_pool_index(d) for d in row] for row in rows])
-                 for rows in ([_corners(d) for d in iedges],
-                              [_corners(d) for d in ifaces], iface_edges, sons))
+def _centre(mesh: Mesh, node: Node) -> np.ndarray:
+    """Coordinates of the centre vertex of an edge, face or middle node:
+    the mean of its vertices, exact for the trilinear geometry."""
+    coords = [mesh.NODES[v].coords for v in node.verts or node.elem_nodes[:8]]
+    return sum(coords[1:], coords[0]) / len(coords)
 
 
-_IEDGE_VERTS, _IFACE_VERTS, _IFACE_EDGES, _SON_NODES = _lattice_tables()
-
-
-def _refine_middle(mesh: Mesh, mdle: int):
-    """Make the center vertex, the 6 axis edges, the 12 mid-plane faces
-    and the 8 sons of an element whose edges and faces are refined,
-    reading every son entity off the lattice tables."""
-    node = mesh.NODES[mdle]
-    gv = node.elem_nodes[0:8]
-    p = node.orders
-    first = len(mesh.NODES)
-    pool = np.array(list(gv) + [s for n in node.elem_nodes[8:26] for s in
-                                mesh.NODES[n].sons] + list(range(first, first + 19)))
-
-    ctr = mesh._new_node(VERTEX, father=mdle)
-    ctr.coords = 0.125 * sum(mesh.NODES[v].coords for v in gv)
-    for j, verts in enumerate(pool[_IEDGE_VERTS].tolist()):
-        mesh._new_node(EDGE, order=p[j // 2], father=mdle).verts = tuple(verts)
-    forder = [me.encode_face_order(*(p[a] for a in _others(ax))) for ax in range(3)]
-    for j, (verts, edges) in enumerate(zip(pool[_IFACE_VERTS].tolist(),
-                                           pool[_IFACE_EDGES].tolist())):
-        fnode = mesh._new_node(FACE, order=forder[j // 4], father=mdle)
-        fnode.verts, fnode.edges = tuple(verts), tuple(edges)
-    for nodes in pool[_SON_NODES].tolist():
-        mesh._new_node(MIDDLE, order=node.order, father=mdle).elem_nodes = tuple(nodes)
-
-    node.sons = list(range(first + 19, first + 27))
-    node.interior = list(range(first + 7, first + 19)) + list(
-        range(first + 1, first + 7)) + [first]
+def _refine(mesh: Mesh, nid: int):
+    """Refine an edge, face or middle node, its unrefined edges and faces
+    first.  Each son takes the father's orders on its axes and its bcond;
+    a face son also takes its bid."""
+    nodes, node = mesh.NODES, mesh.NODES[nid]
+    pool = []
+    for sid in node.verts + node.edges or node.elem_nodes:
+        sub = nodes[sid]
+        if sub.kind != VERTEX and not sub.sons:
+            _refine(mesh, sid)
+        pool += sub.sons or (sid,)
+    plan, rank = _PLAN[node.kind]
+    first, p = len(nodes), node.orders
+    pool += range(first, first + len(rank))
+    for kind, axes, take in plan:
+        son = Node(len(nodes), kind, _ENCODE[kind](*[p[a] for a in axes]), nid)
+        nodes.append(son)
+        son.bcond = node.bcond
+        if kind == VERTEX:
+            son.coords = _centre(mesh, node)
+        elif kind == MIDDLE:
+            son.elem_nodes = take(pool)
+        else:
+            sub = take(pool)
+            son.verts, son.edges = sub[:4], sub[4:]
+            if kind == FACE:
+                son.bid = node.bid
+    sons = [first + r for r in rank]
+    if node.kind == MIDDLE:
+        node.sons, node.interior = sons[:8], sons[8:]
+    else:
+        node.sons = sons
     node.active = False
 
 
@@ -518,11 +483,7 @@ def refine_element(mesh: Mesh, mdle: int):
     is assigned because callers may hold the old one.
     """
     node = mesh.element(mdle)
-    for eid in node.elem_nodes[8:20]:
-        _refine_edge(mesh, eid)
-    for fid in node.elem_nodes[20:26]:
-        _refine_face(mesh, fid)
-    _refine_middle(mesh, mdle)
+    _refine(mesh, mdle)
     mesh._touch()
     order = mesh.ELEM_ORDER
     i = order.index(mdle)
@@ -588,19 +549,15 @@ def global_pref(mesh: Mesh):
     mesh._touch()
 
 
-# per father kind, the father axes that each edge or face son spans:
-# edge halves; face quadrants, then interior edges along axis 1 and axis 2
-_SON_AXES = {EDGE: ((0,),) * 2, FACE: ((0, 1),) * 4 + ((0,),) * 2 + ((1,),) * 2}
-
-
 def adaptive_pref(mesh: Mesh, targets):
     """Set middle orders, then edge and face orders by the minimum rule.
 
     Every in-use edge and face takes, per axis, the least order of the
     active elements using it.  Then every son of an in-use edge or face
     is raised, per axis, to its father's order, down the tree: a hanging
-    node's expansion must reproduce the father trace exactly.  A node
-    whose order changes loses its dofs; a targeted middle always does.
+    node's expansion must reproduce the father trace exactly.  Each node
+    is written once, with its final orders, and loses its dofs only if
+    they changed; a targeted middle always loses them.
 
     `targets` holds (mdle, (px, py, pz)) pairs.  Every pair is checked
     before any node changes: MeshError for an id that is not an active
@@ -611,26 +568,32 @@ def adaptive_pref(mesh: Mesh, targets):
     for node, want in checked:
         node.orders, node.dofs = want, None
 
-    least = {}
+    nodes, final = mesh.NODES, {}
     for m in mesh.ELEM_ORDER:
-        node = mesh.NODES[m]
-        p = node.orders
+        p = nodes[m].orders
         for slot, axes, _ in me._ENTITIES[8:26]:
-            nid = node.elem_nodes[slot]
-            have = least.get(nid, (me.MAXP, me.MAXP))
-            least[nid] = tuple(min(p[a], q) for a, q in zip(axes, have))
-    for nid, orders in least.items():
-        mesh.NODES[nid].orders = orders
+            nid = nodes[m].elem_nodes[slot]
+            have = final.get(nid, (me.MAXP, me.MAXP))
+            final[nid] = tuple(min(p[a], q) for a, q in zip(axes, have))
 
-    stack = [nid for nid in mesh.skeleton_in_use()
-             if mesh.NODES[nid].kind in _SON_AXES]
+    # the in-use edges and faces and every edge and face below them, each
+    # after its father: a son's id is above its father's
+    tree, stack = set(), list(final)
     while stack:
-        node = mesh.NODES[stack.pop()]
-        p = node.orders
-        for sid, axes in zip(node.sons, _SON_AXES[node.kind]):
-            son = mesh.NODES[sid]
-            son.orders = tuple(max(p[a], q) for a, q in zip(axes, son.orders))
-            stack.append(sid)
+        nid = stack.pop()
+        if nid not in tree:
+            tree.add(nid)
+            stack += [s for s in nodes[nid].sons if nodes[s].kind != VERTEX]
+    for nid in sorted(tree):
+        node = nodes[nid]
+        p = final.get(nid, node.orders)
+        if node.father in tree:
+            father, pf = nodes[node.father], final[node.father]
+            axes = _axes(SONS[father.kind][father.sons.index(nid)])
+            p = tuple(max(pf[a], q) for a, q in zip(axes, p))
+        final[nid] = p
+    for nid, p in final.items():
+        nodes[nid].orders = p
     mesh._touch()
 
 

@@ -581,12 +581,10 @@ def compute_exact_error(mesh, problem: Problem):
 # driver
 
 def solve_problem(mesh, problem: Problem, *, solver: str = "cg",
-                  tol: float = 1e-12, workers: int = 1,
-                  istc: bool = True) -> asm.SolveReport:
+                  workers: int = 1, istc: bool = True) -> asm.SolveReport:
     """Refresh Dirichlet data, assemble, solve, and store all DOFs."""
     if problem.istc and not istc:
         raise ConfigError("DPG problems require interior condensation")
     cf.update_Ddof(mesh, problem.dirichlet_fn())
     return asm.assemble_and_solve(
-        mesh, problem.elems, istc=istc,
-        solver=solver, tol=tol, workers=workers)
+        mesh, problem.elems, istc=istc, solver=solver, workers=workers)

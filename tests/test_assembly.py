@@ -209,7 +209,7 @@ def test_workers_below_one_rejected():
 def test_galerkin_orthogonality_residual():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 2), 2)
-    poisson.solve_problem(mesh, problem, tol=1e-13)
+    poisson.solve_problem(mesh, problem)
     sys, _ = asm.assemble_system(mesh, problem.elems)
     x = np.empty(sys.ndof)
     index = {tuple(k): i for i, k in enumerate(sys.keys.tolist())}
@@ -238,7 +238,7 @@ def test_dense_solver_matches_cg():
     dense = np.concatenate([cf.gather_solution(mesh, m, 0).ravel()
                             for m in mesh.ELEM_ORDER])
     mesh2 = poisson.make_mesh(problem, grid_geometry(2, 2, 1), 2)
-    poisson.solve_problem(mesh2, problem, solver="cg", tol=1e-14)
+    poisson.solve_problem(mesh2, problem, solver="cg")
     cg = np.concatenate([cf.gather_solution(mesh2, m, 0).ravel()
                          for m in mesh2.ELEM_ORDER])
     assert np.max(np.abs(dense - cg)) < 1e-9

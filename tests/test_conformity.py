@@ -9,7 +9,7 @@ from hphex import masterel as me
 from hphex import poisson
 from hphex.errors import ConfigError, IrregularityError, SolveError
 from hphex.geometry import element_geometry, piola_transform
-from hphex.mesh import (close_mesh, element_info, element_vertices,
+from hphex.mesh import (SONS, close_mesh, element_info, element_vertices,
                         generate_initial_mesh, refine_element)
 
 from conftest import (apply_hp_ops, galerkin_physics, grid_geometry, hp_ops,
@@ -229,7 +229,7 @@ def test_malformed_face_cases_raise(space, case, parent, child):
 
 def _loop_coefficients(space, case, parent_order, child_order):
     """Face matrices entry by entry: the reference for the outer products."""
-    son = cf._FACE_SONS.index(case)
+    son = cf._CASES["FACE"].index(case)
     if space == "HDIV":
         p1, p2 = parent_order
         c1, c2 = child_order or parent_order
@@ -243,7 +243,7 @@ def _loop_coefficients(space, case, parent_order, child_order):
     cols = cf._face_parent_layout(*orders)
     pp = (max(orders[0], orders[2], orders[3]), max(orders[1], orders[4], orders[5]))
     factors = []
-    for a, half in enumerate(cf._FACE_HALVES[son]):
+    for a, half in enumerate(cf._HALVES[case]):
         if half is None:
             factors.append([me.h1_basis_1d(pp[a], np.array([0.5]))[0][:, 0]])
             continue
@@ -262,7 +262,7 @@ def _loop_coefficients(space, case, parent_order, child_order):
     ((1, 1), None), ((2, 3), None), ((3, 2), (4, 3)), ((3, 2, 2, 3, 1, 2), None)])
 def test_face_coefficients_match_entrywise_loops(parent, child):
     for space in ("H1", "HDIV"):
-        for case in cf._FACE_SONS:
+        for case in cf._CASES["FACE"]:
             if space == "HDIV" and (len(parent) > 2 or "quadrant" not in case):
                 continue
             co = child
@@ -273,6 +273,53 @@ def test_face_coefficients_match_entrywise_loops(parent, child):
             M = cf.constraint_coefficients(space, case, parent, co)
             assert M.flags.c_contiguous
             assert np.array_equal(M, _loop_coefficients(space, case, parent, co))
+
+
+def test_sons_sit_at_their_lattice_positions_property():
+    """On random hp meshes over a jittered grid, the son at each SONS
+    position of every refined edge and face has its vertices at the
+    father's (bi)linear map of the son's lattice corners / 4, and the
+    parent halves conformity reads for that son's case are the halves
+    those corners span per father axis (None: on the midline)."""
+    seen = set()
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(nx=st.integers(1, 2), ny=st.integers(1, 2), p=st.integers(1, 2),
+           ops=hp_ops(4))
+    def check(nx, ny, p, ops):
+        geo = grid_geometry(nx, ny, 1)
+        geo.points += 0.1 * np.random.default_rng(nx + 2 * ny).uniform(
+            -1.0, 1.0, geo.points.shape)
+        mesh = build(geo, galerkin_physics(), order=(p, p, p))
+        apply_hp_ops(mesh, ops)
+        for father in mesh.NODES[1:]:
+            if father.kind not in ("EDGE", "FACE") or not father.sons:
+                continue
+            xf = mesh.vertex_coords(father.verts)
+            for sid, centre, case in zip(father.sons, SONS[father.kind],
+                                         cf._CASES[father.kind]):
+                son = mesh.NODES[sid]
+                corners = [np.array(centre)]
+                for a in range(len(centre)):
+                    if centre[a] % 2:
+                        corners = [c + s * np.eye(len(centre), dtype=int)[a]
+                                   for s in (-1, 1) for c in corners]
+                t = np.array(corners) / 4.0
+                k = t.shape[1]              # (bi)linear weight of father vertex j
+                w = np.array([[np.prod([x[a] if j >> a & 1 else 1 - x[a]
+                                        for a in range(k)]) for j in range(2 ** k)]
+                              for x in t])
+                xs = (son.coords[None] if son.kind == "VERTEX"
+                      else mesh.vertex_coords(son.verts))
+                assert np.allclose(xs, w @ xf, rtol=0.0, atol=1e-12)
+                spans = {(0.0, 0.5): 0, (0.5, 1.0): 1, (0.5, 0.5): None}
+                assert cf._HALVES[case] == tuple(
+                    spans[(t[:, a].min(), t[:, a].max())] for a in range(k))
+                seen.add((father.kind, son.kind))
+
+    check()
+    assert seen == {("EDGE", "EDGE"), ("EDGE", "VERTEX"), ("FACE", "FACE"),
+                    ("FACE", "EDGE"), ("FACE", "VERTEX")}
 
 
 # ---------------------------------------------------------------------------
