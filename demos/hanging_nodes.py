@@ -48,7 +48,6 @@ def main():
 
     refine_element(mesh, corner)
     close_mesh(mesh)
-    cf.update_gdof(mesh)
     print(f"after refining element {corner} and closing: "
           f"NRELES={mesh.NRELES}")
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import conformity as cf
 from . import poisson
 from .errors import ConfigError, MeshError
 from .mesh import check_one_irregularity, close_mesh, refine_element
@@ -129,8 +128,8 @@ def adaptive_loop(mesh, problem, marking: MarkingConfig, tol: float,
     """Iterate solve, estimate, mark, refine; returns the history table.
 
     Stops once sqrt(error_glob) <= tol or after max_steps solves.  After
-    each refinement round the mesh is closed to 1-irregularity and the
-    geometry DOFs are refreshed; the next solve refreshes Dirichlet DOFs.
+    each refinement round the mesh is closed to 1-irregularity; the
+    refiner places new vertices and the next solve sets Dirichlet DOFs.
     """
     if max_steps < 1:
         raise ConfigError(f"max_steps {max_steps} must be at least 1")
@@ -153,7 +152,6 @@ def adaptive_loop(mesh, problem, marking: MarkingConfig, tol: float,
         for mdle in mark_elements(errors, marking):
             refine_element(mesh, mdle)
         close_mesh(mesh)
-        cf.update_gdof(mesh)
         if not check_one_irregularity(mesh):
             raise MeshError("closure left the mesh more than 1-irregular")
     return history
@@ -170,9 +168,8 @@ def write_history(history, path):
 
 
 def global_href(mesh):
-    """Refine every active element once and restore all derived data."""
+    """Refine every active element once and close the mesh."""
     for mdle in list(mesh.ELEM_ORDER):
         if mesh.NODES[mdle].active:
             refine_element(mesh, mdle)
     close_mesh(mesh)
-    cf.update_gdof(mesh)

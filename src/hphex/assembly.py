@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from . import conformity as cf
 from . import masterel as me
@@ -120,45 +121,34 @@ class SparseSystem:
 
 
 def cg_solve(A, b, tol: float = 1e-12, maxit: int = None):
-    """Jacobi-preconditioned conjugate gradient.
+    """Jacobi-preconditioned conjugate gradient (`scipy.sparse.linalg.cg`).
 
-    Stops when the recurrence residual falls to tol and returns
+    Stops once the recurrence residual falls below tol·‖b‖ and returns
     (x, iterations, ‖b − Ax‖/‖b‖), the true relative residual of x.  The
-    matrix must be symmetric positive definite; failure to reach tol
-    raises.
+    matrix must be symmetric positive definite; failure to reach tol in
+    maxit iterations raises.
     """
     n = b.shape[0]
-    if n == 0:
-        return np.zeros(0), 0, 0.0
     if maxit is None:
         maxit = max(200, 20 * n)
     diag = A.diagonal()
     if np.any(diag <= 0.0):
         raise LinAlgError("matrix diagonal has non-positive entries")
-    inv_d = 1.0 / diag
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), 0, 0.0
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_d * r
-    p = z.copy()
-    rz = r @ z
-    for it in range(1, maxit + 1):
-        q = A @ p
-        alpha = rz / (p @ q)
-        x += alpha * p
-        r -= alpha * q
-        if np.linalg.norm(r) / bnorm <= tol:
-            return x, it, np.linalg.norm(b - A @ x) / bnorm
-        z = inv_d * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolveError(
-        f"cg did not converge in {maxit} iterations "
-        f"(relative residual {np.linalg.norm(r) / bnorm:.3e})"
-    )
+    inv_d = 1.0 / diag
+    updates = []                # the callback sees x once per update
+    # scipy tests the residual before each update: maxit + 1 passes let a
+    # run that converges on its maxit-th update report success
+    x, info = scipy.sparse.linalg.cg(
+        A, b, rtol=tol, atol=0.0, maxiter=maxit + 1, callback=updates.append,
+        M=scipy.sparse.linalg.LinearOperator(A.shape, lambda r: inv_d * r))
+    res = np.linalg.norm(b - A @ x) / bnorm
+    if info:
+        raise SolveError(f"cg did not converge in {maxit} iterations "
+                         f"(relative residual {res:.3e})")
+    return x, len(updates), res
 
 
 _DENSE_LIMIT = 2000

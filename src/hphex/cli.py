@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from . import adapt
 from . import assembly as asm
-from . import conformity as cf
 from . import masterel as me
 from . import mesh as msh
 from . import physics as ph
@@ -214,7 +213,7 @@ def interactive_menu(state: CliState, inp=None, out=None):
 
 
 def _dispatch(state: CliState, choice: int, inp, out):
-    mesh, problem = state.mesh, state.problem
+    mesh = state.mesh
     try:
         if choice in _UNAVAILABLE:
             print(f"menu id {choice} ({_UNAVAILABLE[choice]}) is "
@@ -227,12 +226,9 @@ def _dispatch(state: CliState, choice: int, inp, out):
             _dump_elements(mesh, out)
         elif choice == 20:
             adapt.global_href(mesh)
-            cf.update_Ddof(mesh, problem.dirichlet_fn())
             print(f"global h-refinement: NRELES={mesh.NRELES}", file=out)
         elif choice == 21:
             msh.global_pref(mesh)
-            cf.update_gdof(mesh)
-            cf.update_Ddof(mesh, problem.dirichlet_fn())
             print("global p-refinement: all orders raised by one", file=out)
         elif choice == 22:
             _menu_refine_one(state, inp, out)
@@ -272,7 +268,7 @@ def _dump_nodes(mesh: msh.Mesh, out):
 
 
 def _dump_elements(mesh: msh.Mesh, out):
-    order = msh.traverse_active(mesh)
+    order = mesh.ELEM_ORDER
     print(f" {len(order)} active elements (natural order)", file=out)
     for m in order:
         node = mesh.NODES[m]
@@ -292,8 +288,6 @@ def _menu_refine_one(state: CliState, inp, out):
         return
     msh.refine_element(state.mesh, mdle)
     msh.close_mesh(state.mesh)
-    cf.update_gdof(state.mesh)
-    cf.update_Ddof(state.mesh, state.problem.dirichlet_fn())
     print(f"refined {mdle}: NRELES={state.mesh.NRELES}", file=out)
 
 

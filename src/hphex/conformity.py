@@ -20,8 +20,7 @@ constrained, and tangential-trace attributes are outside the supported
 problem set.
 
 The module also owns Dirichlet DOF interpolation (vertex values, then
-edge and face H1-seminorm projections in parameter coordinates) and
-the recomputation of derived geometry DOFs.
+edge and face H1-seminorm projections in parameter coordinates).
 """
 
 from __future__ import annotations
@@ -566,7 +565,8 @@ def update_Ddof(mesh, dirichlet_fn=None):
 
 
 def update_gdof(mesh):
-    """Recompute derived vertex coordinates down the refinement trees."""
+    """Recompute derived vertex coordinates.  No library path calls it: the
+    refiner's centres are final; the name stays for the benchmark tracer."""
     for node in mesh.NODES[1:]:
         if node.kind == "VERTEX" and node.father:
             node.coords = _centre(mesh, mesh.NODES[node.father])

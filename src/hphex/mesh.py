@@ -169,7 +169,6 @@ class Mesh:
         self.NODES = [None]
         self.NRELIS = 0
         self.ELEM_ORDER = []
-        self.NRELES = 0
         self.revision = 0
         self._skeleton_cache = self._hanging_cache = (-1, None)
         # ((revision, dp), problem, {mdle: (stiff_all, G)}): the DPG
@@ -194,6 +193,10 @@ class Mesh:
         self.revision += 1
 
     # -- queries --------------------------------------------------------
+
+    @property
+    def NRELES(self) -> int:
+        return len(self.ELEM_ORDER)
 
     def active_middles_scan(self) -> list:
         """Brute-force scan (used by invariants checks, not the solver path)."""
@@ -346,7 +349,6 @@ def generate_initial_mesh(geometry: GeometryFile, physics, initial_order,
 
     mesh.NRELIS = nrelis
     mesh.ELEM_ORDER = list(range(1, nrelis + 1))
-    mesh.NRELES = nrelis
     mesh._touch()
     for bid, attr, comp, flag in bc_assignments:
         mesh.set_boundary_flag(bid, attr, comp, flag)
@@ -488,11 +490,10 @@ def refine_element(mesh: Mesh, mdle: int):
     order = mesh.ELEM_ORDER
     i = order.index(mdle)
     mesh.ELEM_ORDER = order[:i] + node.sons + order[i + 1:]
-    mesh.NRELES = len(mesh.ELEM_ORDER)
 
 
 def traverse_active(mesh: Mesh) -> list:
-    """Natural-order element list; refreshes ELEM_ORDER and NRELES."""
+    """Natural-order element list, walked down the refinement trees."""
     out = []
     for iel in range(1, mesh.NRELIS + 1):
         stack = [iel]
@@ -503,8 +504,6 @@ def traverse_active(mesh: Mesh) -> list:
                 out.append(m)
             else:
                 stack.extend(reversed(node.sons))
-    mesh.ELEM_ORDER = out
-    mesh.NRELES = len(out)
     return out
 
 

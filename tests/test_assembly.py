@@ -73,6 +73,10 @@ def test_cg_identity_one_iteration():
     x, it, _ = asm.cg_solve(A, b, tol=1e-14)
     assert it == 1
     assert np.allclose(x, b, atol=1e-14)
+    # converging on the last allowed update is a success, not a failure
+    x, it, _ = asm.cg_solve(A, b, tol=1e-14, maxit=1)
+    assert it == 1
+    assert np.allclose(x, b, atol=1e-14)
 
 
 def test_cg_diagonal_inverse():

@@ -805,6 +805,10 @@ def test_flagged_walk_matches_the_node_scan():
 
 
 def test_update_gdof_restores_derived_vertices():
+    """A moved centre vertex is put back, and on random hp meshes over a
+    jittered grid the refiner already places every vertex where
+    update_gdof would: one call afterwards changes no coordinate byte,
+    so the library need not call it."""
     mesh = build(grid_geometry(1, 1, 1, lengths=(2.0, 1.0, 1.0)),
                  galerkin_physics())
     refine_element(mesh, 1)
@@ -818,3 +822,20 @@ def test_update_gdof_restores_derived_vertices():
     cf.update_gdof(mesh)
     for nid, xyz in before.items():
         assert np.array_equal(mesh.NODES[nid].coords, xyz)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(nx=st.integers(1, 2), ny=st.integers(1, 2), p=st.integers(1, 2),
+           ops=hp_ops(4))
+    def check(nx, ny, p, ops):
+        geo = grid_geometry(nx, ny, 1)
+        geo.points += 0.1 * np.random.default_rng(nx + 2 * ny).uniform(
+            -1.0, 1.0, geo.points.shape)
+        mesh = build(geo, galerkin_physics(), order=(p, p, p))
+        apply_hp_ops(mesh, ops)
+        before = {n.id: n.coords.tobytes() for n in mesh.NODES[1:]
+                  if n.kind == "VERTEX"}
+        cf.update_gdof(mesh)
+        assert before == {nid: mesh.NODES[nid].coords.tobytes()
+                          for nid in before}
+
+    check()
