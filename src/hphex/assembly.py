@@ -7,8 +7,9 @@ columns in attribute order.  Assembly expands each through the
 constrained-approximation matrix C (unless C = I), moves Dirichlet
 columns to the load, eliminates interior (bubble) DOFs by a Schur
 complement on the sub-stacks that share one (free, bubble) layout, and
-scatters into one sparse symmetric system at block offsets in natural
-element order, so duplicates are summed in that order for any grouping.
+writes the condensed blocks straight into CSR arrays laid out before the
+loop in natural element order, so duplicates are summed in that order for
+any grouping; a batch keeps only its bubble-recovery data.
 
 Global DOF numbering: nodes in id order, attributes in exact-sequence
 order within a node, vector components innermost.  Only modified
@@ -23,9 +24,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg import blas, cho_factor, cho_solve
 
 from . import conformity as cf
 from . import masterel as me
@@ -47,20 +48,21 @@ class CondensedLocal:
 
 
 def _tri_solve(a, b, lower, trans=0):
-    """`scipy.linalg.solve_triangular` on a stack a (..., n, n), b (..., n, m)
-    minus its per-item Python wrapper: one dtrtrs call per item in scipy's
-    form (a non-F-contiguous item goes in transposed, `lower` and `trans`
-    flipped), stacked as scipy stacks them, so every bit is scipy's."""
+    """`scipy.linalg.solve_triangular` on a stack a (..., n, n), b (..., n, m),
+    on BLAS: per item one dtrsm (dtrsv for m = 1) in scipy's form (a
+    non-F-contiguous item goes in transposed, `lower` and `trans` flipped),
+    stacked as scipy stacks them.  Same bits as scipy's LAPACK dtrtrs, which
+    OpenBLAS threads even for 1x1; its zero-pivot check runs once here."""
     n, m = b.shape[-2:]
+    if not (d := np.diagonal(a, axis1=-2, axis2=-1)).all():
+        raise LinAlgError("singular triangular factor at row "
+                          f"{np.argwhere(d.reshape(-1, n) == 0)[0, 1] + 1}")
     xs = []
     for a_i, b_i in zip(a.reshape(-1, n, n), b.reshape(-1, n, m)):
-        f = a_i.flags.f_contiguous
-        x, info = scipy.linalg.lapack.dtrtrs(
-            a_i if f else a_i.T, b_i, lower=lower if f else not lower,
-            trans=trans if f else not trans)
-        if info > 0:
-            raise LinAlgError(f"singular triangular factor at row {info}")
-        xs.append(x)
+        a_i, lo, tr = ((a_i, lower, trans) if a_i.flags.f_contiguous
+                       else (a_i.T, not lower, not trans))
+        xs.append(blas.dtrsv(a_i, b_i[:, 0], lower=lo, trans=tr) if m == 1
+                  else blas.dtrsm(1.0, a_i, b_i, lower=lo, trans_a=tr))
     return np.stack(xs).reshape(b.shape)
 
 
@@ -161,10 +163,10 @@ def _dense_solve(A, b):
             f"dense fallback limited to {_DENSE_LIMIT} dofs, system has {n}"
         )
     try:
-        c, low = scipy.linalg.cho_factor(A.toarray())
+        c, low = cho_factor(A.toarray())
     except np.linalg.LinAlgError as exc:
         raise LinAlgError(f"dense factorization failed: {exc}") from exc
-    x = scipy.linalg.cho_solve((c, low), b)
+    x = cho_solve((c, low), b)
     bnorm = np.linalg.norm(b)
     res = np.linalg.norm(b - A @ x) / bnorm if bnorm else 0.0
     return x, 1, res
@@ -240,38 +242,40 @@ def solve_batches(mesh) -> list:
         for a in mesh.physics.attrs) ** 2)
 
 
-def _condense_stack(K, b, mod, istc, codes, shape):
-    """Groups of one modified element stack: its local systems (C already
-    applied), split by (Dirichlet, bubble) layout, with the Dirichlet
-    columns lifted to the load, the free rows and columns condensed, and
-    the global numbers of the interface dofs."""
+def _layout_groups(mod, istc, codes, shape):
+    """Per (Dirichlet, bubble) layout of a modified element stack: its rows,
+    Dirichlet mask, free dofs, bubble mask, interface numbers, bubble keys."""
     n, layouts = mod.dirichlet.shape[1], np.concatenate([mod.dirichlet, mod.bubble], 1)
     bits = np.packbits(layouts, axis=1)     # one bytes key per row: fast unique
     _, first, which = np.unique(bits.view(f"V{bits.shape[1]}")[:, 0],
                                 return_index=True, return_inverse=True)
     groups = []
     for g, layout in enumerate(layouts[first]):
-        sel = np.flatnonzero(which == g)
-        dirichlet, free = layout[:n], np.flatnonzero(~layout[:n])
-        Kg, bg = (K, b) if len(sel) == len(K) else (K[sel], b[sel])
-        if dirichlet.any():
-            # items laid out as K[:, D], a contiguous vector: one GEMV's bits
-            KD = np.ascontiguousarray(Kg.swapaxes(1, 2)[:, dirichlet])
-            vals = np.ascontiguousarray(mod.dirichlet_values[sel][:, dirichlet])
-            bg = (bg - (KD.swapaxes(1, 2) @ vals[..., None])[..., 0])[:, free]
-            Kg = Kg[:, free[:, None], free]
-        cond = static_condense(Kg, bg, layout[n:][free] & istc)
+        sel, free = np.flatnonzero(which == g), np.flatnonzero(~layout[:n])
+        bub = layout[n:][free] & istc
         keys = mod.dof_nodes[sel][:, free]
-        gidx = np.searchsorted(codes, _codes(keys[:, cond.interface], shape))
-        groups.append((mod.mdle[sel], cond, gidx, keys[:, cond.bubble]))
+        gidx = np.searchsorted(codes, _codes(keys[:, ~bub], shape))
+        groups.append((sel, layout[:n], free, bub, gidx, keys[:, bub]))
     return groups
+
+
+def _condense_group(K, b, mod, sel, dirichlet, free, bub):
+    """Lift a layout group's Dirichlet columns to the load, then condense."""
+    Kg, bg = (K, b) if len(sel) == len(K) else (K[sel], b[sel])
+    if dirichlet.any():
+        # items laid out as K[:, D], a contiguous vector: one GEMV's bits
+        KD = np.ascontiguousarray(Kg.swapaxes(1, 2)[:, dirichlet])
+        vals = np.ascontiguousarray(mod.dirichlet_values[sel][:, dirichlet])
+        bg = (bg - (KD.swapaxes(1, 2) @ vals[..., None])[..., 0])[:, free]
+        Kg = Kg[:, free[:, None], free]
+    return static_condense(Kg, bg, bub)
 
 
 def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1):
     """Build the global sparse system; returns (system, groups).  A group
-    is (mdles, stacked CondensedLocal, global interface dofs (S, m),
-    bubble dof keys (S, nb, 4)): the elements of one batch with one
-    (free, bubble) layout, condensed as one stack.
+    is (mdles, stacked CondensedLocal holding recovery data only, K and b
+    None, global interface dofs (S, m), bubble dof keys (S, nb, 4)): one
+    batch's elements with one (free, bubble) layout, condensed as a stack.
 
     `elem_fn(mesh, mdles)` returns the stacked (K, b) of one batch.
     With `istc` off no dof counts as a bubble, so nothing is condensed.
@@ -280,53 +284,63 @@ def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1):
                for _, mdles in solve_batches(mesh)]
     codes, keys, shape = _number_dofs(
         [m for _, mods in batches for m in mods], istc)
+    batches = [(mdles, [(mod, _layout_groups(mod, istc, codes, shape))
+                        for mod in mods]) for mdles, mods in batches]
 
-    def batch_work(batch):
+    # numbering pass: a block row (element, interface dof) starts in its
+    # CSR row after those of elements earlier in natural order, as tocsr
+    # puts them: each row's unstable sort and sums see one order, any batching
+    flat = [(mod.mdle[sel], gidx) for _, mods in batches
+            for mod, layouts in mods for sel, *_, gidx, _ in layouts]
+    pos = np.zeros(len(mesh.NODES), dtype=np.int64)
+    pos[mesh.ELEM_ORDER] = np.arange(len(mesh.ELEM_ORDER))
+    size = np.zeros(len(mesh.ELEM_ORDER), dtype=np.int64)
+    for ids, gidx in flat:
+        size[pos[ids]] = gidx.shape[1]
+    at, n, nnz = np.cumsum(size) - size, len(codes), int(size @ size)
+    brow = np.empty(size.sum(), dtype=np.int64)
+    for ids, gidx in flat:
+        brow[at[pos[ids], None] + np.arange(gidx.shape[1])] = gidx
+    width, order = np.repeat(size, size), np.argsort(brow, kind="stable")
+    start, bval = np.empty_like(brow), np.empty(len(brow))
+    start[order] = np.cumsum(width[order]) - width[order]
+    itype = np.int32 if nnz < 2 ** 31 else np.int64     # as scipy picks it
+    indptr = np.r_[0, np.cumsum(np.bincount(brow, width, n))].astype(itype)
+    indices, data = np.empty(nnz, itype), np.empty(nnz)
+
+    def batch_work(batch):      # numeric pass: writes its disjoint slots
         mdles, mods = batch
         K, b = elem_fn(mesh, mdles)
-        n, E = mods[0].C.shape[1], len(mdles)
+        n, E = mods[0][0].C.shape[1], len(mdles)
         if K.shape != (E, n, n) or b.shape != (E, n):
             raise ConfigError(
                 f"element {mdles[0]}: elem_fn produced K {K.shape} and b "
                 f"{b.shape}, modified elements expect {(E, n, n)}, {(E, n)}")
         row = {mdle: e for e, mdle in enumerate(mdles)}
         groups = []
-        for mod in mods:
-            at = [row[mdle] for mdle in mod.mdle.tolist()]
+        for mod, layouts in mods:
+            sub = [row[mdle] for mdle in mod.mdle.tolist()]
             if not mod.conforming:
                 C = mod.C[0]
-                Ks, bs = (C.T @ K[at[0]] @ C)[None], (C.T @ b[at[0]])[None]
+                Ks, bs = (C.T @ K[sub[0]] @ C)[None], (C.T @ b[sub[0]])[None]
             else:
-                Ks, bs = (K, b) if len(at) == E else (K[at], b[at])
-            groups += _condense_stack(Ks, bs, mod, istc, codes, shape)
+                Ks, bs = (K, b) if len(sub) == E else (K[sub], b[sub])
+            for sel, dirichlet, free, bub, gidx, bkeys in layouts:
+                cond = _condense_group(Ks, bs, mod, sel, dirichlet, free, bub)
+                i1 = at[pos[mod.mdle[sel]], None] + np.arange(gidx.shape[1])
+                i2 = start[i1][..., None] + np.arange(gidx.shape[1])
+                bval[i1], indices[i2], data[i2] = cond.b, gidx[:, None], cond.K
+                cond.K = cond.b = None
+                groups.append((mod.mdle[sel], cond, gidx, bkeys))
         return groups
 
     groups = [g for gs in map_elements(batch_work, batches, workers)
               for g in gs]
-
-    # scatter in natural element order: duplicate sums depend on it
-    pos = np.zeros(len(mesh.NODES), dtype=np.int64)
-    pos[mesh.ELEM_ORDER] = np.arange(len(mesh.ELEM_ORDER))
-    size = np.zeros(len(mesh.ELEM_ORDER), dtype=np.int64)
-    for ids, _, gidx, _ in groups:
-        size[pos[ids]] = gidx.shape[1]
-    at1, at2 = np.cumsum(size) - size, np.cumsum(size ** 2) - size ** 2
-    n = len(codes)
-    bidx, bval = np.empty(size.sum(), dtype=np.int64), np.empty(size.sum())
-    # the index type scipy gives the COO matrix, so it takes them uncopied
-    rows, cols = (np.empty((size ** 2).sum(), dtype=np.int32 if n < 2 ** 31
-                           else np.int64) for _ in "rc")
-    data = np.empty(rows.shape)
-    for ids, cond, gidx, _ in groups:
-        S, m = gidx.shape
-        i1 = at1[pos[ids], None] + np.arange(m)
-        i2 = at2[pos[ids], None] + np.arange(m * m)
-        bidx[i1], bval[i1] = gidx, cond.b
-        data[i2] = cond.K.reshape(S, m * m)
-        rows[i2], cols[i2] = np.repeat(gidx, m, axis=1), np.tile(gidx, (1, m))
     rhs = np.zeros(n)
-    np.add.at(rhs, bidx, bval)
-    matrix = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    np.add.at(rhs, brow, bval)
+    # the sort and the duplicate sums of coo_matrix.tocsr
+    matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    matrix.sum_duplicates()
     return SparseSystem(matrix=matrix, rhs=rhs, keys=keys), groups
 
 
@@ -368,6 +382,7 @@ def assemble_and_solve(mesh, elem_fn, *, istc: bool = True,
         x, iters, res = cg_solve(system.matrix, system.rhs)
     else:
         raise ConfigError(f"unknown solver {solver!r}")
+    system.matrix = None        # not held through recovery and the write
     # bubble recovery, one stack per element group
     bubbles = [(keys.reshape(-1, 4), recover_bubbles(cond, x[gidx]).ravel())
                for _, cond, gidx, keys in groups]

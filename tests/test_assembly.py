@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -298,14 +300,17 @@ def _layout(x):
 
 
 def test_tri_solve_matches_scipy_bitwise():
-    """The per-item dtrtrs loop gives scipy's stacked and single
+    """The per-item BLAS loop gives scipy's stacked and single
     solve_triangular results bit for bit, in scipy's memory layout, for
     1x1 and n x n factors stored C- and F-ordered, lower and upper, with
-    and without the transpose."""
+    and without the transpose, for one and for many right-hand sides
+    (n = 108 and 500 with 111 columns: the bubble blocks of the adaptive
+    ultraweak run and of the order sweep)."""
     rng = np.random.default_rng(11)
-    for n in (1, 6):
-        M = rng.standard_normal((5, n, n)) + 3.0 * np.eye(n)
-        b = rng.standard_normal((5, n, 4))
+    for n, m in ((1, 4), (6, 4), (1, 1), (6, 1), (108, 1), (108, 111),
+                 (500, 1), (500, 111)):
+        M = rng.standard_normal((5, n, n)) / np.sqrt(n) + 3.0 * np.eye(n)
+        b = rng.standard_normal((5, n, m))
         for lower in (True, False):
             c = np.tril(M) if lower else np.triu(M)
             f = c.swapaxes(1, 2).copy().swapaxes(1, 2)
@@ -454,3 +459,92 @@ def test_batched_estimate_matches_single_elements_property():
     check()
     assert seen == {(kind, what) for kind in (poisson.PRIMAL, poisson.UW)
                     for what in ("batch order", "batch")}
+
+
+def test_csr_matches_coo_of_the_same_blocks_property(monkeypatch):
+    """On random hp meshes with hanging nodes and Dirichlet faces, the CSR
+    arrays and the load that `assemble_system` writes in place equal, in
+    dtype and in every byte, `coo_matrix((data, (rows, cols))).tocsr()`
+    and `np.add.at` on the condensed blocks' triplets in natural element
+    order, for the three kinds at `workers` 1 and 2.  The returned groups
+    keep no condensed block."""
+    blocks, seen = {}, set()
+    condense = asm.static_condense
+
+    def recorded(K, b, bubble):
+        cond = condense(K, b, bubble)
+        blocks[id(cond)] = (cond.K, cond.b)
+        return cond
+
+    monkeypatch.setattr(asm, "static_condense", recorded)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(kind=st.sampled_from((poisson.GALERKIN, poisson.PRIMAL, poisson.UW)),
+           nx=st.integers(1, 2), p=st.integers(1, 3), ops=hp_ops(3),
+           workers=st.sampled_from((1, 2)))
+    @example(kind=poisson.GALERKIN, nx=2, p=2, ops=[("h", 0)], workers=1)
+    @example(kind=poisson.UW, nx=2, p=1, ops=[("h", 0)], workers=2)
+    def check(kind, nx, p, ops, workers):
+        problem = poisson.make_problem(kind, exact="smooth")
+        if kind != poisson.GALERKIN:    # DPG element builds are slow
+            p, ops = 1, [op for op in ops if op[0] == "h"]
+        mesh = poisson.make_mesh(problem, grid_geometry(nx, 1, 1), p)
+        apply_hp_ops(mesh, ops)
+        cf.update_Ddof(mesh, problem.dirichlet_fn())
+        blocks.clear()
+        system, groups = asm.assemble_system(mesh, problem.elems,
+                                             workers=workers)
+        pos = {mdle: e for e, mdle in enumerate(mesh.ELEM_ORDER)}
+        elems = sorted(((pos[mdle], blocks[id(cond)], s, gidx[s])
+                        for ids, cond, gidx, _ in groups
+                        for s, mdle in enumerate(ids.tolist())),
+                       key=lambda t: t[0])
+        assert all(c.K is None and c.b is None for _, c, _, _ in groups)
+        data = np.concatenate([K[s].ravel() for _, (K, _), s, _ in elems])
+        rhs_v = np.concatenate([b[s] for _, (_, b), s, _ in elems])
+        g = [g.astype(np.int32) for *_, g in elems]
+        rows = np.concatenate([np.repeat(gi, len(gi)) for gi in g])
+        cols = np.concatenate([np.tile(gi, len(gi)) for gi in g])
+        n = system.ndof
+        ref = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+        for f in ("indptr", "indices", "data"):
+            assert _bits(getattr(system.matrix, f), getattr(ref, f))
+        rhs = np.zeros(n)
+        np.add.at(rhs, np.concatenate(g), rhs_v)
+        assert _bits(system.rhs, rhs)
+        for _, mdles in asm.solve_batches(mesh):
+            for mod in cf.modified_element(mesh, mdles):
+                if not mod.conforming:
+                    seen.add((kind, "constrained"))
+                if mod.dirichlet_values.any():
+                    seen.add((kind, "dirichlet"))
+        if len(rows) > ref.nnz:
+            seen.add((kind, "duplicates"))
+
+    check()
+    assert seen == {(kind, what) for kind in poisson.KINDS
+                    for what in ("constrained", "dirichlet", "duplicates")}
+
+
+def test_assembly_peak_memory_is_a_few_csr_copies(monkeypatch):
+    """The condensed blocks go straight into the CSR arrays: no triplet
+    copy and no condensed stack of the whole mesh is held.  With batches
+    of 8 elements, so that, as on large meshes, whole-mesh arrays and not
+    one batch's kernel temporaries set the peak, assembling a 6x6x6
+    Galerkin p=2 mesh peaks at 3.9 times the bytes of the returned CSR
+    arrays; a scatter through COO triplets that keeps every condensed
+    block reads 6.0."""
+    problem = poisson.make_problem("galerkin", exact="smooth")
+    mesh = poisson.make_mesh(problem, grid_geometry(6, 6, 6), 2)
+    cf.update_Ddof(mesh, problem.dirichlet_fn())
+    monkeypatch.setattr(asm, "_BATCH_BYTES", 8 * 8 * 27 ** 2)
+    asm.assemble_system(mesh, problem.elems)        # warm the table caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        system, _ = asm.assemble_system(mesh, problem.elems)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    A = system.matrix
+    assert peak <= 4.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
