@@ -15,18 +15,20 @@ that `Problem.elems` dispatches for, rows and columns over the attributes
 in declaration order (the row order of C), or the squared residuals (E,)
 of `elem_residual`.  The Galerkin kernel is one stacked pass; the DPG
 builders condense each element's extended stiffness against its factored
-Gram matrix, and the batch that holds the last element leaves those
-systems on the mesh.  The estimate walks the solve's batches, reads them
-and builds the others again.
+Gram matrix into the batch's stacks, and the batch that holds the last
+element leaves those systems on the mesh.  The estimate walks the solve's
+batches, reads them and builds the others again.
 
 Galerkin and primal integrals are weighted GEMMs.  Ultraweak ones stay
 einsums until c09's benchmark reference is re-pinned (c09 marks near-ties
-by roundoff); symmetric Gram products evaluate only the half Cholesky reads.
+by roundoff).  Their G is written in place, its symmetric blocks by row
+blocks of the half Cholesky reads, mirrored: no full-size temporary.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -264,27 +266,24 @@ def _enriched_norder(norder, dp: int) -> list[int]:
     return out
 
 
-def _interface(shapes: me.ShapeSet) -> np.ndarray:
-    return np.flatnonzero(np.asarray(shapes.slots) < 26)
-
-
 def _weighted_gram(w, a, b) -> np.ndarray:
     """Σ_q w_q a[k,…,q] b[l,…,q] as one GEMM."""
     return (a * w).reshape(len(a), -1) @ b.reshape(len(b), -1).T
 
 
-def _sym_gram(w, a) -> np.ndarray:
-    """Σ_q w_q a[k,…,q] a[l,…,q], exactly symmetric: entries on and above
-    the diagonal have the full einsum's bits, the rest are their mirror."""
-    spec = "q,kq,lq->kl" if a.ndim == 2 else "q,kiq,liq->kl"
-    G = np.empty((len(a), len(a)))
-    for s in range(0, len(a), _GRAM_ROWS):
-        e = min(s + _GRAM_ROWS, len(a))
-        blk = np.einsum(spec, w, a[s:e], a[s:])
-        G[s:e, s:e] = np.triu(blk[:, :e - s]) + np.triu(blk[:, :e - s], 1).T
-        G[s:e, e:] = blk[:, e - s:]
-        G[e:, s:e] = blk[:, e - s:].T
-    return G
+def _sym_gram(w, terms, out):
+    """Write Σ c Σ_q w_q a[k,…,q] a[l,…,q] over the (c, a) of `terms` into
+    the square view `out`, by row blocks: entries on and above the diagonal
+    have the bits of the full einsums scaled and added in `terms` order,
+    the rest are their mirror, so `out` is exactly symmetric."""
+    for s in range(0, len(out), _GRAM_ROWS):
+        e = min(s + _GRAM_ROWS, len(out))
+        blk = functools.reduce(np.add, (c * np.einsum(
+            "q,kq,lq->kl" if a.ndim == 2 else "q,kiq,liq->kl",
+            w, a[s:e], a[s:]) for c, a in terms))
+        out[s:e, s:] = blk
+        dpg._mirror_upper(out[s:e, s:e])
+        out[e:, s:e] = blk[:, e - s:].T
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,7 @@ def _dpg_frame(mesh, mdle: int, problem: Problem):
         fgeom = gm.face_geometry(xnod, f + 1, t2)
         fshp = me.shape_functions_elem(me.HDIV, xi, norder)
         sval, _ = gm.piola_transform(me.HDIV, fshp, fgeom)
-        fluxn = np.einsum("kiq,qi->kq", sval[_interface(fshp)], fgeom.rn)
+        fluxn = np.einsum("kiq,qi->kq", sval[fshp.slots < 26], fgeom.rn)
         vtest = me.shape_functions_elem(me.H1, xi, norder_enr).values
         faces.append((xi, fgeom, w2 * fgeom.bjac, fluxn, vtest))
     return (norder, norder_enr, rule.points, geom, rule.weights * geom.rjac,
@@ -354,7 +353,8 @@ def _primal_system(mesh, mdle: int, problem: Problem):
     ns = int(me.layout_counts(me.HDIV, norder, include_middle=False).sum())
     _check_test_dominates(mdle, ntest, trial.nrdof + ns)
 
-    G = _weighted_gram(wj, tval, tval) + _weighted_gram(wj, tgrad, tgrad)
+    G = _weighted_gram(wj, tval, tval)
+    G += _weighted_gram(wj, tgrad, tgrad)
     B = _weighted_gram(wj, tgrad, ugrad)
     fv = source_term(problem, geom.x)
     load = np.einsum("q,kq->k", wj * fv, tval)
@@ -371,19 +371,20 @@ def _dpg_batch(system, mesh, mdles, problem: Problem):
     against its G in turn.  The batch holding the mesh's last element also
     leaves its read-only {mdle: (stiff_all, G)} on the mesh when done, for
     `elem_residual`: one batch per solve, the same for any `workers`."""
-    keep = mesh.ELEM_ORDER[-1] in mdles
-    kept, K, b = {}, [], []
-    for mdle in mdles:
+    keep, kept = mesh.ELEM_ORDER[-1] in mdles, {}
+    for e, mdle in enumerate(mdles):
         stiff_all, G = system(mesh, mdle, problem)
         if keep:
             kept[mdle] = (me._read_only(stiff_all), me._read_only(G))
         cond = dpg.condense_dpg(stiff_all, G)     # (ntrial + 1)²
-        K.append(cond[:-1, :-1])
-        b.append(cond[:-1, -1])
-        del stiff_all, G        # freed before the next element's build
+        if e == 0:
+            n = len(cond) - 1
+            K, b = np.empty((len(mdles), n, n)), np.empty((len(mdles), n))
+        K[e], b[e] = cond[:-1, :-1], cond[:-1, -1]
+        del stiff_all, G, cond  # freed before the next element's build
     if keep:
         mesh._dpg_systems = ((mesh.revision, problem.dp), problem, kept)
-    return np.stack(K), np.stack(b)
+    return K, b
 
 
 def elem_primal_dpg(mesh, mdles, problem: Problem):
@@ -393,12 +394,14 @@ def elem_primal_dpg(mesh, mdles, problem: Problem):
 
 def _uw_system(mesh, mdle: int, problem: Problem):
     """Extended stiffness [B | Bhat | l] and full symmetric Gram matrix,
-    by einsums: c09's pinned reference needs their bits until re-pinned."""
+    by einsums: c09's pinned reference needs their bits until re-pinned.
+    Both are written in place; each frame array goes after its last block."""
     norder, norder_enr, pts, geom, wj, vval, vgrad, faces = _dpg_frame(
         mesh, mdle, problem)
     tshp = me.shape_functions_elem(me.HDIV, pts, norder_enr)
     tau, tdiv = gm.piola_transform(me.HDIV, tshp, geom)
     nv, nt = len(vval), tshp.nrdof
+    del tshp                    # the master table, as large as tau and tdiv
     ntest = nv + nt
     ushp = me.shape_functions_elem(me.L2, pts, norder)
     uval, _ = gm.piola_transform(me.L2, ushp, geom)
@@ -410,15 +413,23 @@ def _uw_system(mesh, mdle: int, problem: Problem):
 
     off = np.concatenate([[0], np.cumsum(sizes)])
     stiff_all = np.zeros((ntest, ntrial + 1))
+    G = np.empty((ntest, ntest))        # adjoint graph norm Gram
     # field equation rows (H1 tests): (sigma, grad v) - <sigma_hat.n, v> = (f, v)
-    sig_v = np.einsum("q,kiq,lq->kli", wj, vgrad, uval).reshape(nv, 3 * nL2)
-    stiff_all[:nv, off[3]:off[4]] = sig_v
+    stiff_all[:nv, off[3]:off[4]] = np.einsum(
+        "q,kiq,lq->kli", wj, vgrad, uval).reshape(nv, 3 * nL2)
     fv = source_term(problem, geom.x)
     stiff_all[:nv, ntrial] = np.einsum("q,kq->k", wj * fv, vval)
+    _sym_gram(wj, ((1.0, vval), (1.0, vgrad)), G[:nv, :nv])
+    del vval
+    G[:nv, nv:] = np.einsum("q,kiq,liq->kl", wj, vgrad, tau)
+    G[nv:, :nv] = G[:nv, nv:].T
+    del vgrad
     # constitutive rows (H(div) tests): (u, div tau)+(sigma, tau)-<u_hat, tau.n>
     stiff_all[nv:, off[2]:off[3]] = np.einsum("q,kq,lq->kl", wj, tdiv, uval)
     stiff_all[nv:, off[3]:off[4]] = np.einsum(
         "q,kiq,lq->kli", wj, tau, uval).reshape(nt, 3 * nL2)
+    _sym_gram(wj, ((1.0, tdiv), (2.0, tau)), G[nv:, nv:])
+    del tau, tdiv, uval
 
     for xi, fgeom, wb, fluxn, v_here in faces:
         stiff_all[:nv, off[1]:off[2]] -= np.einsum(
@@ -427,17 +438,9 @@ def _uw_system(mesh, mdle: int, problem: Problem):
         tval_here, _ = gm.piola_transform(me.HDIV, tau_here, fgeom)
         taun = np.einsum("kiq,qi->kq", tval_here, fgeom.rn)
         ut_shp = me.shape_functions_elem(me.H1, xi, norder)
-        uhat = ut_shp.values[_interface(ut_shp)]
+        uhat = ut_shp.values[ut_shp.slots < 26]
         stiff_all[nv:, off[0]:off[1]] -= np.einsum(
             "q,kq,lq->kl", wb, taun, uhat)
-
-    # adjoint graph norm Gram
-    G = np.zeros((ntest, ntest))
-    G[:nv, :nv] = _sym_gram(wj, vval) + _sym_gram(wj, vgrad)
-    cross = np.einsum("q,kiq,liq->kl", wj, vgrad, tau)
-    G[:nv, nv:] = cross
-    G[nv:, :nv] = cross.T
-    G[nv:, nv:] = _sym_gram(wj, tdiv) + 2.0 * _sym_gram(wj, tau)
     return stiff_all, G
 
 

@@ -75,6 +75,22 @@ def test_condense_matches_saddle_oracle():
     assert np.array_equal(cond, cond.T)  # mirroring is exact
 
 
+def test_condense_mirror_is_the_old_triu_formula_bitwise():
+    """The in-place mirror gives the bits of triu + triu.T - diag, which
+    turns -0.0 into +0.0 above, on and below the diagonal."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 31, 32, 33, 70):
+        a = rng.standard_normal((n, n))
+        a[rng.random((n, n)) < 0.2] = -0.0
+        np.fill_diagonal(a[:, ::-1], -0.0)
+        a[np.arange(0, n, 3), np.arange(0, n, 3)] = -0.0
+        upper = np.triu(a)
+        old = upper + upper.T - np.diag(np.diag(upper))
+        new = dpg._mirror_upper(a.copy())
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+        assert not np.signbit(new[new == 0.0]).any()
+
+
 def test_condensed_blocks_are_psd():
     rng = np.random.default_rng(3)
     for _ in range(10):

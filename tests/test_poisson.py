@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,16 +135,39 @@ def _operands(n, ncomp, nq, seed):
 _ROWS = st.one_of(st.integers(1, 70), st.integers(71, 300))
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+_SCALES = [(1.0,), (2.0,), (1.0, 1.0), (1.0, 2.0)]   # one and two terms
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(n=_ROWS, ncomp=st.sampled_from([0, 3]), nq=st.integers(1, 64),
+@given(n=_ROWS, ncomps=st.tuples(*[st.sampled_from([0, 3])] * 2),
+       scales=st.sampled_from(_SCALES), nq=st.integers(1, 64),
        seed=st.integers(0, 2**16))
-def test_sym_gram_upper_half_is_full_einsum_bitwise(n, ncomp, nq, seed):
-    w, a = _operands(n, ncomp, nq, seed)
-    full = np.einsum(_SPEC[ncomp], w, a, a)
-    G = poisson._sym_gram(w, a)
-    assert np.array_equal(G, G.T)
+def test_sym_gram_upper_half_is_full_einsum_bitwise(n, ncomps, scales, nq,
+                                                     seed):
+    """Written into a strided block of a larger array, the upper triangle
+    has the bits of full_A + c·full_B (or c·full_A for one term), the
+    block is exactly symmetric, and nothing outside it is touched."""
+    w = _operands(n, 0, nq, seed)[0]
+    terms, expect = [], None
+    for t, c in enumerate(scales):
+        a = _operands(n, ncomps[t], nq, seed + t)[1]
+        full = c * np.einsum(_SPEC[ncomps[t]], w, a, a)
+        terms.append((c, a))
+        expect = full if expect is None else expect + full
+    big = np.random.default_rng(seed).standard_normal((n + 3, 2 * n + 5))
+    before = big.copy()
+    inside = np.zeros(big.shape, dtype=bool)
+    inside[1:n + 1, 2:2 * n + 2:2] = True
+    G = big[1:n + 1, 2:2 * n + 2:2]
+    poisson._sym_gram(w, terms, G)
+    assert np.array_equal(_bits(G), _bits(G.T))
     upper = np.triu_indices(n)
-    assert np.array_equal(G[upper], full[upper])
+    assert np.array_equal(_bits(G[upper]), _bits(expect[upper]))
+    assert np.array_equal(_bits(big[~inside]), _bits(before[~inside]))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -231,6 +255,60 @@ def test_uw_gram_spd_up_to_p3():
         _, G = poisson._uw_system(mesh, 1, problem)
         assert np.array_equal(G, G.T)
         dpg.packed_cholesky(dpg.Upper(G))  # must not raise
+
+
+def test_uw_gram_blocks_are_the_full_einsums_bitwise():
+    """On a jittered element, the G that `_uw_system` writes by row blocks
+    holds the bits of the full-size einsum formulas: the upper triangles
+    of the H1 block A + B and the H(div) block A + 2.0·B, mirrored, and
+    the cross block with its transpose below the diagonal."""
+    rng = np.random.default_rng(7)
+    for p in (1, 2, 3):
+        problem = poisson.make_problem("uw", exact="smooth")
+        geo = grid_geometry(1, 1, 1, lengths=(1.4, 0.8, 1.1))
+        geo.points += rng.uniform(-0.05, 0.05, geo.points.shape)
+        mesh = poisson.make_mesh(problem, geo, p)
+        _, G = poisson._uw_system(mesh, 1, problem)
+        _, norder_enr, pts, geom, wj, vval, vgrad, _ = poisson._dpg_frame(
+            mesh, 1, problem)
+        tau, tdiv = gm.piola_transform(
+            me.HDIV, me.shape_functions_elem(me.HDIV, pts, norder_enr), geom)
+        nv = len(vval)
+        h1 = (np.einsum("q,kq,lq->kl", wj, vval, vval)
+              + np.einsum("q,kiq,liq->kl", wj, vgrad, vgrad))
+        hdiv = (np.einsum("q,kq,lq->kl", wj, tdiv, tdiv)
+                + 2.0 * np.einsum("q,kiq,liq->kl", wj, tau, tau))
+        cross = np.einsum("q,kiq,liq->kl", wj, vgrad, tau)
+        for block, full in ((G[:nv, :nv], h1), (G[nv:, nv:], hdiv)):
+            upper = np.triu_indices(len(full))
+            assert np.array_equal(_bits(block[upper]), _bits(full[upper]))
+            assert np.array_equal(_bits(block), _bits(block.T))
+        assert np.array_equal(_bits(G[:nv, nv:]), _bits(cross))
+        assert np.array_equal(_bits(G[nv:, :nv]), _bits(cross.T))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_uw_build_and_condense_peak_memory():
+    """At UW p=3 the in-place build peaks at 2.0 times the bytes it
+    returns ([B | Bhat | l] and G), against 3.4 for full-size Gram sums
+    and an extra master H(div) table; condensation peaks at the bytes of
+    its inputs (the factor and B̃), against 1.2 with a full-size mirror."""
+    mesh, problem = make("uw", exact="smooth", order=3)
+    poisson._uw_system(mesh, 1, problem)        # warm the table caches
+    (stiff_all, G), build = _traced_peak(poisson._uw_system, mesh, 1, problem)
+    inputs = stiff_all.nbytes + G.nbytes
+    _, condense = _traced_peak(dpg.condense_dpg, stiff_all, G)
+    assert build <= 2.6 * inputs
+    assert condense <= 1.1 * inputs
 
 
 def test_uw_patch_single_element():
