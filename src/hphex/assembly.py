@@ -3,13 +3,14 @@
 The element loop runs over batches of elements sharing one order vector
 (one thread-pool item each, at most `_BATCH_BYTES` of local matrices);
 the element routine returns a batch's local systems stacked, rows and
-columns in attribute order.  Assembly expands each through the
-constrained-approximation matrix C (unless C = I), moves Dirichlet
-columns to the load, eliminates interior (bubble) DOFs by a Schur
-complement on the sub-stacks that share one (free, bubble) layout, and
-writes the condensed blocks straight into CSR arrays laid out before the
-loop in natural element order, so duplicates are summed in that order for
-any grouping; a batch keeps only its bubble-recovery data.
+columns in attribute order.  Assembly expands a constrained element's
+through its constrained-approximation matrix C, built there and dropped
+before the next (a conforming one has C = I), moves Dirichlet columns to
+the load, eliminates interior (bubble) DOFs by a Schur complement on the
+sub-stacks that share one (free, bubble) layout, and writes the condensed
+blocks straight into CSR arrays laid out before the loop in natural
+element order, so duplicates are summed in that order for any grouping;
+a batch keeps only its bubble-recovery data.
 
 Global DOF numbering: nodes in id order, attributes in exact-sequence
 order within a node, vector components innermost.  Only modified
@@ -311,20 +312,19 @@ def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1):
     def batch_work(batch):      # numeric pass: writes its disjoint slots
         mdles, mods = batch
         K, b = elem_fn(mesh, mdles)
-        n, E = mods[0][0].C.shape[1], len(mdles)
-        if K.shape != (E, n, n) or b.shape != (E, n):
-            raise ConfigError(
-                f"element {mdles[0]}: elem_fn produced K {K.shape} and b "
-                f"{b.shape}, modified elements expect {(E, n, n)}, {(E, n)}")
-        row = {mdle: e for e, mdle in enumerate(mdles)}
-        groups = []
+        E, row, groups = len(mdles), {mdle: e for e, mdle in enumerate(mdles)}, []
         for mod, layouts in mods:
             sub = [row[mdle] for mdle in mod.mdle.tolist()]
-            if not mod.conforming:
-                C = mod.C[0]
-                Ks, bs = (C.T @ K[sub[0]] @ C)[None], (C.T @ b[sub[0]])[None]
-            else:
+            C = None if mod.conforming else cf.constraint_matrix(mesh, mod.mdle[0])
+            n = mod.dof_nodes.shape[1] if C is None else len(C)
+            if K.shape != (E, n, n) or b.shape != (E, n):
+                raise ConfigError(
+                    f"element {mdles[0]}: elem_fn produced K {K.shape} and b "
+                    f"{b.shape}, modified elements expect {(E, n, n)}, {(E, n)}")
+            if C is None:
                 Ks, bs = (K, b) if len(sub) == E else (K[sub], b[sub])
+            else:
+                Ks, bs = (C.T @ K[sub[0]] @ C)[None], (C.T @ b[sub[0]])[None]
             for sel, dirichlet, free, bub, gidx, bkeys in layouts:
                 cond = _condense_group(Ks, bs, mod, sel, dirichlet, free, bub)
                 i1 = at[pos[mod.mdle[sel]], None] + np.arange(gidx.shape[1])

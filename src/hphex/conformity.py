@@ -187,10 +187,9 @@ def constraint_coefficients(space: str, case: str, parent_order,
 class ModifiedElement:
     """Modified elements of one stack: elements of a batch that share one
     modified dof count.  Every field but `conforming` has a leading stack
-    axis, which a single-element call drops."""
+    axis, which a single-element call drops.  It holds no C."""
 
     mdle: np.ndarray            # (E,) element ids
-    C: np.ndarray               # (E, local dofs, modified dofs)
     dof_nodes: np.ndarray       # (E, n, 4): (node id, attr, comp, k) per dof
     dirichlet: np.ndarray       # (E, n) bool
     dirichlet_values: np.ndarray
@@ -315,17 +314,23 @@ def _dirichlet(mesh, keys):
     return mask.reshape(keys.shape[:-1]), values.reshape(keys.shape[:-1])
 
 
-def modified_element(mesh, mdles):
-    """Constraint expansion, Dirichlet data, and bubble partition of a batch
-    of elements that share one order vector: a list of stacks, the
-    conforming elements (C = I) first, then each constrained element
-    alone.  One element id gives its own ModifiedElement, without the
-    stack axis.
+def constraint_matrix(mesh, mdle) -> np.ndarray:
+    """C (local x modified dofs) of one element, the identity if it is
+    conforming: its attributes' expansions, in physics-table order."""
+    return scipy.linalg.block_diag(*(_expansion(mesh, mdle, attr)[0]
+                                     for attr in range(mesh.physics.nr_physa)))
 
-    The rows of C follow the local dofs attribute by attribute, in the
-    order of the mesh's physics table.  When no slot is constrained the
-    modified dofs are the slot dofs themselves, laid out once per batch
-    from the slot counts and read off the (E, 27) node ids.
+
+def modified_element(mesh, mdles):
+    """Modified dofs, Dirichlet data, and bubble partition of a batch of
+    elements that share one order vector: a list of stacks, the conforming
+    elements (C = I) first, then each constrained element alone.  One
+    element id gives its own ModifiedElement, without the stack axis.
+
+    When no slot is constrained the modified dofs are the slot dofs
+    themselves, laid out once per batch from the slot counts and read off
+    the (E, 27) node ids; a constrained element's are the columns of its
+    `constraint_matrix`, which is not kept.
     """
     if np.isscalar(mdles):
         (mod,) = modified_element(mesh, [mdles])
@@ -335,7 +340,7 @@ def modified_element(mesh, mdles):
     nids, inv = np.unique(ids[:, :26], return_inverse=True)
     hanging = mesh.hanging_nodes()[nids]
     conforming = ~hanging[inv.reshape(-1, 26)].any(axis=1)
-    stacks = []                     # (element ids, C, keys, conforming)
+    stacks = []                     # (element ids, keys, conforming)
     if conforming.any():
         layout = _local_layout(
             tuple((a.fe_space, a.ncomp, a.is_trace) for a in mesh.physics.attrs),
@@ -344,16 +349,14 @@ def modified_element(mesh, mdles):
         pick = np.flatnonzero(conforming)
         keys = np.stack(np.broadcast_arrays(
             ids[pick][:, slot], attr, comp, k), axis=-1)
-        C = np.broadcast_to(np.eye(len(layout)), (len(pick),) + (len(layout),) * 2)
-        stacks.append((ids[pick, 26], C, keys, True))
+        stacks.append((ids[pick, 26], keys, True))
     for e in np.flatnonzero(~conforming).tolist():
-        C, keys = zip(*(_expansion(mesh, mdles[e], attr)
-                        for attr in range(mesh.physics.nr_physa)))
-        stacks.append((ids[e:e + 1, 26], scipy.linalg.block_diag(*C)[None],
-                       np.array(sum(keys, [])).reshape(1, -1, 4), False))
-    return [ModifiedElement(mdle, C, keys, *_dirichlet(mesh, keys),
+        keys = sum((_expansion(mesh, mdles[e], attr)[1]
+                    for attr in range(mesh.physics.nr_physa)), [])
+        stacks.append((ids[e:e + 1, 26], np.array(keys).reshape(1, -1, 4), False))
+    return [ModifiedElement(mdle, keys, *_dirichlet(mesh, keys),
                             keys[..., 0] == mdle[:, None], conf)
-            for mdle, C, keys, conf in stacks]
+            for mdle, keys, conf in stacks]
 
 
 def _node_solution(mesh, nid, attr, count, hanging):

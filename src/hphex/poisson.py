@@ -488,22 +488,29 @@ _OPENBLAS_THREADS = ("scipy_openblas_%s_num_threads64_",
                      "openblas_%s_num_threads64_", "openblas_%s_num_threads")
 
 
-@contextmanager
-def _one_blas_thread():
-    """Run every OpenBLAS the process has loaded on one thread (Linux)."""
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of every OpenBLAS loaded (Linux),
+    read once: numpy's and scipy's, both loaded when this module is
+    imported (`assembly` imports scipy.linalg), so the first read has both."""
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
     except OSError:
         libs = []
-    saved = []
-    for lib in map(ctypes.CDLL, libs):
-        for sym in _OPENBLAS_THREADS:
-            if hasattr(lib, sym % "get"):
-                get, set_n = (getattr(lib, sym % k) for k in ("get", "set"))
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_n.argtypes, set_n.restype = [ctypes.c_int], None
-                saved.append((set_n, get()))
+    pairs = tuple((getattr(lib, sym % "get"), getattr(lib, sym % "set"))
+                  for lib in map(ctypes.CDLL, libs) for sym in _OPENBLAS_THREADS
+                  if hasattr(lib, sym % "get"))
+    for get, set_n in pairs:
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_n.argtypes, set_n.restype = [ctypes.c_int], None
+    return pairs
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run every OpenBLAS on one thread, then restore each one's count."""
+    saved = [(set_n, get()) for get, set_n in _openblas_threads()]
     for set_n, _ in saved:
         set_n(1)
     try:

@@ -173,6 +173,37 @@ def test_estimate_runs_blas_on_one_thread_and_restores_it(monkeypatch):
     assert _openblas_threads() == before
 
 
+def test_one_blas_thread_restores_counts_nested_and_consecutive():
+    """`_one_blas_thread` resolves the OpenBLAS libraries once per process,
+    and nested or consecutive uses each give every library its count
+    back: two threads here, so that a restore to one would show."""
+    before = _openblas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS loaded")
+    pairs = poisson._openblas_threads()
+    assert len(pairs) == len(before)
+    try:
+        for _, set_n in pairs:
+            set_n(2)
+        if _openblas_threads() != [2] * len(before):
+            pytest.skip("OpenBLAS cannot run two threads here")
+        misses = poisson._openblas_threads.cache_info().misses
+        with poisson._one_blas_thread():
+            with poisson._one_blas_thread():
+                assert _openblas_threads() == [1] * len(before)
+            assert _openblas_threads() == [1] * len(before)
+        assert _openblas_threads() == [2] * len(before)
+        for _ in range(2):
+            with poisson._one_blas_thread():
+                assert _openblas_threads() == [1] * len(before)
+            assert _openblas_threads() == [2] * len(before)
+        assert poisson._openblas_threads.cache_info().misses == misses
+    finally:
+        for (_, set_n), n in zip(pairs, before):
+            set_n(n)
+    assert _openblas_threads() == before
+
+
 def test_history_csv_round_trip(tmp_path):
     rows = [adapt.HistoryRow(1, 8, 27, 0.25, 0.5),
             adapt.HistoryRow(2, 15, 64, 0.125, None)]

@@ -376,9 +376,12 @@ def test_batched_kernels_match_single_elements_property(monkeypatch):
                 for e, mdle in enumerate(mod.mdle.tolist()):
                     one = cf.modified_element(mesh, mdle)
                     assert one.mdle == mdle and one.conforming == mod.conforming
-                    for f in ("C", "dof_nodes", "dirichlet",
+                    for f in ("dof_nodes", "dirichlet",
                               "dirichlet_values", "bubble"):
                         assert _bits(getattr(one, f), getattr(mod, f)[e])
+                    if mod.conforming:
+                        n = mod.dof_nodes.shape[1]
+                        assert _bits(cf.constraint_matrix(mesh, mdle), np.eye(n))
                     if len(mdles) > 1 and not mod.conforming:
                         seen.add((kind, "constrained"))
                     if mod.dirichlet_values[e].any():
@@ -548,3 +551,40 @@ def test_assembly_peak_memory_is_a_few_csr_copies(monkeypatch):
         tracemalloc.stop()
     A = system.matrix
     assert peak <= 4.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+def test_assembly_holds_no_constraint_matrices():
+    """No dense constraint matrix is held through the element loop: every
+    batch's modified element stacks hold a few bytes per dof of each
+    element, with no (E, n, m) array, and a constrained element's C is
+    built when its system is expanded.  On a 3x1x1 ultraweak p=2 mesh
+    with one element refined (10 elements, 4 of them constrained by
+    closed hanging faces, n = 218 local dofs), assembly peaks at 17.9
+    local matrices (8 n^2 bytes each); holding a conforming stack's
+    identity per batch and every constrained element's C read 25.9."""
+    problem = poisson.make_problem("uw", exact="smooth")
+    mesh = poisson.make_mesh(problem, grid_geometry(3, 1, 1), 2)
+    refine_element(mesh, mesh.ELEM_ORDER[0])
+    close_mesh(mesh)
+    cf.update_Ddof(mesh, problem.dirichlet_fn())
+    constrained = 0
+    for _, mdles in asm.solve_batches(mesh):
+        for mod in cf.modified_element(mesh, mdles):
+            E, m = mod.dof_nodes.shape[:2]
+            fields = [v for v in vars(mod).values() if isinstance(v, np.ndarray)]
+            assert all(v.shape in ((E,), (E, m), (E, m, 4)) for v in fields)
+            # per element: its id; per dof: the key, value and two masks
+            assert sum(v.nbytes for v in fields) <= E * (8 + 42 * m)
+            constrained += not mod.conforming
+    assert constrained == 4
+    asm.assemble_system(mesh, problem.elems)        # warm the table caches
+    n = problem.elems(mesh, mesh.ELEM_ORDER[:1])[0].shape[-1]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        asm.assemble_system(mesh, problem.elems)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert n == 218
+    assert peak <= 21 * 8 * n ** 2

@@ -330,9 +330,10 @@ def test_conforming_element_gives_identity():
     physics = uw_physics(traces=True)
     mesh = build(grid_geometry(1, 1, 1), physics)
     mod = cf.modified_element(mesh, 1)
-    n = mod.C.shape[0]
-    assert mod.C.shape == (n, n)
-    assert np.array_equal(mod.C, np.eye(n))
+    C = cf.constraint_matrix(mesh, 1)
+    n = C.shape[0]
+    assert C.shape == (n, n)
+    assert np.array_equal(C, np.eye(n))
     assert len(mod.dof_nodes) == n
     # traces own no interior dofs: every bubble dof belongs to u or sigma
     for i in np.flatnonzero(mod.bubble):
@@ -347,14 +348,14 @@ def test_hanging_face_rows_lowest_order():
                  galerkin_physics(), order=(1, 1, 1))
     refine_element(mesh, 1)
     son = mesh.NODES[1].sons[1]  # octant touching the shared face
-    mod = cf.modified_element(mesh, son)
-    nloc = mod.C.shape[0]
-    assert nloc == 8 and mod.C.shape[1] < 2 * nloc
-    sums = mod.C.sum(axis=1)
+    C = cf.constraint_matrix(mesh, son)
+    nloc = C.shape[0]
+    assert nloc == 8 and C.shape[1] < 2 * nloc
+    sums = C.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-12
     row_kinds = set()
     for i in range(nloc):
-        nz = np.sort(mod.C[i][np.abs(mod.C[i]) > 0])
+        nz = np.sort(C[i][np.abs(C[i]) > 0])
         row_kinds.add(tuple(np.round(nz, 12)))
     assert (0.5, 0.5) in row_kinds          # hanging edge midpoint
     assert (0.25, 0.25, 0.25, 0.25) in row_kinds  # hanging face center
@@ -385,6 +386,59 @@ def test_dirichlet_values_flow_into_modified_element():
             assert abs(mod.dirichlet_values[i]) < 1e-12
     # fully clamped cube at p=2: 8 verts + 12 edge bubbles + 6 face bubbles
     assert mod.dirichlet.sum() == 26
+
+
+def test_constraint_matrix_and_constrained_systems_property(monkeypatch):
+    """On random 1-irregular Galerkin and ultraweak meshes,
+    `constraint_matrix` is the identity exactly on the elements that
+    `modified_element` calls conforming (assembly takes C = I there without
+    building it), and the local system each constrained element gets in
+    `assemble_system` is C.T @ K @ C and C.T @ b bit for bit, with K and b
+    the element routine's and C from `constraint_matrix`."""
+    seen, elems, local = set(), {}, {}
+    condense = asm._condense_group
+
+    def recorded(K, b, mod, *rest):
+        if not mod.conforming:
+            local[int(mod.mdle[0])] = (K[0], b[0])
+        return condense(K, b, mod, *rest)
+
+    monkeypatch.setattr(asm, "_condense_group", recorded)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(uw=st.booleans(), nx=st.integers(1, 2), p=st.integers(1, 2),
+           ops=hp_ops(4))
+    def check(uw, nx, p, ops):
+        problem = poisson.make_problem(poisson.UW if uw else poisson.GALERKIN,
+                                       exact="smooth")
+        if uw:                      # h only, at p=1: ~40 ms per element build
+            p, ops = 1, [op for op in ops if op[0] == "h"][:2]
+        mesh = poisson.make_mesh(problem, grid_geometry(nx, 1, 1), p)
+        apply_hp_ops(mesh, ops)
+        cf.update_Ddof(mesh, problem.dirichlet_fn())
+
+        def elem_fn(mesh, mdles):
+            K, b = problem.elems(mesh, mdles)
+            elems.update((m, (K[e], b[e])) for e, m in enumerate(mdles))
+            return K, b
+
+        elems.clear()
+        local.clear()
+        asm.assemble_system(mesh, elem_fn)
+        for mdle in mesh.ELEM_ORDER:
+            C = cf.constraint_matrix(mesh, mdle)
+            identity = _bits(C, np.eye(len(C)))
+            assert identity == cf.modified_element(mesh, mdle).conforming
+            assert identity == (mdle not in local)
+            if not identity:
+                K, b = elems[mdle]
+                assert _bits(local[mdle][0], C.T @ K @ C)
+                assert _bits(local[mdle][1], C.T @ b)
+            seen.add((uw, identity))
+
+    check()
+    assert seen == {(uw, identity) for uw in (False, True)
+                    for identity in (False, True)}
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +525,7 @@ def test_gather_matches_modified_element_property():
             mod = cf.modified_element(mesh, mdle)
             v = np.array([mesh.NODES[nid].dofs[attr][k, c]
                           for nid, attr, c, k in mod.dof_nodes])
-            expect = mod.C @ v
+            expect = cf.constraint_matrix(mesh, mdle) @ v
             local = np.concatenate([
                 cf.gather_solution(mesh, mdle, attr).reshape(-1)
                 for attr in range(len(physics.attrs))])
