@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg import blas, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from . import conformity as cf
 from . import masterel as me
+from .dpg import _tri_solve
 from .errors import ConfigError, LinAlgError, SolveError
 
 
@@ -46,25 +47,6 @@ class CondensedLocal:
     factor: np.ndarray = None   # Cholesky factor of A_bb
     K_ib: np.ndarray = None
     b_b: np.ndarray = None
-
-
-def _tri_solve(a, b, lower, trans=0):
-    """`scipy.linalg.solve_triangular` on a stack a (..., n, n), b (..., n, m),
-    on BLAS: per item one dtrsm (dtrsv for m = 1) in scipy's form (a
-    non-F-contiguous item goes in transposed, `lower` and `trans` flipped),
-    stacked as scipy stacks them.  Same bits as scipy's LAPACK dtrtrs, which
-    OpenBLAS threads even for 1x1; its zero-pivot check runs once here."""
-    n, m = b.shape[-2:]
-    if not (d := np.diagonal(a, axis1=-2, axis2=-1)).all():
-        raise LinAlgError("singular triangular factor at row "
-                          f"{np.argwhere(d.reshape(-1, n) == 0)[0, 1] + 1}")
-    xs = []
-    for a_i, b_i in zip(a.reshape(-1, n, n), b.reshape(-1, n, m)):
-        a_i, lo, tr = ((a_i, lower, trans) if a_i.flags.f_contiguous
-                       else (a_i.T, not lower, not trans))
-        xs.append(blas.dtrsv(a_i, b_i[:, 0], lower=lo, trans=tr) if m == 1
-                  else blas.dtrsm(1.0, a_i, b_i, lower=lo, trans_a=tr))
-    return np.stack(xs).reshape(b.shape)
 
 
 def static_condense(K: np.ndarray, b: np.ndarray,
@@ -374,14 +356,12 @@ def _write_dofs(mesh, keys, vals):
 def assemble_and_solve(mesh, elem_fn, *, istc: bool = True,
                        solver: str = "cg", workers: int = 1) -> SolveReport:
     """Element loop, global solve, and DOF storage (including bubbles)."""
+    solve = {"cg": cg_solve, "dense": _dense_solve}.get(solver)
+    if solve is None:           # checked before any element is built
+        raise ConfigError(f"unknown solver {solver!r}")
     system, groups = assemble_system(
         mesh, elem_fn, istc=istc, workers=workers)
-    if solver == "dense":
-        x, iters, res = _dense_solve(system.matrix, system.rhs)
-    elif solver == "cg":
-        x, iters, res = cg_solve(system.matrix, system.rhs)
-    else:
-        raise ConfigError(f"unknown solver {solver!r}")
+    x, iters, res = solve(system.matrix, system.rhs)
     system.matrix = None        # not held through recovery and the write
     # bubble recovery, one stack per element group
     bubbles = [(keys.reshape(-1, 4), recover_bubbles(cond, x[gidx]).ravel())

@@ -198,12 +198,11 @@ class ModifiedElement:
 
 
 def _assert_unconstrained(mesh, nids, context):
+    hanging = mesh.hanging_nodes()
     for nid in nids:
-        if is_constrained(mesh, nid):
-            raise IrregularityError(
-                f"{context}: node {nid} is itself constrained "
-                "(mesh is 2-irregular; close_mesh was skipped)"
-            )
+        if hanging[nid]:
+            raise IrregularityError(f"{context}: node {nid} is itself constrained "
+                                    "(mesh is 2-irregular; close_mesh was skipped)")
 
 
 @lru_cache(maxsize=None)
@@ -215,9 +214,11 @@ def _node_count(space, kind, order):
     return int(counts[{"VERTEX": 0, "EDGE": 8, "FACE": 20}[kind]])
 
 
-def _parent_group(mesh, space, parent):
-    """Parent-group columns [(node, k), ...] plus the order bundle: the
-    parent's per-axis orders, then its edges' orders for an H1 face."""
+def _parent_group(mesh, space, nid):
+    """Parent-group columns [(node, k), ...] of a constrained node plus
+    `constraint_coefficients`' middle arguments: its case and the order
+    bundle (the parent's orders, then its edges' orders for an H1 face)."""
+    parent = mesh.NODES[mesh.NODES[nid].father]
     if parent.kind == "EDGE":
         nids = parent.verts + (parent.id,)
     elif space == "HDIV":
@@ -227,19 +228,10 @@ def _parent_group(mesh, space, parent):
     edges = () if space == "HDIV" else parent.edges
     order = sum((mesh.NODES[e].orders for e in edges), parent.orders)
     _assert_unconstrained(mesh, nids, f"{parent.kind.lower()} {parent.id}")
+    case = _CASES[parent.kind][parent.sons.index(nid)]
     return [(n, k) for n in nids
             for k in range(_node_count(space, mesh.NODES[n].kind,
-                                       mesh.NODES[n].order))], order
-
-
-def _hanging(mesh, space, nid):
-    """Parent-group columns [(node, k), ...] and the coefficient matrix
-    (node dofs x columns) of a constrained node."""
-    node = mesh.NODES[nid]
-    parent = mesh.NODES[node.father]
-    case = _CASES[parent.kind][parent.sons.index(nid)]
-    group, parent_order = _parent_group(mesh, space, parent)
-    return group, constraint_coefficients(space, case, parent_order, node.orders)
+                                       mesh.NODES[n].order))], (case, order)
 
 
 def scalar_slot_counts(mesh, mdle, space, interface_only=False):
@@ -250,30 +242,36 @@ def scalar_slot_counts(mesh, mdle, space, interface_only=False):
     return [(nodes[s], int(counts[s])) for s in range(27)], norder
 
 
-def _expansion(mesh, mdle, attr):
-    """C (local x modified dofs) of one attribute of an element and the
-    (node, attr, comp, k) key of each modified dof; shared parent nodes
-    coalesce across slots and across constrained children."""
+def _columns(mesh, mdle, attr):
+    """[(node id, dof count, modified columns, coefficient arguments or None)]
+    over the live slots of one attribute of an element, and the (node, attr,
+    comp, k) key of each modified dof; shared parent nodes coalesce across
+    slots and across constrained children.  Reads parent groups only."""
     a = mesh.physics.attrs[attr]
     slots, _ = scalar_slot_counts(mesh, mdle, a.fe_space, a.is_trace)
-    cols, blocks = {}, []
-    for nid, count in slots:
-        if count == 0:
-            continue
-        if not is_constrained(mesh, nid):
-            group, M = [(nid, k) for k in range(count)], np.eye(count)
-        else:
-            group, M = _hanging(mesh, a.fe_space, nid)
-            if M.shape[0] != count:
-                raise MeshError(f"node {nid}: constraint rows {M.shape[0]} "
-                                f"!= dof count {count}")
-        blocks.append(([cols.setdefault(g, len(cols)) for g in group], M))
-    C, row = np.zeros((sum(len(M) for _, M in blocks), len(cols))), 0
-    for at, M in blocks:
-        C[row:row + len(M), at] = M + 0.0   # zeros as +0.0: C is never -0.0
-        row += len(M)
-    keys = [(nid, attr, c, k) for nid, k in cols for c in range(a.ncomp)]
-    return (np.kron(C, np.eye(a.ncomp)) if a.ncomp > 1 else C), keys
+    cols, live, hanging = {}, [], mesh.hanging_nodes()
+    for nid, count in (slot for slot in slots if slot[1]):
+        group, args = (_parent_group(mesh, a.fe_space, nid) if hanging[nid]
+                       else ([(nid, k) for k in range(count)], None))
+        live.append((nid, count, [cols.setdefault(g, len(cols)) for g in group], args))
+    return live, [(nid, attr, c, k) for nid, k in cols for c in range(a.ncomp)]
+
+
+def _expansion(mesh, mdle, attr):
+    """C (local x modified dofs) of one attribute of an element, its rows
+    the slots' dofs and its columns those of `_columns`."""
+    a = mesh.physics.attrs[attr]
+    live, keys = _columns(mesh, mdle, attr)
+    C, row = np.zeros((sum(c for _, c, _, _ in live), len(keys) // a.ncomp)), 0
+    for nid, count, at, args in live:
+        M = np.eye(count) if args is None else constraint_coefficients(
+            a.fe_space, *args, mesh.NODES[nid].orders)
+        if M.shape[0] != count:
+            raise MeshError(f"node {nid}: constraint rows {M.shape[0]} "
+                            f"!= dof count {count}")
+        C[row:row + count, at] = M + 0.0   # zeros as +0.0: C is never -0.0
+        row += count
+    return np.kron(C, np.eye(a.ncomp)) if a.ncomp > 1 else C
 
 
 @lru_cache(maxsize=None)
@@ -317,7 +315,7 @@ def _dirichlet(mesh, keys):
 def constraint_matrix(mesh, mdle) -> np.ndarray:
     """C (local x modified dofs) of one element, the identity if it is
     conforming: its attributes' expansions, in physics-table order."""
-    return scipy.linalg.block_diag(*(_expansion(mesh, mdle, attr)[0]
+    return scipy.linalg.block_diag(*(_expansion(mesh, mdle, attr)
                                      for attr in range(mesh.physics.nr_physa)))
 
 
@@ -330,7 +328,7 @@ def modified_element(mesh, mdles):
     When no slot is constrained the modified dofs are the slot dofs
     themselves, laid out once per batch from the slot counts and read off
     the (E, 27) node ids; a constrained element's are the columns of its
-    `constraint_matrix`, which is not kept.
+    `constraint_matrix`, read off its parent groups: no C is formed.
     """
     if np.isscalar(mdles):
         (mod,) = modified_element(mesh, [mdles])
@@ -351,7 +349,7 @@ def modified_element(mesh, mdles):
             ids[pick][:, slot], attr, comp, k), axis=-1)
         stacks.append((ids[pick, 26], keys, True))
     for e in np.flatnonzero(~conforming).tolist():
-        keys = sum((_expansion(mesh, mdles[e], attr)[1]
+        keys = sum((_columns(mesh, mdles[e], attr)[1]
                     for attr in range(mesh.physics.nr_physa)), [])
         stacks.append((ids[e:e + 1, 26], np.array(keys).reshape(1, -1, 4), False))
     return [ModifiedElement(mdle, keys, *_dirichlet(mesh, keys),
@@ -362,10 +360,11 @@ def modified_element(mesh, mdles):
 def _node_solution(mesh, nid, attr, count, hanging):
     """(count, ncomp) local coefficients of one node: its stored rows (zero
     past them; only a masked node may store none) or, for a node flagged
-    in `hanging`, its parent group's values through `_hanging`."""
+    in `hanging`, its parent group's values through its coefficients."""
     node, a = mesh.NODES[nid], mesh.physics.attrs[attr]
     if hanging[nid]:
-        group, M = _hanging(mesh, a.fe_space, nid)
+        group, args = _parent_group(mesh, a.fe_space, nid)
+        M = constraint_coefficients(a.fe_space, *args, node.orders)
         return M @ np.array([_node_solution(mesh, g, attr, k + 1, hanging)[k]
                              for g, k in group])
     dofs = node.dofs.get(attr) if node.dofs else None

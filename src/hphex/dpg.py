@@ -6,7 +6,8 @@ the condensed Bubnov-Galerkin block is B̃ᵀB̃ where B̃ = U⁻ᵀ[B | B̂ | l
 Element builders return a full symmetric G; LAPACK dpotrf reads only its
 upper triangle, and the factor U is a dense array whose strict lower
 triangle is zero.  Every kernel is a LAPACK/BLAS call through scipy, and
-condensation mirrors B̃ᵀB̃ in place, holding no full-size copy.
+condensation mirrors B̃ᵀB̃ in place, holding no full-size copy.  `_tri_solve`
+(BLAS dtrsm) is the package's one triangular solve, bubble solves included.
 
 ``packed_cholesky`` and ``packed_tri_solve`` keep their names, and pass
 G and U in the ``Upper`` holder, because the benchmark's tracer probes
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import blas, lapack
 
 from .errors import LinAlgError
 
@@ -57,12 +58,34 @@ def packed_cholesky(g: Upper) -> Upper:
     return Upper(u)
 
 
+def _tri_solve(a, b, lower, trans=0):
+    """scipy's triangular solve on a stack a (..., n, n), b (..., n, m), on
+    BLAS: per item one dtrsm (dtrsv for m = 1) in scipy's form (a
+    non-F-contiguous item goes in transposed, `lower` and `trans` flipped),
+    stacked as scipy stacks them; a 2-D b's result is BLAS's own, F-ordered
+    like scipy's.  Same bits as scipy's LAPACK solve, which OpenBLAS threads
+    even for 1x1; its zero-pivot check runs once here."""
+    n, m = b.shape[-2:]
+    if not (d := np.diagonal(a, axis1=-2, axis2=-1)).all():
+        raise LinAlgError("singular triangular factor at row "
+                          f"{np.argwhere(d.reshape(-1, n) == 0)[0, 1] + 1}")
+    xs = []
+    for i in np.ndindex(b.shape[:-2]):
+        a_i, b_i = a[i], b[i]
+        a_i, lo, tr = ((a_i, lower, trans) if a_i.flags.f_contiguous
+                       else (a_i.T, not lower, not trans))
+        xs.append(blas.dtrsv(a_i, b_i[:, 0], lower=lo, trans=tr) if m == 1
+                  else blas.dtrsm(1.0, a_i, b_i, lower=lo, trans_a=tr))
+    return (xs[0] if b.ndim == 2 else np.stack(xs)).reshape(b.shape)
+
+
 def packed_tri_solve(u: Upper, rhs: np.ndarray) -> np.ndarray:
     """Solve Uᵀx = rhs (rhs may be a block)."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != u.n:
         raise LinAlgError(f"rhs has {rhs.shape[0]} rows, factor has {u.n}")
-    return solve_triangular(u.a, rhs, trans="T", check_finite=False)
+    return _tri_solve(u.a, rhs.reshape(u.n, -1), lower=False,
+                      trans=1).reshape(rhs.shape)
 
 
 def _mirror_upper(a: np.ndarray) -> np.ndarray:

@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -264,6 +263,19 @@ def test_dense_solver_reports_true_residual():
     assert report.residual == true
 
 
+def test_unknown_solver_rejected_before_any_element_is_built():
+    mesh, _ = _patch()
+    built = []
+
+    def elem_fn(mesh, mdles):
+        built.append(mdles)
+        raise AssertionError("element routine called")
+
+    with pytest.raises(ConfigError, match="unknown solver 'lu'"):
+        asm.assemble_and_solve(mesh, elem_fn, solver="lu")
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # element batches
 
@@ -292,38 +304,6 @@ def test_stacked_condensation_matches_single_elements():
             one = asm.static_condense(A[s], b[s], bub)
             assert _same(one.K, cond.K[s]) and _same(one.b, cond.b[s])
             assert _same(asm.recover_bubbles(one, u[s]), u_b[s])
-
-
-def _layout(x):
-    """Shape and the strides of every axis longer than one."""
-    return x.shape, [s for s, d in zip(x.strides, x.shape) if d > 1]
-
-
-def test_tri_solve_matches_scipy_bitwise():
-    """The per-item BLAS loop gives scipy's stacked and single
-    solve_triangular results bit for bit, in scipy's memory layout, for
-    1x1 and n x n factors stored C- and F-ordered, lower and upper, with
-    and without the transpose, for one and for many right-hand sides
-    (n = 108 and 500 with 111 columns: the bubble blocks of the adaptive
-    ultraweak run and of the order sweep)."""
-    rng = np.random.default_rng(11)
-    for n, m in ((1, 4), (6, 4), (1, 1), (6, 1), (108, 1), (108, 111),
-                 (500, 1), (500, 111)):
-        M = rng.standard_normal((5, n, n)) / np.sqrt(n) + 3.0 * np.eye(n)
-        b = rng.standard_normal((5, n, m))
-        for lower in (True, False):
-            c = np.tril(M) if lower else np.triu(M)
-            f = c.swapaxes(1, 2).copy().swapaxes(1, 2)
-            assert f[0].flags.f_contiguous and _same(c, f)
-            for a, trans in ((c, 0), (c, 1), (f, 0), (f, 1)):
-                for a_s, b_s in ((a, b), (a[0], b[0])):
-                    ref = scipy.linalg.solve_triangular(a_s, b_s, trans=trans,
-                                                        lower=lower)
-                    got = asm._tri_solve(a_s, b_s, lower, trans)
-                    assert got.tobytes() == ref.tobytes()
-                    assert _layout(got) == _layout(ref)
-    with pytest.raises(LinAlgError):
-        asm._tri_solve(np.zeros((2, 3, 3)), np.ones((2, 3, 1)), True)
 
 
 def test_batches_share_order_and_respect_the_cap(monkeypatch):

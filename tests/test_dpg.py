@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hphex import dpg
 from hphex.errors import ConfigError, LinAlgError
@@ -54,6 +55,54 @@ def test_tri_solve_examples():
 
     with pytest.raises(LinAlgError):
         dpg.packed_tri_solve(u, np.zeros(3))
+
+
+def _layout(x):
+    """Shape and the strides of every axis longer than one."""
+    return x.shape, [s for s, d in zip(x.strides, x.shape) if d > 1]
+
+
+def test_tri_solve_matches_scipy_bitwise():
+    """The per-item BLAS loop gives scipy's stacked and single
+    solve_triangular results bit for bit, in scipy's memory layout, for
+    1x1 and n x n factors stored C- and F-ordered, lower and upper, with
+    and without the transpose, for one and for many right-hand sides
+    (n = 108 and 500 with 111 columns: the bubble blocks of the adaptive
+    ultraweak run and of the order sweep).  So do the DPG solves: an upper
+    F-ordered factor, transposed, at the test-dof counts x columns of the
+    adaptive ultraweak element and the sweep's ultraweak p=3 and p=4
+    elements, and `packed_tri_solve` with one and with 219 right-hand
+    sides at n = 365."""
+    rng = np.random.default_rng(11)
+    for n, m in ((1, 4), (6, 4), (1, 1), (6, 1), (108, 1), (108, 111),
+                 (500, 1), (500, 111)):
+        M = rng.standard_normal((5, n, n)) / np.sqrt(n) + 3.0 * np.eye(n)
+        b = rng.standard_normal((5, n, m))
+        for lower in (True, False):
+            c = np.tril(M) if lower else np.triu(M)
+            f = c.swapaxes(1, 2).copy().swapaxes(1, 2)
+            assert f[0].flags.f_contiguous and np.array_equal(c, f)
+            for a, trans in ((c, 0), (c, 1), (f, 0), (f, 1)):
+                for a_s, b_s in ((a, b), (a[0], b[0])):
+                    ref = scipy.linalg.solve_triangular(a_s, b_s, trans=trans,
+                                                        lower=lower)
+                    got = dpg._tri_solve(a_s, b_s, lower, trans)
+                    assert got.tobytes() == ref.tobytes()
+                    assert _layout(got) == _layout(ref)
+    for n, m in ((365, 219), (666, 451), (1099, 803)):
+        u = np.asfortranarray(np.triu(rng.standard_normal((n, n)) / np.sqrt(n)
+                                      + 3.0 * np.eye(n)))
+        b = rng.standard_normal((n, m))
+        ref = scipy.linalg.solve_triangular(u, b, trans=1, lower=False)
+        got = dpg._tri_solve(u, b, False, 1)
+        assert got.tobytes() == ref.tobytes() and _layout(got) == _layout(ref)
+    u = dpg.packed_cholesky(dpg.Upper(random_spd(rng, 365)))
+    for b in (rng.standard_normal(365), rng.standard_normal((365, 219))):
+        ref = scipy.linalg.solve_triangular(u.a, b, trans="T")
+        got = dpg.packed_tri_solve(u, b)
+        assert got.tobytes() == ref.tobytes() and _layout(got) == _layout(ref)
+    with pytest.raises(LinAlgError):
+        dpg._tri_solve(np.zeros((2, 3, 3)), np.ones((2, 3, 1)), True)
 
 
 def test_condense_scalar_example():
