@@ -326,33 +326,6 @@ def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1):
     return SparseSystem(matrix=matrix, rhs=rhs, keys=keys), groups
 
 
-def _write_dofs(mesh, keys, vals):
-    """Store vals at their (node, attr, comp, k) keys in the node dof arrays.
-
-    Each (node, attr) written takes a fresh array, rows of one buffer,
-    as long as its largest k and its old array, whose values it keeps
-    where no key lands.
-    """
-    nattr, nodes = mesh.physics.nr_physa, mesh.NODES
-    pairs, at = np.unique(keys[:, 0] * nattr + keys[:, 1], return_inverse=True)
-    nids, attrs = (pairs // nattr).tolist(), (pairs % nattr).tolist()
-    olds = [nodes[n].dofs.get(a) if nodes[n].dofs else None
-            for n, a in zip(nids, attrs)]
-    nrow = np.array([0 if d is None else len(d) for d in olds], dtype=np.int64)
-    np.maximum.at(nrow, at, keys[:, 3] + 1)
-    ncomp = np.array(mesh.physics.nr_comp)[pairs % nattr]
-    start = np.cumsum(nrow * ncomp) - nrow * ncomp
-    buf = np.zeros(int((nrow * ncomp).sum()))
-    for nid, attr, old, lo, r, c in zip(nids, attrs, olds, start.tolist(),
-                                        nrow.tolist(), ncomp.tolist()):
-        node, new = nodes[nid], buf[lo:lo + r * c].reshape(r, c)
-        node.dofs = node.dofs or {}
-        node.dofs[attr] = new
-        if old is not None:
-            new[:len(old)] = old
-    buf[start[at] + keys[:, 3] * ncomp[at] + keys[:, 2]] = vals
-
-
 def assemble_and_solve(mesh, elem_fn, *, istc: bool = True,
                        solver: str = "cg", workers: int = 1) -> SolveReport:
     """Element loop, global solve, and DOF storage (including bubbles)."""
@@ -366,7 +339,7 @@ def assemble_and_solve(mesh, elem_fn, *, istc: bool = True,
     # bubble recovery, one stack per element group
     bubbles = [(keys.reshape(-1, 4), recover_bubbles(cond, x[gidx]).ravel())
                for _, cond, gidx, keys in groups]
-    _write_dofs(mesh, *(np.concatenate(a) for a in zip(
+    cf._write_dofs(mesh, *(np.concatenate(a) for a in zip(
         (system.keys, x), *bubbles)))
     return SolveReport(ndof=system.ndof, iterations=iters, residual=res)
 

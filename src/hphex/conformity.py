@@ -19,8 +19,17 @@ H1 and H(div) carry interface DOFs; discontinuous attributes are never
 constrained, and tangential-trace attributes are outside the supported
 problem set.
 
+One per-axis rule gives every case in both spaces.  Masterel's shape
+recipe gives each parent-group column its 1D index on each parent axis,
+and a son's coefficient is the product over the parent's axes of one 1D
+factor at that index: on a half, the son's rows of the 1D restriction
+(H1: its bubble rows; H(div): half the Legendre restriction), and on the
+midline the parent's 1D H1 function at 1/2.
+
 The module also owns Dirichlet DOF interpolation (vertex values, then
-edge and face H1-seminorm projections in parameter coordinates).
+edge and face H1-seminorm projections in parameter coordinates) and the
+node dof arrays: (rows, ncomp) per (node, attr), the value of key (node,
+attr, comp, k) at [k, comp], read by `_stored` and written by `_write_dofs`.
 """
 
 from __future__ import annotations
@@ -34,10 +43,6 @@ import scipy.linalg
 from . import masterel as me
 from .errors import ConfigError, IrregularityError, MeshError, SolveError
 from .mesh import SONS, _centre, element_info
-
-def is_constrained(mesh, nid: int) -> bool:
-    return bool(mesh.hanging_nodes()[nid])
-
 
 # ---------------------------------------------------------------------------
 # 1D restriction operators
@@ -97,29 +102,42 @@ _HALVES = {case: tuple(c // 2 if c % 2 else None for c in centre)
            for case, centre in zip(names, SONS[kind])}
 
 
-def _face_parent_layout(p1, p2, qb, qt, ql, qr):
-    """(k1, k2) tensor indices of the parent group columns, in column order:
-    4 vertices, 4 edge-bubble groups (bottom, top, left, right), face bubbles."""
-    cols = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    cols += [(n, 0) for n in range(2, qb + 1)]
-    cols += [(n, 1) for n in range(2, qt + 1)]
-    cols += [(0, n) for n in range(2, ql + 1)]
-    cols += [(1, n) for n in range(2, qr + 1)]
-    cols += [(n1, n2) for n1 in range(2, p1 + 1) for n2 in range(2, p2 + 1)]
-    return cols
-
-
-def _h1_face_orders(parent_order):
+def _parent_orders(space, naxes, parent_order):
+    """The parent's orders as ints: (p,) on an edge, (p1, p2) on a face,
+    then on an H1 face its bottom, top, left and right edge orders, which
+    default to the face's own."""
     try:
-        vals = tuple(int(v) for v in parent_order)
-    except TypeError:
-        vals = (int(parent_order),)
-    if len(vals) == 2:
-        p1, p2 = vals
-        return p1, p2, p1, p1, p2, p2
-    if len(vals) == 6:
-        return vals
-    raise ConfigError(f"face parent order {parent_order!r}: expected 2 or 6 entries")
+        vals = tuple(int(v) for v in np.atleast_1d(parent_order))
+    except (TypeError, ValueError):
+        vals = ()
+    if space == "H1" and naxes == 2 and len(vals) == 2:
+        vals += (vals[0], vals[0], vals[1], vals[1])
+    if len(vals) != (6 if space == "H1" and naxes == 2 else naxes) or min(vals) < 1:
+        raise ConfigError(f"{space} parent order {parent_order!r}: expected "
+                          f"{naxes} positive entries, or 6 on an H1 face")
+    return vals
+
+
+@lru_cache(maxsize=None)
+def _group_indices(space, orders):
+    """Maximum order per parent axis and the read-only (axes, columns)
+    tensor index of each parent-group column, in `_parent_group` order
+    (vertices, edges, the node), read off the shape recipe of an element
+    whose edge 1 or face 1 and its edges carry `_parent_orders`."""
+    norder = me.uniform_norder((1, 1, 1))
+    if len(orders) == 1:
+        axes, nodes = (0,), (*me.EDGE_VERTS[0], 8)
+        norder[0] = orders[0]
+    else:
+        axes, edges = me.FACE_AXES[0], me.FACE_EDGES[0]
+        nodes = (*me.FACE_VERTS[0], *(8 + e for e in edges), 20)
+        norder[12] = me.encode_face_order(*orders[:2])
+        for e, q in zip(edges, orders[2:]):
+            norder[e] = q
+    pmax, slots, _, idx = me._recipe(space, tuple(norder))
+    cols = np.concatenate([np.flatnonzero(slots == s) for s in nodes])
+    return (tuple(pmax[a] for a in axes),
+            me._read_only(np.ascontiguousarray(idx[np.ix_(cols, axes)].T)))
 
 
 def _child_orders(parent, child):
@@ -138,46 +156,30 @@ def constraint_coefficients(space: str, case: str, parent_order,
     """Coefficient matrix (child dofs x parent-group dofs) for one hanging node.
 
     Edge cases take an integer parent order or (p,); face cases take
-    (p1, p2) or (p1, p2, q_bottom, q_top, q_left, q_right) to give the
-    parent face's edges their own orders.  The child defaults to the
-    parent's order.
-    The result is C-contiguous.
+    (p1, p2), or on an H1 face (p1, p2, q_bottom, q_top, q_left, q_right)
+    to give the parent face's edges their own orders.  The child defaults
+    to the parent's order on each axis it spans.  The result is a
+    read-only C-contiguous array, one product over the parent's axes of
+    one 1D factor at each column's index on that axis.
     """
-    if case not in _HALVES:
-        raise ConfigError(f"unknown constraint case {case!r}")
-    halves = _HALVES[case]
-
-    if space == "HDIV":
-        if len(halves) < 2 or None in halves:
-            # edges and vertices carry no flux dofs
-            return np.zeros((0, 0))
-        p1, p2 = (int(v) for v in parent_order)
-        c1, c2 = _child_orders((p1, p2), child_order)
-        h1, h2 = halves
-        L1 = _legendre_restriction(c1, p1, h1)
-        L2 = _legendre_restriction(c2, p2, h2)
-        return np.ascontiguousarray(np.kron(0.25 * L1, L2))
-    if space != "H1":
+    if case not in _HALVES or space not in ("H1", "HDIV"):
         raise ConfigError(f"no constraints defined for space {space!r}, case {case!r}")
-
-    if len(halves) == 1:
-        (p,) = (int(v) for v in np.atleast_1d(parent_order))
-        if halves[0] is None:
-            return _h1_values_at_half(p)[None, :]
-        (pc,) = _child_orders((p,), child_order)
-        return _h1_restriction(pc, p, halves[0])[2:]
-
-    # every face case is an outer product of one 1D factor per face axis
-    p1, p2, qb, qt, ql, qr = _h1_face_orders(parent_order)
-    cols = np.array(_face_parent_layout(p1, p2, qb, qt, ql, qr)).T
-    pp = (max(p1, qb, qt), max(p2, ql, qr))
-    split = [a for a in (0, 1) if halves[a] is not None]
-    child = dict(zip(split, _child_orders(tuple((p1, p2)[a] for a in split),
+    halves = _HALVES[case]
+    orders = _parent_orders(space, len(halves), parent_order)
+    if space == "HDIV" and (len(halves) < 2 or None in halves):
+        return np.zeros((0, 0))     # edges and vertices carry no flux dofs
+    pp, idx = _group_indices(space, orders)
+    split = [a for a, h in enumerate(halves) if h is not None]
+    child = dict(zip(split, _child_orders(tuple(orders[a] for a in split),
                                           child_order)))
-    f1, f2 = (_h1_values_at_half(pp[a])[None, cols[a]] if halves[a] is None
-              else _h1_restriction(child[a], pp[a], halves[a])[2:, cols[a]]
-              for a in (0, 1))
-    return np.ascontiguousarray((f1[:, None] * f2[None]).reshape(-1, cols.shape[1]))
+    factors = [_h1_values_at_half(pp[a])[None] if h is None
+               else _h1_restriction(child[a], pp[a], h)[2:] if space == "H1"
+               else 0.5 * _legendre_restriction(child[a], pp[a], h)
+               for a, h in enumerate(halves)]
+    C = factors[0][:, idx[0]]
+    for f, i in zip(factors[1:], idx[1:]):
+        C = (C[:, None] * f[None, :, i]).reshape(-1, idx.shape[1])
+    return me._read_only(np.ascontiguousarray(C))
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +287,67 @@ def _local_layout(attrs, norder):
     return me._read_only(np.array(rows, dtype=np.int64).reshape(-1, 4))
 
 
+def _arrays(mesh, keys):
+    """The distinct (node, attr) pairs of an (n, 4) array of dof keys: each
+    key's pair, and per pair its node id, attr and stored array (None if
+    none), for the node dof format's one reader and one writer."""
+    nattr, nodes = mesh.physics.nr_physa, mesh.NODES
+    pairs, at = np.unique(keys[:, 0] * nattr + keys[:, 1], return_inverse=True)
+    nids, attrs = (pairs // nattr).tolist(), (pairs % nattr).tolist()
+    return at, nids, attrs, [d.get(a) if (d := nodes[n].dofs) else None
+                             for n, a in zip(nids, attrs)]
+
+
+def _stored(mesh, keys):
+    """Stored value of each key of an (n, 4) array (zero past its node's
+    rows) and whether its (node, attr) stores an array."""
+    at, _, _, arrays = _arrays(mesh, keys)
+    size = np.array([-1 if d is None else d.size for d in arrays], dtype=np.int64)
+    pos = keys[:, 3] * np.array(mesh.physics.nr_comp)[keys[:, 1]] + keys[:, 2]
+    hit = pos < size[at]            # a pair storing nothing has size -1
+    table = np.concatenate([np.zeros(0)] + [d.ravel() for d in arrays if d is not None])
+    start = np.cumsum(size.clip(0)) - size.clip(0)
+    values = np.zeros(len(keys))
+    values[hit] = table[start[at[hit]] + pos[hit]]
+    return values, size[at] >= 0
+
+
+def _write_dofs(mesh, keys, vals):
+    """Store vals at their (node, attr, comp, k) keys in the node dof arrays.
+
+    Each (node, attr) written takes a fresh array, rows of one buffer,
+    as long as its largest k and its old array, whose values it keeps
+    where no key lands.
+    """
+    at, nids, attrs, olds = _arrays(mesh, keys)
+    nrow = np.array([0 if d is None else len(d) for d in olds], dtype=np.int64)
+    np.maximum.at(nrow, at, keys[:, 3] + 1)
+    ncomp = np.array(mesh.physics.nr_comp)[attrs]
+    start = np.cumsum(nrow * ncomp) - nrow * ncomp
+    buf = np.zeros(int((nrow * ncomp).sum()))
+    for nid, attr, old, lo, r, c in zip(nids, attrs, olds, start.tolist(),
+                                        nrow.tolist(), ncomp.tolist()):
+        node, new = mesh.NODES[nid], buf[lo:lo + r * c].reshape(r, c)
+        node.dofs = node.dofs or {}
+        node.dofs[attr] = new
+        if old is not None:
+            new[:len(old)] = old
+    buf[start[at] + keys[:, 3] * ncomp[at] + keys[:, 2]] = vals
+
+
 def _dirichlet(mesh, keys):
     """Dirichlet mask and values of a (..., 4) array of dof keys.  A dof is
     masked when its node, not a middle node, has the bcond bit of its
-    global component; the values of each distinct masked (node, attr) are
-    read once, zero where the node stores none."""
-    physics, nodes, nattr = mesh.physics, mesh.NODES, mesh.physics.nr_physa
+    global component; masked values are read through `_stored`."""
+    physics, nodes = mesh.physics, mesh.NODES
     flat = keys.reshape(-1, 4)
     nids, inv = np.unique(flat[:, 0], return_inverse=True)
     bcond = np.array([0 if nodes[n].kind == "MIDDLE" else nodes[n].bcond
                       for n in nids.tolist()], dtype=np.int64)
-    offset = np.array([physics.comp_offset(a) for a in range(nattr)])
+    offset = np.array([physics.comp_offset(a) for a in range(physics.nr_physa)])
     mask = (bcond[inv] >> (offset[flat[:, 1]] + flat[:, 2]) & 1).astype(bool)
-    values, rows = np.zeros(len(flat)), np.flatnonzero(mask)
-    if rows.size:
-        pair, where = np.unique(inv[rows] * nattr + flat[rows, 1],
-                                return_inverse=True)
-        stored = [nodes[n].dofs.get(a) if nodes[n].dofs else None for n, a
-                  in zip(nids[pair // nattr].tolist(), (pair % nattr).tolist())]
-        stored = [np.zeros(0) if d is None else d.ravel() for d in stored]
-        size = np.array([d.size for d in stored])
-        at = flat[rows, 3] * np.array(physics.nr_comp)[flat[rows, 1]] + flat[rows, 2]
-        hit = at < size[where]      # a node storing none has size 0
-        values[rows[hit]] = np.concatenate(stored)[
-            (np.cumsum(size) - size)[where[hit]] + at[hit]]
+    values = np.zeros(len(flat))
+    values[mask] = _stored(mesh, flat[mask])[0]
     return mask.reshape(keys.shape[:-1]), values.reshape(keys.shape[:-1])
 
 
@@ -357,56 +396,43 @@ def modified_element(mesh, mdles):
             for mdle, keys, conf in stacks]
 
 
-def _node_solution(mesh, nid, attr, count, hanging):
-    """(count, ncomp) local coefficients of one node: its stored rows (zero
-    past them; only a masked node may store none) or, for a node flagged
-    in `hanging`, its parent group's values through its coefficients."""
-    node, a = mesh.NODES[nid], mesh.physics.attrs[attr]
-    if hanging[nid]:
-        group, args = _parent_group(mesh, a.fe_space, nid)
-        M = constraint_coefficients(a.fe_space, *args, node.orders)
-        return M @ np.array([_node_solution(mesh, g, attr, k + 1, hanging)[k]
-                             for g, k in group])
-    dofs = node.dofs.get(attr) if node.dofs else None
-    if dofs is not None and len(dofs) >= count:
-        return dofs[:count]
-    if dofs is None and count and (node.kind == "MIDDLE" or not any(
-            node.bcond >> mesh.physics.global_comp(attr, c) & 1
-            for c in range(a.ncomp))):
-        raise SolveError(f"node {nid} has no solution dofs for attr {attr}")
-    out = np.zeros((count, a.ncomp))
-    if dofs is not None:
-        out[:len(dofs)] = dofs
-    return out
-
-
 def gather_solution(mesh, mdles, attr: int) -> np.ndarray:
     """Local conforming coefficients (E, nscalar, ncomp) of one attribute
     on a batch of elements that share one order vector; one element id
-    gives its (nscalar, ncomp) view of the batch of one.  Stored rows are
-    read by one index into their concatenation; only constrained nodes and
-    nodes storing too few rows are resolved one by one."""
+    gives its (nscalar, ncomp) view of the batch of one.  The batch's local
+    keys are read through `_stored`, but each distinct hanging node is
+    resolved once, as M @ its parent group's stored values.  A dof that is
+    neither stored nor Dirichlet-masked raises."""
     if np.isscalar(mdles):
         return gather_solution(mesh, [mdles], attr)[0]
     a = mesh.physics.attrs[attr]
-    slots, _ = scalar_slot_counts(mesh, mdles[0], a.fe_space, a.is_trace)
-    live = [s for s, (_, count) in enumerate(slots) if count]
-    count = np.array([slots[s][1] for s in live])
-    ids = np.array([mesh.element(m).elem_nodes + (m,) for m in mdles])[:, live]
-    nids, first, where = np.unique(ids, return_index=True, return_inverse=True)
-    ncount = count[first % len(live)]
-    nodes, hanging = mesh.NODES, mesh.hanging_nodes()
-    stored = [nodes[n].dofs.get(attr) if nodes[n].dofs else None
-              for n in nids.tolist()]
-    size = np.array([0 if d is None else len(d) for d in stored])
-    slow = np.flatnonzero(hanging[nids] | (size < ncount))
-    for i in slow.tolist():
-        stored[i] = _node_solution(mesh, nids[i], attr, ncount[i], hanging)
-    size[slow] = ncount[slow]
-    table = np.concatenate(stored)
-    rows = (np.cumsum(size) - size)[where.reshape(ids.shape)]
-    return table[np.repeat(rows, count, axis=1)
-                 + np.concatenate([np.arange(c) for c in count])]
+    nc = a.ncomp
+    _, slot, comp, k = _local_layout(((a.fe_space, nc, a.is_trace),),
+                                     tuple(element_info(mesh, mdles[0])[0])).T
+    ids = np.array([mesh.element(m).elem_nodes + (m,) for m in mdles])
+    keys = np.stack(np.broadcast_arrays(ids[:, slot], attr, comp, k),
+                    axis=-1).reshape(-1, 4)
+    out, has = _stored(mesh, keys)
+    hang = mesh.hanging_nodes()[keys[:, 0]]
+    hanging, where = np.unique(keys[hang, 0], return_inverse=True)
+    groups = [_parent_group(mesh, a.fe_space, nid) for nid in hanging.tolist()]
+    read = np.array([(n, attr, c, j) for group, _ in groups for n, j in group
+                     for c in range(nc)], dtype=np.int64).reshape(-1, 4)
+    values, stored = _stored(mesh, read)
+    missing = np.concatenate([keys[~has & ~hang], read[~stored]])
+    masked, _ = _dirichlet(mesh, missing)
+    if not masked.all():
+        raise SolveError(f"node {missing[~masked][0, 0]} has no solution dofs "
+                         f"for attr {attr}")
+    tables, lo = [], 0
+    for nid, (group, args) in zip(hanging.tolist(), groups):
+        M = constraint_coefficients(a.fe_space, *args, mesh.NODES[nid].orders)
+        tables.append((M @ values[lo:lo + len(group) * nc].reshape(-1, nc)).ravel())
+        lo += len(group) * nc
+    size = np.array([t.size for t in tables], dtype=np.int64)
+    out[hang] = np.concatenate([np.zeros(0), *tables])[
+        (np.cumsum(size) - size)[where] + keys[hang, 3] * nc + keys[hang, 2]]
+    return out.reshape(len(mdles), -1, nc)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +481,7 @@ def _face_gram(p1, p2):
     t, w2 = me.gauss_quadrature_2d((p1 + 2, p2 + 2))
     H1b, dH1b, _, _ = me._axis_bases(p1, t[:, 0].tobytes())
     H2b, dH2b, _, _ = me._axis_bases(p2, t[:, 1].tobytes())
-    fidx = [(n1, n2) for n1 in range(2, p1 + 1) for n2 in range(2, p2 + 1)]
+    fidx = _group_indices("H1", (p1, p2, 1, 1, 1, 1))[1].T[4:]   # the face's own
     A1 = np.array([dH1b[n1] * H2b[n2] for n1, n2 in fidx])
     A2 = np.array([H1b[n1] * dH2b[n2] for n1, n2 in fidx])
     K = np.array([[(w2 * (a1 * b1 + a2 * b2)).sum() for b1, b2 in zip(A1, A2)]
@@ -480,30 +506,22 @@ def _project_faces(mesh, group, dirichlet_fn, attr, nc):
     x, dx1, dx2 = (np.einsum("cp,fci->fpi", np.stack(h), corners) for h in hats)
     _, grads = dirichlet_fn(x.reshape(-1, 3))
     g1, g2 = ((grads.reshape(x.shape) * dx).sum(-1) for dx in (dx1, dx2))
-    col1, col2 = t1.tobytes(), t2.tobytes()
-    H1b, dH1b, _, _ = me._axis_bases(p1, col1)
-    H2b, dH2b, _, _ = me._axis_bases(p2, col2)
-    # lift: bilinear vertex part, then edge bubbles interpolated earlier
-    cvals = dirichlet_fn(corners.reshape(-1, 3))[0].reshape(-1, 4, 1)
-    l1, l2 = np.zeros_like(g1), np.zeros_like(g2)
-    for c, (k1, k2) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
-        l1 += cvals[:, c] * dH1b[k1] * H2b[k2]
-        l2 += cvals[:, c] * H1b[k1] * dH2b[k2]
+    # lift: the face group's vertex and edge columns, at the corner values
+    # and the edge bubbles interpolated earlier
+    lift = [_lift_order(mesh, face, pos, attr) for pos in range(4)]
+    pp, idx = _group_indices("H1", (p1, p2, *lift))
+    (H1b, dH1b, _, _), (H2b, dH2b, _, _) = (
+        me._axis_bases(p, t[:, a].tobytes()) for a, p in enumerate(pp))
+    cvals = dirichlet_fn(corners.reshape(-1, 3))[0].reshape(-1, 4)
     K, A1, A2 = _face_gram(p1, p2)
     for comp in comps:
-        lift1, lift2 = l1.copy(), l2.copy()
-        for pos in range(4):        # bottom, top (along t1), left, right
-            pe = _lift_order(mesh, face, pos, attr)
-            if pe < 2:
-                continue
-            edofs = np.array([mesh.NODES[node.edges[pos]].dofs[attr][:, comp]
-                              for node, _ in group])
-            Hb1, dHb1, _, _ = me._axis_bases(max(p1, pe), col1)
-            Hb2, dHb2, _, _ = me._axis_bases(max(p2, pe), col2)
-            for n in range(2, pe + 1):
-                k1, k2 = (n, pos) if pos < 2 else (pos - 2, n)
-                lift1 += edofs[:, n - 2, None] * dHb1[k1] * Hb2[k2]
-                lift2 += edofs[:, n - 2, None] * Hb1[k1] * dHb2[k2]
+        coef = np.concatenate([cvals] + [np.array(
+            [mesh.NODES[node.edges[pos]].dofs[attr][:pe - 1, comp] for node, _ in group])
+            for pos, pe in enumerate(lift) if pe > 1], axis=1)
+        lift1, lift2 = np.zeros_like(g1), np.zeros_like(g2)
+        for c, (k1, k2) in zip(coef.T, idx.T[:-nbub]):
+            lift1 += c[:, None] * dH1b[k1] * H2b[k2]
+            lift2 += c[:, None] * H1b[k1] * dH2b[k2]
         r1, r2 = (g1 - lift1)[:, None], (g2 - lift2)[:, None]
         rhs = (w2 * (r1 * A1 + r2 * A2)).sum(-1)
         sol = np.linalg.solve(K, rhs[..., None])[..., 0]   # K broadcast

@@ -153,23 +153,6 @@ def uniform_norder(order) -> list[int]:
 # ---------------------------------------------------------------------------
 # quadrature
 
-class QuadratureRule3D:
-    """Tensor Gauss-Legendre rule on the master cube.
-
-    Attributes
-    ----------
-    points : (n, 3) array in [0,1]^3
-    weights : (n,) array, positive, summing to 1
-    """
-
-    def __init__(self, points, weights):
-        self.points = points
-        self.weights = weights
-
-    def __len__(self):
-        return len(self.weights)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -199,9 +182,9 @@ def gauss_quadrature_2d(counts) -> tuple[np.ndarray, np.ndarray]:
     return _tensor_gauss((int(counts[0]), int(counts[1])))
 
 
-def gauss_quadrature_3d(counts) -> QuadratureRule3D:
-    return QuadratureRule3D(*_tensor_gauss(
-        (int(counts[0]), int(counts[1]), int(counts[2]))))
+def gauss_quadrature_3d(counts) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor rule on the unit cube; returns ((n,3) points, weights)."""
+    return _tensor_gauss((int(counts[0]), int(counts[1]), int(counts[2])))
 
 
 # ---------------------------------------------------------------------------

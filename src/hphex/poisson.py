@@ -295,11 +295,11 @@ def elem_galerkin(mesh, mdles, problem: Problem):
     norder = element_info(mesh, mdles[0])[0]
     xnod = element_vertices(mesh, mdles)
     qx, qy, qz = me.axis_orders(norder)
-    rule = me.gauss_quadrature_3d((qx + 1, qy + 1, qz + 1))
-    geom = gm.element_geometry(xnod, rule.points)
-    shp = me.shape_functions_elem(me.H1, rule.points, norder)
+    xi, w = me.gauss_quadrature_3d((qx + 1, qy + 1, qz + 1))
+    geom = gm.element_geometry(xnod, xi)
+    shp = me.shape_functions_elem(me.H1, xi, norder)
     val, grad = gm.piola_transform(me.H1, shp, geom)
-    wj = rule.weights * geom.rjac
+    wj = w * geom.rjac
     grad = np.ascontiguousarray(grad)   # one copy serves both operands
     g = grad.reshape(len(mdles), shp.nrdof, -1)
     K = (grad * wj[:, None, None, :]).reshape(g.shape) @ g.swapaxes(1, 2)
@@ -317,9 +317,9 @@ def _dpg_frame(mesh, mdle: int, problem: Problem):
     norder, xnod, _ = element_info(mesh, mdle)
     norder_enr = _enriched_norder(norder, dp)
     q = me.axis_orders(norder)
-    rule = me.gauss_quadrature_3d(tuple(qa + dp + 1 for qa in q))
-    geom = gm.element_geometry(xnod, rule.points)
-    vshp = me.shape_functions_elem(me.H1, rule.points, norder_enr)
+    pts, w = me.gauss_quadrature_3d(tuple(qa + dp + 1 for qa in q))
+    geom = gm.element_geometry(xnod, pts)
+    vshp = me.shape_functions_elem(me.H1, pts, norder_enr)
     vval, vgrad = gm.piola_transform(me.H1, vshp, geom)
     faces = []
     for f, (a1, a2) in enumerate(me.FACE_AXES):
@@ -331,7 +331,7 @@ def _dpg_frame(mesh, mdle: int, problem: Problem):
         fluxn = np.einsum("kiq,qi->kq", sval[fshp.slots < 26], fgeom.rn)
         vtest = me.shape_functions_elem(me.H1, xi, norder_enr).values
         faces.append((xi, fgeom, w2 * fgeom.bjac, fluxn, vtest))
-    return (norder, norder_enr, rule.points, geom, rule.weights * geom.rjac,
+    return (norder, norder_enr, pts, geom, w * geom.rjac,
             vval, vgrad, faces)
 
 
@@ -557,16 +557,15 @@ def compute_exact_error(mesh, problem: Problem):
     # per element: the two (3, 3) Jacobian tables at every point
     for norder, mdles in asm.element_batches(mesh, lambda norder: 144 * int(
             np.prod([qa + 2 for qa in me.axis_orders(norder)]))):
-        rule = me.gauss_quadrature_3d(
+        xi, w = me.gauss_quadrature_3d(
             tuple(qa + 2 for qa in me.axis_orders(norder)))
         xnod = element_vertices(mesh, mdles)
-        geom = gm.element_geometry(xnod, rule.points)
-        wj = rule.weights * geom.rjac
+        geom = gm.element_geometry(xnod, xi)
+        wj = w * geom.rjac
         x = geom.x.reshape(-1, 3)
         gu = exact.grad(x).reshape(len(mdles), -1, 3).swapaxes(1, 2)
         uu = exact.u(x).reshape(len(mdles), -1)
-        shp = me.shape_functions_elem(me.L2 if uw else me.H1, rule.points,
-                                      norder)
+        shp = me.shape_functions_elem(me.L2 if uw else me.H1, xi, norder)
         cu = cf.gather_solution(mesh, mdles, 2 if uw else 0)[..., 0]
         uh = cu @ shp.values
         if uw:

@@ -137,10 +137,10 @@ def test_c02_quadrature_exactness():
     t0 = time.perf_counter()
     worst = 0.0
     for n in range(1, 11):
-        rule = me.gauss_quadrature_3d((n, n, n))
+        pts, w = me.gauss_quadrature_3d((n, n, n))
         deg = np.arange(2 * n)
-        powers = [rule.points[:, ax][None, :] ** deg[:, None] for ax in range(3)]
-        got = np.einsum("am,bm,cm,m->abc", *powers, rule.weights)
+        powers = [pts[:, ax][None, :] ** deg[:, None] for ax in range(3)]
+        got = np.einsum("am,bm,cm,m->abc", *powers, w)
         exact = 1.0 / np.multiply.outer(
             np.multiply.outer(deg + 1, deg + 1), deg + 1)
         worst = max(worst, float(np.abs(got - exact).max()))

@@ -337,6 +337,7 @@ def test_batched_kernels_match_single_elements_property(monkeypatch):
            nx=st.integers(1, 2), ny=st.integers(1, 2), p=st.integers(1, 3),
            ops=hp_ops(3), seed=st.integers(0, 2 ** 16))
     @example(kind=poisson.GALERKIN, nx=2, ny=1, p=1, ops=[("h", 0)], seed=0)
+    @example(kind=poisson.UW, nx=2, ny=1, p=1, ops=[("h", 0)], seed=0)
     def check(kind, nx, ny, p, ops, seed):
         problem = poisson.make_problem(
             kind, exact="smooth", dp=2 if kind == poisson.PRIMAL else 1)
@@ -371,15 +372,15 @@ def test_batched_kernels_match_single_elements_property(monkeypatch):
                 K1, b1 = problem.elems(mesh, [mdle])
                 assert _same(K1[0], K[e]) and _same(b1[0], b[e])
 
-            rule = me.gauss_quadrature_3d((4, 3, 2))
+            xi, _ = me.gauss_quadrature_3d((4, 3, 2))
             xnod = np.array([element_info(mesh, m)[1] for m in mdles])
-            geom = gm.element_geometry(xnod, rule.points)
+            geom = gm.element_geometry(xnod, xi)
             for e in range(len(mdles)):
-                one = gm.element_geometry(xnod[e], rule.points)
+                one = gm.element_geometry(xnod[e], xi)
                 for f in ("x", "dxdxi", "dxidx", "rjac"):
                     assert _same(getattr(one, f), getattr(geom, f)[e])
                 for space in (me.H1, me.HDIV, me.L2):
-                    shp = me.shape_functions_elem(space, rule.points, norder)
+                    shp = me.shape_functions_elem(space, xi, norder)
                     stacked = gm.piola_transform(space, shp, geom)
                     single = gm.piola_transform(space, shp, one)
                     for s, o in zip(stacked, single):

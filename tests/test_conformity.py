@@ -1,3 +1,7 @@
+import functools
+import itertools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +101,19 @@ def test_hdiv_quadrant_scales_parent_trace():
         assert np.max(np.abs(child - 0.25 * parent)) < 1e-12
 
 
+def _face_layout(p1, p2, qb, qt, ql, qr):
+    """(k1, k2) tensor indices of a face's parent-group columns, written out
+    by hand: 4 vertices, the bottom, top, left and right edge bubbles, then
+    the face bubbles, n1 outer."""
+    cols = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    cols += [(n, 0) for n in range(2, qb + 1)]
+    cols += [(n, 1) for n in range(2, qt + 1)]
+    cols += [(0, n) for n in range(2, ql + 1)]
+    cols += [(1, n) for n in range(2, qr + 1)]
+    cols += [(n1, n2) for n1 in range(2, p1 + 1) for n2 in range(2, p2 + 1)]
+    return cols
+
+
 def _eval_face(cols, coef, pp1, pp2, t1, t2):
     t1 = np.asarray(t1, dtype=float)
     B1 = h1v(pp1, t1)
@@ -111,7 +128,7 @@ def test_h1_face_catalogue_reproduces_trace():
     """All face constraint cases jointly rebuild the father trace exactly."""
     rng = np.random.default_rng(23)
     for p1, p2 in ((2, 2), (3, 2)):
-        cols = cf._face_parent_layout(p1, p2, p1, p1, p2, p2)
+        cols = _face_layout(p1, p2, p1, p1, p2, p2)
         coef = rng.standard_normal(len(cols))
         order = (p1, p2)
 
@@ -221,6 +238,9 @@ def test_cached_tables_are_read_only_and_bitwise_reproducible():
     ("H1", "face-quadrant-1", (3, 3), (2, 3)),      # child below parent
     ("HDIV", "face-quadrant-1", (3, 3), (2, 3)),
     ("H1", "face-interior-edge-1", (3, 3), 2),
+    ("HDIV", "face-quadrant-1", 3, None),           # an HDIV face takes (p1, p2)
+    ("HDIV", "face-quadrant-1", (2, 2, 2), None),
+    ("H1", "edge-half-1", (2, 3), None),            # an edge takes one order
 ])
 def test_malformed_face_cases_raise(space, case, parent, child):
     with pytest.raises(ConfigError):
@@ -228,9 +248,10 @@ def test_malformed_face_cases_raise(space, case, parent, child):
 
 
 def _loop_coefficients(space, case, parent_order, child_order):
-    """Face matrices entry by entry: the reference for the outer products."""
-    son = cf._CASES["FACE"].index(case)
+    """Edge and face matrices entry by entry: the reference for the outer
+    products."""
     if space == "HDIV":
+        son = cf._CASES["FACE"].index(case)
         p1, p2 = parent_order
         c1, c2 = child_order or parent_order
         L1 = cf._legendre_restriction(c1, p1, son & 1)
@@ -239,40 +260,51 @@ def _loop_coefficients(space, case, parent_order, child_order):
         for i1, i2, j1, j2 in np.ndindex(c1, c2, p1, p2):
             M[i1 * c2 + i2, j1 * p2 + j2] = 0.25 * L1[i1, j1] * L2[i2, j2]
         return M
-    orders = cf._h1_face_orders(parent_order)
-    cols = cf._face_parent_layout(*orders)
-    pp = (max(orders[0], orders[2], orders[3]), max(orders[1], orders[4], orders[5]))
+    if case in cf._CASES["EDGE"]:
+        orders = tuple(np.atleast_1d(parent_order))
+        cols, pp = [(k,) for k in range(orders[0] + 1)], orders
+    else:
+        orders = (tuple(parent_order) if len(parent_order) == 6 else
+                  (*parent_order, parent_order[0], parent_order[0],
+                   parent_order[1], parent_order[1]))
+        cols = _face_layout(*orders)
+        pp = (max(orders[0], orders[2], orders[3]), max(orders[1], orders[4], orders[5]))
     factors = []
     for a, half in enumerate(cf._HALVES[case]):
         if half is None:
             factors.append([me.h1_basis_1d(pp[a], np.array([0.5]))[0][:, 0]])
             continue
         c = (orders[a] if child_order is None
-             else child_order[a] if son < 4 else child_order)
+             else child_order[a] if "quadrant" in case else child_order)
         E = cf._h1_restriction(c, pp[a], half)
         factors.append([E[m] for m in range(2, c + 1)])
-    M = np.empty((len(factors[0]) * len(factors[1]), len(cols)))
-    for i, (r1, r2) in enumerate((r1, r2) for r1 in factors[0] for r2 in factors[1]):
-        for j, (k1, k2) in enumerate(cols):
-            M[i, j] = r1[k1] * r2[k2]
+    rows = list(itertools.product(*factors))
+    M = np.empty((len(rows), len(cols)))
+    for i, r in enumerate(rows):
+        for j, k in enumerate(cols):
+            M[i, j] = functools.reduce(operator.mul, (f[ka] for f, ka in zip(r, k)))
     return M
 
 
 @pytest.mark.parametrize("parent, child", [
     ((1, 1), None), ((2, 3), None), ((3, 2), (4, 3)), ((3, 2, 2, 3, 1, 2), None)])
 def test_face_coefficients_match_entrywise_loops(parent, child):
+    """Every face case in both spaces, and the three edge cases in H1 on
+    the parent's first order (the child's first order for the halves)."""
     for space in ("H1", "HDIV"):
-        for case in cf._CASES["FACE"]:
+        for case in cf._CASES["FACE"] + cf._CASES["EDGE"]:
             if space == "HDIV" and (len(parent) > 2 or "quadrant" not in case):
                 continue
-            co = child
+            po, co = parent, child
+            if case in cf._CASES["EDGE"]:
+                po, co = parent[0], None if child is None else child[0]
             if child is not None and "interior-edge" in case:
                 co = child[0] if case[-1] in "12" else child[1]
-            elif child is not None and "vertex" in case:
+            if child is not None and "vertex" in case:
                 co = None
-            M = cf.constraint_coefficients(space, case, parent, co)
+            M = cf.constraint_coefficients(space, case, po, co)
             assert M.flags.c_contiguous
-            assert np.array_equal(M, _loop_coefficients(space, case, parent, co))
+            assert np.array_equal(M, _loop_coefficients(space, case, po, co))
 
 
 def test_sons_sit_at_their_lattice_positions_property():
@@ -465,7 +497,7 @@ def test_gather_reproduces_linear_field_across_hanging_face():
     refine_element(mesh, 1)
     for nid in mesh.skeleton_in_use():
         node = mesh.NODES[nid]
-        if node.kind == "VERTEX" and not cf.is_constrained(mesh, nid):
+        if node.kind == "VERTEX" and not mesh.hanging_nodes()[nid]:
             node.dofs = {0: np.array([[node.coords[0]]])}
     for mdle in mesh.ELEM_ORDER:
         local = cf.gather_solution(mesh, mdle, 0)
@@ -515,7 +547,7 @@ def test_gather_matches_modified_element_property():
                                                  a.is_trace)
                 for nid, count in slots:
                     node = mesh.NODES[nid]
-                    if count and cf.is_constrained(mesh, nid):
+                    if count and mesh.hanging_nodes()[nid]:
                         seen.add((a.fe_space, node.kind))
                     elif count:
                         node.dofs = node.dofs or {}
@@ -564,7 +596,7 @@ def test_h1_continuous_across_hanging_faces_property():
             slots, _ = cf.scalar_slot_counts(mesh, mdle, me.H1)
             for nid, count in slots:
                 node = mesh.NODES[nid]
-                if count and not cf.is_constrained(mesh, nid):
+                if count and not mesh.hanging_nodes()[nid]:
                     node.dofs = node.dofs or {}
                     node.dofs.setdefault(0, rng.standard_normal((count, 1)))
         boxes = {m: (xnod.min(axis=0), xnod.max(axis=0)) for m, xnod
@@ -639,6 +671,22 @@ def test_gather_before_solve_raises():
     mesh = build(grid_geometry(1, 1, 1), galerkin_physics())
     with pytest.raises(SolveError):
         cf.gather_solution(mesh, 1, 0)
+    # a son whose hanging vertex reads a parent vertex the son does not hold
+    mesh = build(grid_geometry(2, 1, 1, lengths=(2.0, 1.0, 1.0)),
+                 galerkin_physics(), order=(1, 1, 1))
+    refine_element(mesh, 1)
+    hanging = mesh.hanging_nodes()
+    for nid in mesh.skeleton_in_use():
+        if mesh.NODES[nid].kind == "VERTEX" and not hanging[nid]:
+            mesh.NODES[nid].dofs = {0: np.zeros((1, 1))}
+    mdle, g = next((m, g) for m in mesh.ELEM_ORDER
+                   for h in mesh.element(m).elem_nodes if hanging[h]
+                   for g, _ in cf._parent_group(mesh, "H1", h)[0]
+                   if g not in mesh.element(m).elem_nodes)
+    cf.gather_solution(mesh, mdle, 0)
+    mesh.NODES[g].dofs = None
+    with pytest.raises(SolveError, match=f"node {g} "):
+        cf.gather_solution(mesh, mdle, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +862,91 @@ def test_groups_of_one_match_whole_groups_property():
 
     check()
     assert seen == {"mixed orders", "constrained"}
+
+
+def _loop_face_dofs(mesh, group, dirichlet_fn, attr):
+    """Face bubbles of one projection group with the lift written as two
+    loops, the bilinear corners and then the bottom, top, left and right
+    edge bubbles, each edge on bases of its own order: the reference for
+    `_project_faces`' one loop over the group's columns."""
+    face, comps = group[0]
+    p1, p2 = me.decode_face_order(face.order)
+    corners = np.array([mesh.vertex_coords(node.verts) for node, _ in group])
+    t, w2 = me.gauss_quadrature_2d((p1 + 2, p2 + 2))
+    t1, t2 = t[:, 0], t[:, 1]
+    hats = ([(1 - t1) * (1 - t2), t1 * (1 - t2), (1 - t1) * t2, t1 * t2],
+            [-(1 - t2), (1 - t2), -t2, t2], [-(1 - t1), -t1, (1 - t1), t1])
+    x, dx1, dx2 = (np.einsum("cp,fci->fpi", np.stack(h), corners) for h in hats)
+    _, grads = dirichlet_fn(x.reshape(-1, 3))
+    g1, g2 = ((grads.reshape(x.shape) * dx).sum(-1) for dx in (dx1, dx2))
+    col1, col2 = t1.tobytes(), t2.tobytes()
+    H1b, dH1b, _, _ = me._axis_bases(p1, col1)
+    H2b, dH2b, _, _ = me._axis_bases(p2, col2)
+    cvals = dirichlet_fn(corners.reshape(-1, 3))[0].reshape(-1, 4, 1)
+    l1, l2 = np.zeros_like(g1), np.zeros_like(g2)
+    for c, (k1, k2) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
+        l1 += cvals[:, c] * dH1b[k1] * H2b[k2]
+        l2 += cvals[:, c] * H1b[k1] * dH2b[k2]
+    K, A1, A2 = cf._face_gram(p1, p2)
+    out = {}
+    for comp in comps:
+        lift1, lift2 = l1.copy(), l2.copy()
+        for pos in range(4):
+            pe = cf._lift_order(mesh, face, pos, attr)
+            if pe < 2:
+                continue
+            edofs = np.array([mesh.NODES[node.edges[pos]].dofs[attr][:, comp]
+                              for node, _ in group])
+            Hb1, dHb1, _, _ = me._axis_bases(max(p1, pe), col1)
+            Hb2, dHb2, _, _ = me._axis_bases(max(p2, pe), col2)
+            for n in range(2, pe + 1):
+                k1, k2 = (n, pos) if pos < 2 else (pos - 2, n)
+                lift1 += edofs[:, n - 2, None] * dHb1[k1] * Hb2[k2]
+                lift2 += edofs[:, n - 2, None] * Hb1[k1] * dHb2[k2]
+        r1, r2 = (g1 - lift1)[:, None], (g2 - lift2)[:, None]
+        rhs = (w2 * (r1 * A1 + r2 * A2)).sum(-1)
+        sol = np.linalg.solve(K, rhs[..., None])[..., 0]
+        out.update(((node.id, comp), s) for (node, _), s in zip(group, sol))
+    return out
+
+
+def test_face_lift_matches_corner_and_edge_loops_property():
+    """On random hp meshes over a jittered grid, with mixed face and edge
+    orders, every face group's Dirichlet bubbles equal, bit for bit, those
+    of the lift written as a corner loop and a per-edge loop."""
+    seen = set()
+    project = cf._project_faces
+
+    def checked(mesh, group, dirichlet_fn, attr, nc):
+        project(mesh, group, dirichlet_fn, attr, nc)
+        face = group[0][0]
+        if cf._node_count("H1", "FACE", face.order) == 0:
+            return
+        for (nid, comp), sol in _loop_face_dofs(mesh, group, dirichlet_fn, attr).items():
+            assert mesh.NODES[nid].dofs[attr][:, comp].tobytes() == sol.tobytes()
+        lift = {cf._lift_order(mesh, face, pos, attr) for pos in range(4)}
+        seen.add("mixed lift orders" if len(lift) > 1 else "one lift order")
+        if lift - set(me.decode_face_order(face.order)):
+            seen.add("lift order off the face's")
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(nx=st.integers(1, 2), ny=st.integers(1, 2), p=st.integers(1, 3),
+           ops=hp_ops(4), seed=st.integers(0, 2 ** 16))
+    def check(nx, ny, p, ops, seed):
+        problem = poisson.make_problem("galerkin", exact="boundary_layer")
+        mesh = poisson.make_mesh(problem, grid_geometry(nx, ny, 1), p)
+        apply_hp_ops(mesh, ops)
+        rng = np.random.default_rng(seed)
+        for node in mesh.NODES[1:]:
+            if node.kind == "VERTEX":
+                node.coords = node.coords + 0.02 * rng.uniform(-1, 1, 3)
+        cf.update_Ddof(mesh, problem.dirichlet_fn())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cf, "_project_faces", checked)
+        check()
+    assert seen == {"mixed lift orders", "one lift order",
+                    "lift order off the face's"}
 
 
 def test_flagged_walk_matches_the_node_scan():

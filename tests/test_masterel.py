@@ -23,13 +23,12 @@ def test_gauss_1d_exactness():
 def test_gauss_3d_tensor_exactness():
     rng = np.random.default_rng(7)
     for n in (1, 3, 6, 10):
-        rule = me.gauss_quadrature_3d((n, n, n))
-        assert len(rule) == n**3
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
+        pts, w = me.gauss_quadrature_3d((n, n, n))
+        assert pts.shape == (n**3, 3) and w.shape == (n**3,)
+        assert w.sum() == pytest.approx(1.0, abs=1e-13)
         exps = rng.integers(0, 2 * n, size=(12, 3))
         for a, b, c in exps:
-            got = (rule.weights * rule.points[:, 0]**a
-                   * rule.points[:, 1]**b * rule.points[:, 2]**c).sum()
+            got = (w * pts[:, 0]**a * pts[:, 1]**b * pts[:, 2]**c).sum()
             exact = 1.0 / ((a + 1) * (b + 1) * (c + 1))
             assert got == pytest.approx(exact, abs=1e-13)
 
@@ -232,7 +231,7 @@ def test_cached_tables_match_fresh_evaluation(space):
     norder = me.uniform_norder((3, 2, 4))
     norder[0] = 2
     t, _ = me.gauss_quadrature_2d((3, 4))
-    for xi in (me.gauss_quadrature_3d((4, 3, 5)).points,
+    for xi in (me.gauss_quadrature_3d((4, 3, 5))[0],
                me.face_param(4, t)[0]):
         me.shape_functions_elem(space, xi, norder)     # fill the caches
         cached = me.shape_functions_elem(space, xi, norder)
@@ -299,13 +298,13 @@ def test_cached_tables_match_fresh_evaluation_property(space, norder, xi):
 
 
 def test_tables_are_read_only():
-    rule = me.gauss_quadrature_3d((2, 2, 2))
-    shp = me.shape_functions_elem(me.HCURL, rule.points,
+    pts3, w3 = me.gauss_quadrature_3d((2, 2, 2))
+    shp = me.shape_functions_elem(me.HCURL, pts3,
                                   me.uniform_norder((2, 2, 2)))
     x, w = me.gauss_1d(3)
     pts, w2 = me.gauss_quadrature_2d((2, 3))
     for a in (shp.values, shp.curl, shp.slots, x, w, pts, w2,
-              rule.points, rule.weights):
+              pts3, w3):
         with pytest.raises(ValueError):
             a[0] = 0.0
 
