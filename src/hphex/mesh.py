@@ -174,6 +174,10 @@ class Mesh:
         # ((revision, dp), problem, {mdle: (stiff_all, G)}): the DPG
         # systems of the one batch the DPG builders keep, for the estimate
         self._dpg_systems = (None, None, {})
+        # (problem, dp, {mdle: (order vector, upper K, b)}): each active
+        # element's condensed DPG system, built once per order vector;
+        # a solve first drops inactive or re-ordered elements' entries
+        self._dpg_store = (None, None, {})
 
     # -- node table ---------------------------------------------------
 

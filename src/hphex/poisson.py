@@ -16,8 +16,20 @@ in declaration order (the row order of C), or the squared residuals (E,)
 of `elem_residual`.  The Galerkin kernel is one stacked pass; the DPG
 builders condense each element's extended stiffness against its factored
 Gram matrix into the batch's stacks, and the batch that holds the last
-element leaves those systems on the mesh.  The estimate walks the solve's
-batches, reads them and builds the others again.
+element builds every element's extended system and leaves them on the
+mesh.  The estimate walks the solve's batches, reads them and builds the
+others again.
+
+A DPG element is built and condensed once per order vector: the mesh
+stores its condensed K (upper triangle) and b, keyed on the element, its
+order vector, the problem object (by identity) and dp.  Hanging
+constraints, the Dirichlet lift and static condensation act after the
+element routine, and an active element's geometry never changes, so
+nothing else can move them.  A solve drops the entries of inactive
+elements, and of elements whose order vector changed, before its element
+loop; another problem object or dp drops the whole store.  Assembly
+condenses the DPG bubbles again from the store after the solve instead
+of holding their recovery data through it.
 
 Galerkin and primal integrals are weighted GEMMs.  Ultraweak ones stay
 einsums until c09's benchmark reference is re-pinned (c09 marks near-ties
@@ -366,22 +378,51 @@ def _primal_system(mesh, mdle: int, problem: Problem):
     return np.column_stack([B, Bhat, load]), G
 
 
-def _dpg_batch(system, mesh, mdles, problem: Problem):
-    """Stacked (K, b) of a batch, each element's [B | Bhat | l] condensed
-    against its G in turn.  The batch holding the mesh's last element also
-    leaves its read-only {mdle: (stiff_all, G)} on the mesh when done, for
-    `elem_residual`: one batch per solve, the same for any `workers`."""
-    keep, kept = mesh.ELEM_ORDER[-1] in mdles, {}
+def _dpg_store(mesh, problem: Problem) -> dict:
+    """The mesh's store of condensed DPG systems for this problem object
+    at its dp: {mdle: (order vector, K's upper triangle row by row, b)},
+    read-only.  Another problem object or dp replaces it by an empty one."""
+    owner, dp, store = mesh._dpg_store
+    if owner is not problem or dp != problem.dp:
+        store = {}
+        mesh._dpg_store = (problem, problem.dp, store)
+    return store
+
+
+def _dpg_batch(system, mesh, mdles, problem: Problem, keep: bool = True):
+    """Stacked (K, b) of a batch.  An element the store holds for its order
+    vector is read from it; any other has its [B | Bhat | l] condensed
+    against its G, and stored.  K is stored as its upper triangle:
+    `condense_dpg` mirrors it exactly, so K comes back with its bits.
+    With `keep`, the batch holding the mesh's last element also builds
+    (stiff_all, G) for its stored elements, without condensing them, and
+    leaves every element's on the mesh, read-only, for `elem_residual`:
+    one batch per solve, the same for any `workers`."""
+    store, kept = _dpg_store(mesh, problem), {}
+    keep = keep and mesh.ELEM_ORDER[-1] in mdles
+    norder = tuple(element_info(mesh, mdles[0])[0])
     for e, mdle in enumerate(mdles):
-        stiff_all, G = system(mesh, mdle, problem)
-        if keep:
-            kept[mdle] = (me._read_only(stiff_all), me._read_only(G))
-        cond = dpg.condense_dpg(stiff_all, G)     # (ntrial + 1)²
+        entry = store.get(mdle)
+        hit = entry is not None and entry[0] == norder
+        if keep or not hit:
+            stiff_all, G = system(mesh, mdle, problem)
+            if keep:
+                kept[mdle] = (me._read_only(stiff_all), me._read_only(G))
+            if not hit:
+                cond = dpg.condense_dpg(stiff_all, G)     # (ntrial + 1)²
+            del stiff_all, G    # freed before the entry and the next build
+            if not hit:
+                n = len(cond) - 1
+                entry = store[mdle] = (
+                    norder, me._read_only(cond[np.triu_indices(n)]),
+                    me._read_only(cond[:n, n].copy()))
+                del cond
         if e == 0:
-            n = len(cond) - 1
+            n = len(entry[2])
             K, b = np.empty((len(mdles), n, n)), np.empty((len(mdles), n))
-        K[e], b[e] = cond[:-1, :-1], cond[:-1, -1]
-        del stiff_all, G, cond  # freed before the next element's build
+            upper = np.triu_indices(n)
+        K[e][upper] = K[e][upper[::-1]] = entry[1]
+        b[e] = entry[2]
     if keep:
         mesh._dpg_systems = ((mesh.revision, problem.dp), problem, kept)
     return K, b
@@ -595,5 +636,14 @@ def solve_problem(mesh, problem: Problem, *, solver: str = "cg",
     if problem.istc and not istc:
         raise ConfigError("DPG problems require interior condensation")
     cf.update_Ddof(mesh, problem.dirichlet_fn())
-    return asm.assemble_and_solve(
-        mesh, problem.elems, istc=istc, solver=solver, workers=workers)
+    recall = None
+    if problem.kind in _SYSTEMS:
+        store = _dpg_store(mesh, problem)
+        for mdle, (norder, *_) in list(store.items()):
+            if (not mesh.NODES[mdle].active
+                    or tuple(element_info(mesh, mdle)[0]) != norder):
+                del store[mdle]
+        recall = functools.partial(_dpg_batch, _SYSTEMS[problem.kind],
+                                   problem=problem, keep=False)
+    return asm.assemble_and_solve(mesh, problem.elems, istc=istc, solver=solver,
+                                  workers=workers, recall=recall)

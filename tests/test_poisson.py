@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hphex import adapt
@@ -14,7 +14,8 @@ from hphex import geometry as gm
 from hphex import masterel as me
 from hphex import poisson
 from hphex.errors import ConfigError, OrderError
-from hphex.mesh import close_mesh, element_info, execute_pref, refine_element
+from hphex.mesh import (adaptive_pref, close_mesh, element_info, execute_pref,
+                        refine_element)
 
 from conftest import apply_hp_ops, grid_geometry, hp_ops
 
@@ -498,8 +499,8 @@ def test_kept_systems_unused_after_p_refinement():
 
 def test_threaded_solve_keeps_one_batch(monkeypatch):
     """Four element threads, switching often: the slot holds exactly the
-    batch with the last element, and the threaded estimate has the
-    serial bits."""
+    batch with the last element, the store holds every active element
+    with its fresh bits, and the threaded estimate has the serial bits."""
     batches, elems = [], poisson.Problem.elems
 
     def spy(self, mesh, mdles):
@@ -523,19 +524,216 @@ def test_threaded_solve_keeps_one_batch(monkeypatch):
     assert mesh.ELEM_ORDER[-1] in kept
     serial, _ = poisson.residual_summary(mesh, problem)
     assert np.array_equal(threaded, serial)
+    store = mesh._dpg_store[2]
+    assert set(store) == set(mesh.ELEM_ORDER)
+    for mdle, entry in store.items():
+        assert all(map(_same_bits, _unpacked(entry), _fresh(mesh, mdle, problem)))
 
 
 def test_adaptive_history_independent_of_workers():
+    """A 4x1x1 ultraweak Dörfler run gives the same history rows, and ends
+    with the same stored condensed systems bit for bit, at `workers` 1
+    and 2."""
     def run(workers):
         problem = poisson.make_problem("uw", exact="boundary_layer")
         mesh = poisson.make_mesh(problem, grid_geometry(4, 1, 1), 1)
-        return adapt.adaptive_loop(
+        return mesh, adapt.adaptive_loop(
             mesh, problem, adapt.MarkingConfig(adapt.DOERFLER, 0.5),
             tol=0.0, max_steps=3, workers=workers)
 
-    serial, threaded = run(1), run(2)
+    (mesh1, serial), (mesh2, threaded) = run(1), run(2)
     assert len(serial) == 3
     assert [r.as_csv() for r in threaded] == [r.as_csv() for r in serial]
+    store1, store2 = mesh1._dpg_store[2], mesh2._dpg_store[2]
+    assert set(store1) == set(store2) == set(mesh1.ELEM_ORDER)
+    for mdle, (norder, upper, b) in store1.items():
+        assert store2[mdle][0] == norder
+        assert _same_bits(store2[mdle][1], upper)
+        assert _same_bits(store2[mdle][2], b)
+
+
+# ---------------------------------------------------------------------------
+# condensed DPG systems stored across solves
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _fresh(mesh, mdle, problem):
+    """An element's condensed (K, b) from a fresh build and condensation."""
+    cond = dpg.condense_dpg(*poisson._SYSTEMS[problem.kind](mesh, mdle, problem))
+    return cond[:-1, :-1], cond[:-1, -1]
+
+
+def _unpacked(entry):
+    """The full K and b of a store entry (K's upper triangle, row by row)."""
+    _, upper, b = entry
+    K = np.zeros((len(b), len(b)))
+    i, j = np.triu_indices(len(b))
+    K[i, j] = K[j, i] = upper
+    return K, b
+
+
+def _norder(mesh, mdle):
+    return tuple(element_info(mesh, mdle)[0])
+
+
+def _count_condensations(monkeypatch):
+    """A list that grows by one per `condense_dpg` call: one per miss."""
+    calls, condense = [], dpg.condense_dpg
+
+    def counted(stiff_all, G):
+        calls.append(len(G))
+        return condense(stiff_all, G)
+
+    monkeypatch.setattr(dpg, "condense_dpg", counted)
+    return calls
+
+
+def test_store_holds_and_serves_fresh_bits_property(monkeypatch):
+    """Short h and p sequences with a solve after each operation, ultraweak
+    and primal: after each solve the store holds exactly the active
+    elements, each entry under the element's order vector and with its
+    freshly built and condensed (K, b) bit for bit; every (K, b) the DPG
+    builders hand out has those bits too, so no inactive or re-ordered
+    element is ever served; and every node's dofs equal, bit for bit,
+    those of a twin run whose store is emptied before every solve."""
+    served, batch = [], poisson._dpg_batch
+
+    def spy(system, mesh, mdles, problem, keep=True):
+        K, b = batch(system, mesh, mdles, problem, keep)
+        served.append((mesh, list(mdles), K.copy(), b.copy()))
+        return K, b
+
+    monkeypatch.setattr(poisson, "_dpg_batch", spy)
+
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(kind=st.sampled_from((poisson.PRIMAL, poisson.UW)),
+           nx=st.integers(1, 2), ops=hp_ops(3))
+    # a neighbour's p-refinement raises the face element 1 shares with it
+    @example(kind=poisson.UW, nx=2, ops=[("p", 0), ("p", 1)])
+    @example(kind=poisson.PRIMAL, nx=2, ops=[("h", 0), ("p", 1), ("h", 2)])
+    def check(kind, nx, ops):
+        if kind == poisson.UW:          # ~20 ms per element build at p=1
+            ops = ops[:2]
+            if any(op == "h" for op, _ in ops):
+                nx, ops = 1, ops[:1]
+        problem = poisson.make_problem(kind, exact="smooth")
+        mesh, twin = (poisson.make_mesh(problem, grid_geometry(nx, 1, 1), 1)
+                      for _ in range(2))
+        fresh = {}                      # (mdle, order vector): fixed geometry
+        for step in range(len(ops) + 1):
+            for m in (mesh, twin):
+                apply_hp_ops(m, ops[step - 1:step] if step else [])
+            served.clear()
+            poisson.solve_problem(mesh, problem)
+            for m, mdles, K, b in served:
+                assert m is mesh and set(mdles) <= set(mesh.ELEM_ORDER)
+                for e, mdle in enumerate(mdles):
+                    key = (mdle, _norder(mesh, mdle))
+                    if key not in fresh:
+                        fresh[key] = _fresh(mesh, mdle, problem)
+                    assert _same_bits(K[e], fresh[key][0])
+                    assert _same_bits(b[e], fresh[key][1])
+            store = mesh._dpg_store[2]
+            assert set(store) == set(mesh.ELEM_ORDER)
+            for mdle, entry in store.items():
+                assert entry[0] == _norder(mesh, mdle)
+                K, b = _unpacked(entry)
+                assert _same_bits(K, fresh[mdle, entry[0]][0])
+                assert _same_bits(b, fresh[mdle, entry[0]][1])
+            twin._dpg_store = (None, None, {})
+            poisson.solve_problem(twin, problem)
+            for node, other in zip(mesh.NODES[1:], twin.NODES[1:]):
+                assert (node.dofs or {}).keys() == (other.dofs or {}).keys()
+                for attr, dofs in (node.dofs or {}).items():
+                    assert _same_bits(dofs, other.dofs[attr])
+
+    check()
+
+
+def test_store_misses_for_another_problem_or_dp(monkeypatch):
+    """The same problem object at the same dp builds nothing again; a
+    different problem object, an equal-field copy of it, and dp changed
+    and then restored each build every element."""
+    mesh, problem = make("uw", exact="smooth", grid=(2, 1, 1))
+    condensed = _count_condensations(monkeypatch)
+
+    def builds(other):
+        condensed.clear()
+        poisson.solve_problem(mesh, other)
+        return len(condensed)
+
+    assert builds(problem) == 2 and builds(problem) == 0
+    assert builds(poisson.make_problem("uw", exact="smooth")) == 2
+    assert builds(problem) == 2
+    copy = poisson.Problem(**vars(problem))
+    assert copy == problem and builds(copy) == 2
+    assert builds(problem) == 2
+    problem.dp = 2
+    assert builds(problem) == 2
+    problem.dp = 1
+    assert builds(problem) == 2 and builds(problem) == 0
+
+
+@pytest.mark.parametrize("before, after", [((3, 2), (3, 3)), ((3, 3), (3, 2))])
+def test_store_misses_when_a_neighbour_moves_a_shared_order(
+        monkeypatch, before, after):
+    """A neighbour's p-refinement that raises or lowers the face (and its
+    edges) shared with element 1 changes element 1's order vector but not
+    its middle order: element 1 is built again, not served."""
+    mesh, problem = make("primal", exact="smooth", grid=(2, 1, 1))
+    first, second = mesh.ELEM_ORDER
+    adaptive_pref(mesh, [(m, (p,) * 3) for m, p in zip(mesh.ELEM_ORDER, before)])
+    poisson.solve_problem(mesh, problem)
+    middle, norder = mesh.NODES[first].order, _norder(mesh, first)
+    condensed = _count_condensations(monkeypatch)
+    adaptive_pref(mesh, [(second, (after[1],) * 3)])
+    assert mesh.NODES[first].order == middle
+    assert _norder(mesh, first) != norder
+    poisson.solve_problem(mesh, problem)
+    assert len(condensed) == 2
+    assert mesh._dpg_store[2][first][0] == _norder(mesh, first)
+
+
+def test_store_drops_elements_deactivated_by_refinement():
+    mesh, problem = make("primal", exact="smooth", grid=(3, 1, 1))
+    poisson.solve_problem(mesh, problem)
+    assert set(mesh._dpg_store[2]) == set(mesh.ELEM_ORDER)
+    old = list(mesh.ELEM_ORDER)
+    refine_element(mesh, old[0])
+    close_mesh(mesh)
+    gone = [mdle for mdle in old if not mesh.NODES[mdle].active]
+    assert gone and set(gone) <= set(mesh._dpg_store[2])  # until a solve
+    poisson.solve_problem(mesh, problem)
+    assert set(mesh._dpg_store[2]) == set(mesh.ELEM_ORDER)
+    assert not set(gone) & set(mesh._dpg_store[2])
+
+
+def test_kept_batch_reads_stored_elements_from_the_store(monkeypatch):
+    """A second solve of an unchanged mesh condenses nothing: the kept
+    batch builds its elements' (stiff_all, G) for the estimate but reads
+    K and b from the store, and the estimate has the first one's bits."""
+    mesh, problem = make("uw", exact="smooth", grid=(2, 1, 1))
+    poisson.solve_problem(mesh, problem)
+    assert set(mesh._dpg_systems[2]) == set(mesh.ELEM_ORDER)
+    first, _ = poisson.residual_summary(mesh, problem)
+    condensed = _count_condensations(monkeypatch)
+    poisson.solve_problem(mesh, problem)
+    assert condensed == []
+    assert set(mesh._dpg_systems[2]) == set(mesh.ELEM_ORDER)
+    second, _ = poisson.residual_summary(mesh, problem)
+    assert _same_bits(first, second)
+
+
+def test_stored_arrays_are_read_only():
+    mesh, problem = make("uw", exact="smooth", grid=(2, 1, 1))
+    poisson.solve_problem(mesh, problem)
+    for _, upper, b in mesh._dpg_store[2].values():
+        assert not upper.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            upper[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
