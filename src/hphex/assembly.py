@@ -10,9 +10,8 @@ the load, eliminates interior (bubble) DOFs by a Schur complement on the
 sub-stacks that share one (free, bubble) layout, and writes the condensed
 blocks straight into CSR arrays laid out before the loop in natural
 element order, so duplicates are summed in that order for any grouping.
-A Galerkin group keeps only its bubble-recovery data through the solve;
-a DPG group keeps none, and is condensed again after the solve from the
-systems its `recall` reads back from the mesh's store.
+Bubble recovery has one path for every formulation: each group keeps its
+condensation factors through the solve (the manual's STORE_STC 1).
 
 Global DOF numbering: nodes in id order, attributes in exact-sequence
 order within a node, vector components innermost.  Only modified
@@ -51,25 +50,6 @@ class CondensedLocal:
     b_b: np.ndarray = None
 
 
-def _bubble_factor(K: np.ndarray, b: np.ndarray,
-                   bubble: np.ndarray) -> CondensedLocal:
-    """The recovery data of `static_condense` alone (K and b None): the
-    Cholesky factor of A_bb, A_ib and b_b, with the same bits."""
-    bubble = np.asarray(bubble, dtype=bool)
-    iface = np.flatnonzero(~bubble)
-    bub = np.flatnonzero(bubble)
-    if bub.size == 0:
-        return CondensedLocal(K=None, b=None, interface=iface, bubble=bub)
-    A_bb = K[..., bub[:, None], bub]
-    A_ib = np.ascontiguousarray(K[..., iface[:, None], bub])
-    try:
-        L = np.linalg.cholesky(A_bb)
-    except np.linalg.LinAlgError as exc:
-        raise LinAlgError(f"bubble block is singular: {exc}") from exc
-    return CondensedLocal(K=None, b=None, interface=iface, bubble=bub,
-                          factor=L, K_ib=A_ib, b_b=b[..., bub])
-
-
 def static_condense(K: np.ndarray, b: np.ndarray,
                     bubble: np.ndarray) -> CondensedLocal:
     """Schur-eliminate the bubble dofs: A_ii − A_ib A_bb⁻¹ A_bi.
@@ -78,17 +58,24 @@ def static_condense(K: np.ndarray, b: np.ndarray,
     result equals the single-element call bit for bit.  The factors are
     kept for `recover_bubbles`.  An all-false mask returns (K, b).
     """
-    cond = _bubble_factor(K, b, bubble)
-    iface = cond.interface
-    if cond.bubble.size == 0:
-        cond.K, cond.b = K, b
-        return cond
-    rhs = np.concatenate([cond.K_ib.swapaxes(-1, -2), cond.b_b[..., None]], -1)
-    Y = _tri_solve(cond.factor, rhs, lower=True)
+    bubble = np.asarray(bubble, dtype=bool)
+    iface = np.flatnonzero(~bubble)
+    bub = np.flatnonzero(bubble)
+    if bub.size == 0:
+        return CondensedLocal(K=K, b=b, interface=iface, bubble=bub)
+    A_bb = K[..., bub[:, None], bub]
+    A_ib = np.ascontiguousarray(K[..., iface[:, None], bub])
+    try:
+        L = np.linalg.cholesky(A_bb)
+    except np.linalg.LinAlgError as exc:
+        raise LinAlgError(f"bubble block is singular: {exc}") from exc
+    rhs = np.concatenate([A_ib.swapaxes(-1, -2), b[..., bub, None]], -1)
+    Y = _tri_solve(L, rhs, lower=True)
     Yt = Y[..., :-1].swapaxes(-1, -2)
-    cond.K = K[..., iface[:, None], iface] - Yt @ Y[..., :-1]
-    cond.b = b[..., iface] - (Yt @ Y[..., -1:])[..., 0]
-    return cond
+    K_c = K[..., iface[:, None], iface] - Yt @ Y[..., :-1]
+    b_c = b[..., iface] - (Yt @ Y[..., -1:])[..., 0]
+    return CondensedLocal(K=K_c, b=b_c, interface=iface, bubble=bub,
+                          factor=L, K_ib=A_ib, b_b=b[..., bub])
 
 
 def recover_bubbles(cond: CondensedLocal, u_iface: np.ndarray) -> np.ndarray:
@@ -256,9 +243,8 @@ def _layout_groups(mod, istc, codes, shape):
     return groups
 
 
-def _lift(K, b, mod, sel, dirichlet, free):
-    """A layout group's rows of a modified stack, its Dirichlet columns
-    moved to the load."""
+def _condense_group(K, b, mod, sel, dirichlet, free, bub):
+    """Lift a layout group's Dirichlet columns to the load, then condense."""
     Kg, bg = (K, b) if len(sel) == len(K) else (K[sel], b[sel])
     if dirichlet.any():
         # items laid out as K[:, D], a contiguous vector: one GEMV's bits
@@ -266,41 +252,16 @@ def _lift(K, b, mod, sel, dirichlet, free):
         vals = np.ascontiguousarray(mod.dirichlet_values[sel][:, dirichlet])
         bg = (bg - (KD.swapaxes(1, 2) @ vals[..., None])[..., 0])[:, free]
         Kg = Kg[:, free[:, None], free]
-    return Kg, bg
+    return static_condense(Kg, bg, bub)
 
 
-def _condense_group(K, b, mod, sel, dirichlet, free, bub):
-    """Lift a layout group's Dirichlet columns to the load, then condense."""
-    return static_condense(*_lift(K, b, mod, sel, dirichlet, free), bub)
-
-
-def _expand(C, K, b, rows):
-    """A modified stack's systems: rows `rows` of a batch's stacked K and b,
-    or C.T @ K @ C and C.T @ b for a constrained element (one row)."""
-    if C is None:
-        return (K, b) if len(rows) == len(K) else (K[rows], b[rows])
-    return (C.T @ K[rows[0]] @ C)[None], (C.T @ b[rows[0]])[None]
-
-
-def _recondense(mesh, recall, mod, layout):
-    """A layout group's recovery data, condensed again from the systems
-    `recall` reads back: the inputs and kernels of the element loop."""
-    sel, dirichlet, free, bub = layout[:4]
-    K, b = recall(mesh, mod.mdle[sel].tolist())
-    C = None if mod.conforming else cf.constraint_matrix(mesh, mod.mdle[0])
-    Kg, bg = _lift(*_expand(C, K, b, range(len(K))), mod, sel, dirichlet, free)
-    return _bubble_factor(Kg, bg, bub)
-
-
-def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1,
-                    recall=None):
+def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1):
     """Build the global sparse system; returns (system, groups).  A group
     is (mdles, stacked CondensedLocal holding recovery data only, K and b
     None, global interface dofs (S, m), bubble dof keys (S, nb, 4)): one
     batch's elements with one (free, bubble) layout, condensed as a stack.
-    With `recall` a group holds (modified stack, layout) in place of the
-    CondensedLocal, and no recovery data: `assemble_and_solve` condenses
-    it again after the solve.
+    Galerkin and DPG groups alike; `recover_bubbles` reads them after the
+    solve.
 
     `elem_fn(mesh, mdles)` returns the stacked (K, b) of one batch.
     With `istc` off no dof counts as a bubble, so nothing is condensed.
@@ -345,16 +306,17 @@ def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1,
                 raise ConfigError(
                     f"element {mdles[0]}: elem_fn produced K {K.shape} and b "
                     f"{b.shape}, modified elements expect {(E, n, n)}, {(E, n)}")
-            Ks, bs = _expand(C, K, b, sub)
-            for layout in layouts:
-                sel, dirichlet, free, bub, gidx, bkeys = layout
+            if C is None:
+                Ks, bs = (K, b) if len(sub) == E else (K[sub], b[sub])
+            else:
+                Ks, bs = (C.T @ K[sub[0]] @ C)[None], (C.T @ b[sub[0]])[None]
+            for sel, dirichlet, free, bub, gidx, bkeys in layouts:
                 cond = _condense_group(Ks, bs, mod, sel, dirichlet, free, bub)
                 i1 = at[pos[mod.mdle[sel]], None] + np.arange(gidx.shape[1])
                 i2 = start[i1][..., None] + np.arange(gidx.shape[1])
                 bval[i1], indices[i2], data[i2] = cond.b, gidx[:, None], cond.K
                 cond.K = cond.b = None
-                groups.append((mod.mdle[sel], cond if recall is None
-                               else (mod, layout), gidx, bkeys))
+                groups.append((mod.mdle[sel], cond, gidx, bkeys))
         return groups
 
     groups = [g for gs in map_elements(batch_work, batches, workers)
@@ -368,30 +330,19 @@ def assemble_system(mesh, elem_fn, istc: bool = True, workers: int = 1,
 
 
 def assemble_and_solve(mesh, elem_fn, *, istc: bool = True,
-                       solver: str = "cg", workers: int = 1,
-                       recall=None) -> SolveReport:
-    """Element loop, global solve, and DOF storage (including bubbles).
-
-    `recall(mesh, mdles)`, if given, returns a batch's (K, b) again, the
-    bits `elem_fn` returned, without building them: no group then holds
-    recovery data through the solve, and each is condensed again after it,
-    on `workers` threads.
-    """
+                       solver: str = "cg", workers: int = 1) -> SolveReport:
+    """Element loop, global solve, and DOF storage (including bubbles)."""
     solve = {"cg": cg_solve, "dense": _dense_solve}.get(solver)
     if solve is None:           # checked before any element is built
         raise ConfigError(f"unknown solver {solver!r}")
     system, groups = assemble_system(
-        mesh, elem_fn, istc=istc, workers=workers, recall=recall)
+        mesh, elem_fn, istc=istc, workers=workers)
     x, iters, res = solve(system.matrix, system.rhs)
     system.matrix = None        # not held through recovery and the write
-
-    def bubbles(group):         # bubble recovery, one stack per element group
-        _, cond, gidx, keys = group
-        if recall is not None:
-            cond = _recondense(mesh, recall, *cond)
-        return keys.reshape(-1, 4), recover_bubbles(cond, x[gidx]).ravel()
-
+    # bubble recovery, one stack per element group
+    bubbles = [(keys.reshape(-1, 4), recover_bubbles(cond, x[gidx]).ravel())
+               for _, cond, gidx, keys in groups]
     cf._write_dofs(mesh, *(np.concatenate(a) for a in zip(
-        (system.keys, x), *map_elements(
-            bubbles, groups, 1 if recall is None else workers))))
+        (system.keys, x), *bubbles)))
     return SolveReport(ndof=system.ndof, iterations=iters, residual=res)
+

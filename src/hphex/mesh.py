@@ -171,8 +171,8 @@ class Mesh:
         self.ELEM_ORDER = []
         self.revision = 0
         self._skeleton_cache = self._hanging_cache = (-1, None)
-        # ((revision, dp), problem, {mdle: (stiff_all, G)}): the DPG
-        # systems of the one batch the DPG builders keep, for the estimate
+        # ((revision, dp), problem, {mdle: (stiff_all, G)}): the DPG systems
+        # the solve built in the one batch it keeps, for the estimate
         self._dpg_systems = (None, None, {})
         # (problem, dp, {mdle: (order vector, upper K, b)}): each active
         # element's condensed DPG system, built once per order vector;

@@ -16,9 +16,8 @@ in declaration order (the row order of C), or the squared residuals (E,)
 of `elem_residual`.  The Galerkin kernel is one stacked pass; the DPG
 builders condense each element's extended stiffness against its factored
 Gram matrix into the batch's stacks, and the batch that holds the last
-element builds every element's extended system and leaves them on the
-mesh.  The estimate walks the solve's batches, reads them and builds the
-others again.
+element leaves the extended systems it built on the mesh.  The estimate
+walks the solve's batches, reads them and builds the others again.
 
 A DPG element is built and condensed once per order vector: the mesh
 stores its condensed K (upper triangle) and b, keyed on the element, its
@@ -28,8 +27,8 @@ element routine, and an active element's geometry never changes, so
 nothing else can move them.  A solve drops the entries of inactive
 elements, and of elements whose order vector changed, before its element
 loop; another problem object or dp drops the whole store.  Assembly
-condenses the DPG bubbles again from the store after the solve instead
-of holding their recovery data through it.
+keeps every group's bubble-recovery data through the solve, as for
+Galerkin (STORE_STC 1 for every formulation).
 
 Galerkin and primal integrals are weighted GEMMs.  Ultraweak ones stay
 einsums until c09's benchmark reference is re-pinned (c09 marks near-ties
@@ -389,34 +388,30 @@ def _dpg_store(mesh, problem: Problem) -> dict:
     return store
 
 
-def _dpg_batch(system, mesh, mdles, problem: Problem, keep: bool = True):
+def _dpg_batch(system, mesh, mdles, problem: Problem):
     """Stacked (K, b) of a batch.  An element the store holds for its order
     vector is read from it; any other has its [B | Bhat | l] condensed
     against its G, and stored.  K is stored as its upper triangle:
     `condense_dpg` mirrors it exactly, so K comes back with its bits.
-    With `keep`, the batch holding the mesh's last element also builds
-    (stiff_all, G) for its stored elements, without condensing them, and
-    leaves every element's on the mesh, read-only, for `elem_residual`:
-    one batch per solve, the same for any `workers`."""
+    The batch holding the mesh's last element also leaves the read-only
+    (stiff_all, G) of the elements it built on the mesh for
+    `elem_residual`: one batch per solve, the same for any `workers`."""
     store, kept = _dpg_store(mesh, problem), {}
-    keep = keep and mesh.ELEM_ORDER[-1] in mdles
+    keep = mesh.ELEM_ORDER[-1] in mdles
     norder = tuple(element_info(mesh, mdles[0])[0])
     for e, mdle in enumerate(mdles):
         entry = store.get(mdle)
-        hit = entry is not None and entry[0] == norder
-        if keep or not hit:
+        if entry is None or entry[0] != norder:
             stiff_all, G = system(mesh, mdle, problem)
             if keep:
                 kept[mdle] = (me._read_only(stiff_all), me._read_only(G))
-            if not hit:
-                cond = dpg.condense_dpg(stiff_all, G)     # (ntrial + 1)²
+            cond = dpg.condense_dpg(stiff_all, G)     # (ntrial + 1)²
             del stiff_all, G    # freed before the entry and the next build
-            if not hit:
-                n = len(cond) - 1
-                entry = store[mdle] = (
-                    norder, me._read_only(cond[np.triu_indices(n)]),
-                    me._read_only(cond[:n, n].copy()))
-                del cond
+            n = len(cond) - 1
+            entry = store[mdle] = (
+                norder, me._read_only(cond[np.triu_indices(n)]),
+                me._read_only(cond[:n, n].copy()))
+            del cond
         if e == 0:
             n = len(entry[2])
             K, b = np.empty((len(mdles), n, n)), np.empty((len(mdles), n))
@@ -636,14 +631,11 @@ def solve_problem(mesh, problem: Problem, *, solver: str = "cg",
     if problem.istc and not istc:
         raise ConfigError("DPG problems require interior condensation")
     cf.update_Ddof(mesh, problem.dirichlet_fn())
-    recall = None
     if problem.kind in _SYSTEMS:
         store = _dpg_store(mesh, problem)
         for mdle, (norder, *_) in list(store.items()):
             if (not mesh.NODES[mdle].active
                     or tuple(element_info(mesh, mdle)[0]) != norder):
                 del store[mdle]
-        recall = functools.partial(_dpg_batch, _SYSTEMS[problem.kind],
-                                   problem=problem, keep=False)
-    return asm.assemble_and_solve(mesh, problem.elems, istc=istc, solver=solver,
-                                  workers=workers, recall=recall)
+    return asm.assemble_and_solve(
+        mesh, problem.elems, istc=istc, solver=solver, workers=workers)

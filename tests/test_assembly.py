@@ -236,6 +236,34 @@ def test_solve_on_irregular_mesh_keeps_conformity():
     assert err < 1e-10
 
 
+def test_each_bubble_block_is_factored_once(monkeypatch):
+    """An ultraweak solve next to a hanging node, with Dirichlet faces:
+    one Cholesky factor per layout group with bubbles, the one its
+    condensation forms and bubble recovery reads back."""
+    factored, condensed = [], []
+    cholesky, condense = np.linalg.cholesky, asm.static_condense
+
+    def counted_cholesky(a):
+        factored.append(a.shape)
+        return cholesky(a)
+
+    def counted_condense(K, b, bubble):
+        if np.any(bubble):
+            condensed.append(K.shape)
+        return condense(K, b, bubble)
+
+    mesh, problem = _patch("uw", grid=(2, 1, 1), order=1)
+    refine_element(mesh, mesh.ELEM_ORDER[0])
+    close_mesh(mesh)
+    assert mesh.hanging_nodes().any()
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(asm, "static_condense", counted_condense)
+    poisson.solve_problem(mesh, problem)
+    assert condensed and len(factored) == len(condensed)
+    err, _, _ = poisson.compute_exact_error(mesh, problem)
+    assert err < 1e-8
+
+
 def test_dense_solver_matches_cg():
     problem = poisson.make_problem("galerkin", exact="smooth")
     mesh = poisson.make_mesh(problem, grid_geometry(2, 2, 1), 2)

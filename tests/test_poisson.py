@@ -601,8 +601,8 @@ def test_store_holds_and_serves_fresh_bits_property(monkeypatch):
     those of a twin run whose store is emptied before every solve."""
     served, batch = [], poisson._dpg_batch
 
-    def spy(system, mesh, mdles, problem, keep=True):
-        K, b = batch(system, mesh, mdles, problem, keep)
+    def spy(system, mesh, mdles, problem):
+        K, b = batch(system, mesh, mdles, problem)
         served.append((mesh, list(mdles), K.copy(), b.copy()))
         return K, b
 
@@ -711,10 +711,11 @@ def test_store_drops_elements_deactivated_by_refinement():
     assert not set(gone) & set(mesh._dpg_store[2])
 
 
-def test_kept_batch_reads_stored_elements_from_the_store(monkeypatch):
-    """A second solve of an unchanged mesh condenses nothing: the kept
-    batch builds its elements' (stiff_all, G) for the estimate but reads
-    K and b from the store, and the estimate has the first one's bits."""
+def test_kept_batch_holds_only_the_elements_the_solve_built(monkeypatch):
+    """A second solve of an unchanged mesh condenses nothing and keeps
+    nothing: every element is read from the store, and the estimate
+    rebuilds it with the first estimate's bits.  After an h-refinement of
+    the last element the kept batch holds exactly its new sons."""
     mesh, problem = make("uw", exact="smooth", grid=(2, 1, 1))
     poisson.solve_problem(mesh, problem)
     assert set(mesh._dpg_systems[2]) == set(mesh.ELEM_ORDER)
@@ -722,9 +723,17 @@ def test_kept_batch_reads_stored_elements_from_the_store(monkeypatch):
     condensed = _count_condensations(monkeypatch)
     poisson.solve_problem(mesh, problem)
     assert condensed == []
-    assert set(mesh._dpg_systems[2]) == set(mesh.ELEM_ORDER)
+    assert mesh._dpg_systems[2] == {}
     second, _ = poisson.residual_summary(mesh, problem)
     assert _same_bits(first, second)
+    old = set(mesh.ELEM_ORDER)
+    refine_element(mesh, mesh.ELEM_ORDER[-1])
+    close_mesh(mesh)
+    poisson.solve_problem(mesh, problem)
+    sons = set(mesh.ELEM_ORDER) - old
+    last = next(set(m) for _, m in asm.solve_batches(mesh)
+                if mesh.ELEM_ORDER[-1] in m)
+    assert sons and set(mesh._dpg_systems[2]) == sons & last
 
 
 def test_stored_arrays_are_read_only():
