@@ -36,3 +36,7 @@ class LinAlgError(HphexError):
 
 class SolveError(LinAlgError):
     """Global solver failed to converge or is unavailable for the system."""
+
+
+class ScratchError(HphexError):
+    """The DPG element store's scratch file failed: create, write or read."""

@@ -171,13 +171,10 @@ class Mesh:
         self.ELEM_ORDER = []
         self.revision = 0
         self._skeleton_cache = self._hanging_cache = (-1, None)
-        # ((revision, dp), problem, {mdle: (stiff_all, G)}): the DPG systems
-        # the solve built in the one batch it keeps, for the estimate
-        self._dpg_systems = (None, None, {})
-        # (problem, dp, {mdle: (order vector, upper K, b)}): each active
-        # element's condensed DPG system, built once per order vector;
-        # a solve first drops inactive or re-ordered elements' entries
-        self._dpg_store = (None, None, {})
+        # (problem, dp, {mdle: (order vector, spans)}, records): where each
+        # element's DPG record (upper K, b, stiff_all, G), built once per
+        # order vector, sits in one scratch file; a solve drops inactive ones
+        self._dpg_store = (None, None, {}, None)
 
     # -- node table ---------------------------------------------------
 

@@ -15,18 +15,19 @@ that `Problem.elems` dispatches for, rows and columns over the attributes
 in declaration order (the row order of C), or the squared residuals (E,)
 of `elem_residual`.  The Galerkin kernel is one stacked pass; the DPG
 builders condense each element's extended stiffness against its factored
-Gram matrix into the batch's stacks, and the batch that holds the last
-element leaves the extended systems it built on the mesh.  The estimate
-walks the solve's batches, reads them and builds the others again.
+Gram matrix into the batch's stacks.
 
-A DPG element is built and condensed once per order vector: the mesh
-stores its condensed K (upper triangle) and b, keyed on the element, its
-order vector, the problem object (by identity) and dp.  Hanging
-constraints, the Dirichlet lift and static condensation act after the
-element routine, and an active element's geometry never changes, so
-nothing else can move them.  A solve drops the entries of inactive
-elements, and of elements whose order vector changed, before its element
-loop; another problem object or dp drops the whole store.  Assembly
+A DPG element is built and condensed once per order vector.  Its record
+(K's upper triangle, b, [B | Bhat | l] and G, float64) goes to one
+unlinked scratch file per store, and the mesh keeps the index, keyed on
+the element, its order vector, the problem object (by identity) and dp.
+The solve reads K and b, the estimate [B | Bhat | l] and G: after a solve
+it builds nothing.  The file takes builds × record bytes of disk.
+Hanging constraints, the Dirichlet lift and static condensation act after
+the element routine, and an active element's geometry never changes, so
+nothing else can move a record.  A solve drops the index entries of
+inactive elements before its element loop, which replaces those of
+re-ordered ones; another problem object or dp starts a new store.  Assembly
 keeps every group's bubble-recovery data through the solve, as for
 Galerkin (STORE_STC 1 for every formulation).
 
@@ -41,6 +42,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
+import os
+import tempfile
+import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -52,7 +57,7 @@ from . import conformity as cf
 from . import dpg
 from . import geometry as gm
 from . import masterel as me
-from .errors import ConfigError, OrderError
+from .errors import ConfigError, OrderError, ScratchError
 from .mesh import element_info, element_vertices, generate_initial_mesh
 from .physics import PhysicsAttr, PhysicsTable
 
@@ -377,49 +382,89 @@ def _primal_system(mesh, mdle: int, problem: Problem):
     return np.column_stack([B, Bhat, load]), G
 
 
-def _dpg_store(mesh, problem: Problem) -> dict:
-    """The mesh's store of condensed DPG systems for this problem object
-    at its dp: {mdle: (order vector, K's upper triangle row by row, b)},
-    read-only.  Another problem object or dp replaces it by an empty one."""
-    owner, dp, store = mesh._dpg_store
+class _Records:
+    """float64 arrays in one unlinked scratch file (made at the first append
+    in Python's temp dir, closed with this object), read into fresh ones."""
+
+    def __init__(self):
+        self._file, self._end, self._lock = None, 0, threading.Lock()
+
+    def _io(self, call, arrays, offset: int) -> list:
+        nbytes = sum(a.nbytes for a in arrays)
+        try:
+            if self._file is None:
+                self._file = tempfile.TemporaryFile(buffering=0)
+                weakref.finalize(self, self._file.close)
+            if call(self._file.fileno(), arrays, offset) != nbytes:
+                raise OSError("the record runs past the end of the file")
+        except OSError as err:
+            raise ScratchError(
+                f"DPG element store: {call.__name__} of a {nbytes}-byte "
+                f"record in the temporary directory {tempfile.tempdir} "
+                f"failed: {err}") from err
+        return arrays
+
+    def append(self, arrays) -> list:
+        """Write `arrays` back to back at the end: (offset, shape) of each."""
+        arrays = [np.ascontiguousarray(a) for a in arrays]
+        sizes = [a.nbytes for a in arrays]
+        with self._lock:
+            offset, self._end = self._end, self._end + sum(sizes)
+            self._io(os.pwritev, arrays, offset)
+        return [(offset + sum(sizes[:i]), a.shape) for i, a in enumerate(arrays)]
+
+    def read(self, spans) -> list:
+        """The arrays of consecutive (offset, shape) spans."""
+        return self._io(os.preadv, [np.empty(s) for _, s in spans], spans[0][0])
+
+
+def _dpg_store(mesh, problem: Problem):
+    """The mesh's store of DPG records for this problem object at its dp:
+    the index {mdle: (order vector, spans)} and its `_Records`.  Another
+    problem object or dp replaces both by new ones."""
+    owner, dp, index, records = mesh._dpg_store
     if owner is not problem or dp != problem.dp:
-        store = {}
-        mesh._dpg_store = (problem, problem.dp, store)
-    return store
+        index, records = {}, _Records()
+        mesh._dpg_store = (problem, problem.dp, index, records)
+    return index, records
+
+
+def _record(system, mesh, mdle: int, problem: Problem, norder, first: int):
+    """Two arrays from `first` on of `mdle`'s record for `norder`: K's upper
+    triangle row by row, b, [B | Bhat | l], G.  A missing record is built,
+    condensed and appended first; `condense_dpg` mirrors K exactly, so its
+    upper triangle gives K back with its bits."""
+    index, records = _dpg_store(mesh, problem)
+    entry = index.get(mdle)
+    if entry is None or entry[0] != norder:
+        stiff_all, G = system(mesh, mdle, problem)
+        cond = dpg.condense_dpg(stiff_all, G)     # (ntrial + 1)²
+        n = len(cond) - 1
+        entry = index[mdle] = (norder, records.append(
+            (cond[np.triu_indices(n)], cond[:n, n], stiff_all, G)))
+        del stiff_all, G, cond  # freed before the read and the next build
+    return records.read(entry[1][first:first + 2])
+
+
+def _stored(mesh, mdle: int, problem: Problem):
+    """(K's upper triangle, b, [B | Bhat | l], G) of `mdle`'s record for
+    its current order vector, this problem object and dp; else None."""
+    owner, dp, index, records = mesh._dpg_store
+    entry = index.get(mdle) if owner is problem and dp == problem.dp else None
+    if (entry and mesh.NODES[mdle].active
+            and entry[0] == tuple(element_info(mesh, mdle)[0])):
+        return tuple(records.read(entry[1]))
 
 
 def _dpg_batch(system, mesh, mdles, problem: Problem):
-    """Stacked (K, b) of a batch.  An element the store holds for its order
-    vector is read from it; any other has its [B | Bhat | l] condensed
-    against its G, and stored.  K is stored as its upper triangle:
-    `condense_dpg` mirrors it exactly, so K comes back with its bits.
-    The batch holding the mesh's last element also leaves the read-only
-    (stiff_all, G) of the elements it built on the mesh for
-    `elem_residual`: one batch per solve, the same for any `workers`."""
-    store, kept = _dpg_store(mesh, problem), {}
-    keep = mesh.ELEM_ORDER[-1] in mdles
+    """Stacked (K, b) of a batch, each element's read from its record
+    (built and appended on a store miss)."""
     norder = tuple(element_info(mesh, mdles[0])[0])
-    for e, mdle in enumerate(mdles):
-        entry = store.get(mdle)
-        if entry is None or entry[0] != norder:
-            stiff_all, G = system(mesh, mdle, problem)
-            if keep:
-                kept[mdle] = (me._read_only(stiff_all), me._read_only(G))
-            cond = dpg.condense_dpg(stiff_all, G)     # (ntrial + 1)²
-            del stiff_all, G    # freed before the entry and the next build
-            n = len(cond) - 1
-            entry = store[mdle] = (
-                norder, me._read_only(cond[np.triu_indices(n)]),
-                me._read_only(cond[:n, n].copy()))
-            del cond
-        if e == 0:
-            n = len(entry[2])
-            K, b = np.empty((len(mdles), n, n)), np.empty((len(mdles), n))
-            upper = np.triu_indices(n)
-        K[e][upper] = K[e][upper[::-1]] = entry[1]
-        b[e] = entry[2]
-    if keep:
-        mesh._dpg_systems = ((mesh.revision, problem.dp), problem, kept)
+    upper, b = map(np.stack, zip(*(_record(system, mesh, mdle, problem,
+                                           norder, 0) for mdle in mdles)))
+    i, j = np.triu_indices(b.shape[1])
+    K = np.empty(b.shape + b.shape[1:])
+    K[:, i, j] = K[:, j, i] = upper
     return K, b
 
 
@@ -491,31 +536,24 @@ _SYSTEMS = {PRIMAL: _primal_system, UW: _uw_system}
 # ---------------------------------------------------------------------------
 # residual estimator and exact errors
 
-def _kept_system(mesh, mdle: int, problem: Problem):
-    """Pop `mdle`'s (stiff_all, G) from the batch the DPG builders kept,
-    if it kept them for this problem object at this mesh revision and dp."""
-    key, owner, systems = mesh._dpg_systems
-    if owner is problem and key == (mesh.revision, problem.dp):
-        return systems.pop(mdle, None)
-    return None
-
-
 def elem_residual(mesh, mdles, problem: Problem) -> np.ndarray:
     """Squared DPG residuals (E,) of the computed solution on a batch; each
-    element's extended system is the one the solve kept, else a fresh
-    build (same bits for the ultraweak einsums), one at a time."""
+    element's [B | Bhat | l] and G are read from its record, which the
+    solve wrote (an element without one is built and appended first),
+    one at a time."""
     if problem.kind not in _SYSTEMS:
         raise ConfigError("the residual estimator needs a DPG problem")
     w = np.concatenate([
         cf.gather_solution(mesh, mdles, attr).reshape(len(mdles), -1)
         for attr in range(mesh.physics.nr_physa)], axis=1)
+    norder = tuple(element_info(mesh, mdles[0])[0])
     out = np.empty(len(mdles))
     for e, mdle in enumerate(mdles):
-        stiff_all, G = (_kept_system(mesh, mdle, problem)
-                        or _SYSTEMS[problem.kind](mesh, mdle, problem))
+        stiff_all, G = _record(_SYSTEMS[problem.kind], mesh, mdle, problem,
+                               norder, 2)
         resid = stiff_all[:, -1] - stiff_all[:, :-1] @ w[e]
         out[e] = dpg.residual_norm_sq(G, resid)
-        del stiff_all, G        # freed before the next element's build
+        del stiff_all, G        # freed before the next element's read
     return out
 
 
@@ -565,14 +603,15 @@ def residual_summary(mesh, problem: Problem, workers: int = 1):
     kept OpenBLAS's own pool spinning against the second element thread
     on two cores, and c09's estimate ran slow and erratic.  Assembly
     keeps threaded BLAS until c09's reference is re-pinned: its roundoff
-    decides step-3 marking.  The kept systems' slot is emptied on return.
+    decides step-3 marking.  After a solve with this problem object every
+    element's record is current, so the estimate reads and builds nothing.
     """
     batches = [mdles for _, mdles in asm.solve_batches(mesh)]
+    _dpg_store(mesh, problem)   # replaced here, if at all, not per thread
     with _one_blas_thread():
         vals = asm.map_elements(
             lambda mdles: elem_residual(mesh, mdles, problem),
             batches, workers)
-    mesh._dpg_systems = (None, None, {})
     table = dict(zip(itertools.chain(*batches), itertools.chain(*vals)))
     vals = np.array([table[mdle] for mdle in mesh.ELEM_ORDER])
     return vals, float(vals.sum())
@@ -632,10 +671,8 @@ def solve_problem(mesh, problem: Problem, *, solver: str = "cg",
         raise ConfigError("DPG problems require interior condensation")
     cf.update_Ddof(mesh, problem.dirichlet_fn())
     if problem.kind in _SYSTEMS:
-        store = _dpg_store(mesh, problem)
-        for mdle, (norder, *_) in list(store.items()):
-            if (not mesh.NODES[mdle].active
-                    or tuple(element_info(mesh, mdle)[0]) != norder):
-                del store[mdle]
+        index, _ = _dpg_store(mesh, problem)
+        for mdle in [m for m in index if not mesh.NODES[m].active]:
+            del index[mdle]     # the loop replaces re-ordered ones
     return asm.assemble_and_solve(
         mesh, problem.elems, istc=istc, solver=solver, workers=workers)

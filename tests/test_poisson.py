@@ -1,4 +1,6 @@
+import os
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ from hphex import dpg
 from hphex import geometry as gm
 from hphex import masterel as me
 from hphex import poisson
-from hphex.errors import ConfigError, OrderError
+from hphex.errors import ConfigError, OrderError, ScratchError
 from hphex.mesh import (adaptive_pref, close_mesh, element_info, execute_pref,
                         refine_element)
 
@@ -412,95 +414,152 @@ def test_residual_decreases_under_refinement():
 
 
 # ---------------------------------------------------------------------------
-# element systems kept from the solve for the estimate
+# element records stored by the solve and read by the estimate
 
 
-def _solved(kind, grid=(3, 1, 1), order=2):
-    mesh, problem = make(kind, exact="smooth", grid=grid, order=order)
-    poisson.solve_problem(mesh, problem)
-    kept = dict(mesh._dpg_systems[2])
-    assert mesh.ELEM_ORDER[-1] in kept and set(kept) <= set(mesh.ELEM_ORDER)
-    return mesh, problem, kept
+def _solved(kind, workers=1):
+    """A 3x1x1 mesh at p=2, its first element h-refined (hanging nodes),
+    solved on `workers` threads."""
+    mesh, problem = make(kind, exact="smooth", grid=(3, 1, 1), order=2)
+    refine_element(mesh, mesh.ELEM_ORDER[0])
+    close_mesh(mesh)
+    poisson.solve_problem(mesh, problem, workers=workers)
+    return mesh, problem
+
+
+def _rebuilt_indicators(mesh, problem):
+    """Each element's squared residual from a fresh build, its G factored
+    on one BLAS thread as the estimate factors it."""
+    out = []
+    with poisson._one_blas_thread():
+        for mdle in mesh.ELEM_ORDER:
+            stiff_all, G = poisson._SYSTEMS[problem.kind](mesh, mdle, problem)
+            w = np.concatenate([cf.gather_solution(mesh, [mdle], attr).ravel()
+                                for attr in range(mesh.physics.nr_physa)])
+            out.append(dpg.residual_norm_sq(
+                G, stiff_all[:, -1] - stiff_all[:, :-1] @ w))
+    return np.array(out)
+
+
+def _count_builds(monkeypatch):
+    """A list that grows by the element id of every ultraweak build."""
+    builds, system = [], poisson._uw_system
+
+    def counted(mesh, mdle, problem):
+        builds.append(mdle)
+        return system(mesh, mdle, problem)
+
+    monkeypatch.setattr(poisson, "_uw_system", counted)
+    monkeypatch.setitem(poisson._SYSTEMS, poisson.UW, counted)
+    return builds
 
 
 @pytest.mark.parametrize("kind", ["uw", "primal"])
 def test_kept_systems_give_the_indicators_of_a_rebuild(kind):
-    mesh, problem, kept = _solved(kind)
-    vals, _ = poisson.residual_summary(mesh, problem)
-    with poisson._one_blas_thread():    # the estimate's BLAS, rebuilt
-        fresh = np.array([poisson.elem_residual(mesh, [mdle], problem)[0]
-                          for mdle in mesh.ELEM_ORDER])
-    if kind == "uw":
-        assert np.array_equal(vals, fresh)
-    else:   # the solve built G on default BLAS threads
-        assert np.allclose(vals, fresh, rtol=1e-13, atol=0.0)
+    """The records a solve stored give the indicators of a fresh build, on
+    a mesh with hanging nodes, at `workers` 1, 2 and 4."""
+    for workers in (1, 2, 4):
+        mesh, problem = _solved(kind, workers)
+        vals, _ = poisson.residual_summary(mesh, problem, workers=workers)
+        fresh = _rebuilt_indicators(mesh, problem)
+        if kind == "uw":
+            assert np.array_equal(vals, fresh)
+        else:   # the solve built G on default BLAS threads
+            assert np.allclose(vals, fresh, rtol=1e-13, atol=0.0)
 
 
-def test_kept_systems_are_read_only_and_emptied_by_the_summary():
-    mesh, problem, kept = _solved("uw")
-    for stiff_all, G in kept.values():
-        assert not stiff_all.flags.writeable and not G.flags.writeable
-        with pytest.raises(ValueError):
-            G[0, 0] = 0.0
-    poisson.residual_summary(mesh, problem)
-    assert mesh._dpg_systems == (None, None, {})
-
-
-def test_kept_batch_is_the_one_with_the_last_element():
-    """The middle element's own order group is built last; the batch
-    kept is still the one holding the last element in natural order."""
+def test_summary_builds_nothing_after_a_solve(monkeypatch):
+    """After a solve the estimate reads every element's record and builds
+    none, for any `workers`, also when the batch built last (the middle
+    element's order group) does not hold the last element; the records
+    stay for the next read."""
+    builds = _count_builds(monkeypatch)
     mesh, problem = make("uw", exact="smooth", grid=(3, 1, 1), order=1)
     first, middle, last = mesh.ELEM_ORDER
     execute_pref(mesh, [middle])
     batches = [m for _, m in asm.element_batches(mesh, lambda norder: 1)]
     assert middle in batches[-1] and last not in batches[-1]
-    poisson.solve_problem(mesh, problem)
-    assert last in mesh._dpg_systems[2] and middle not in mesh._dpg_systems[2]
+    poisson.solve_problem(mesh, problem, workers=2)
+    assert sorted(builds) == sorted(mesh.ELEM_ORDER)
+    for workers in (1, 2):
+        builds.clear()
+        poisson.residual_summary(mesh, problem, workers=workers)
+        assert builds == []
+    for mdle in mesh.ELEM_ORDER:
+        assert poisson._stored(mesh, mdle, problem) is not None
 
 
-def test_kept_systems_are_popped_once():
-    mesh, problem, kept = _solved("uw")
-    mdle = next(iter(kept))
-    assert poisson._kept_system(mesh, mdle, problem) is kept[mdle]
-    assert poisson._kept_system(mesh, mdle, problem) is None
+def test_record_reads_back_the_bytes_written():
+    """Records go back to back and read back with exactly the bytes written
+    (signed zeros, NaN, infinities and subnormals included), as often as
+    asked, each time into fresh arrays.  A solve's record of an element
+    holds the bytes of its fresh build and condensation."""
+    rng = np.random.default_rng(0)
+    arrays = [rng.standard_normal(shape) for shape in ((6,), (3,), (4, 5), (4, 4))]
+    arrays[0][:4] = -0.0, np.nan, -np.inf, 5e-324
+    records = poisson._Records()
+    spans = records.append(arrays[:2]) + records.append(arrays[2:])
+    assert spans == [(0, (6,)), (48, (3,)), (72, (4, 5)), (232, (4, 4))]
+    for _ in range(2):
+        got = records.read(spans[:2]) + records.read(spans[2:])
+        assert all(map(_same_bits, got, arrays))
+        assert all(map(_same_bits, records.read(spans), arrays))
+        assert not any(np.shares_memory(g, a) for g, a in zip(got, arrays))
+    mesh, problem = _solved("uw")
+    mdle = mesh.ELEM_ORDER[-1]
+    one, two = (poisson._stored(mesh, mdle, problem) for _ in range(2))
+    assert all(map(_same_bits, one, two))
+    assert not any(np.shares_memory(a, b) for a, b in zip(one, two))
+    assert all(map(_same_bits, _unpacked(one), _fresh(mesh, mdle, problem)))
 
 
-def test_kept_systems_need_the_same_revision_problem_and_dp():
-    mesh, problem, kept = _solved("uw")
-    mdle = next(iter(kept))
+def test_stored_systems_need_the_same_problem_and_dp():
+    """A record serves only the problem object and dp that stored it:
+    another problem object, an equal-field copy and another dp miss, and
+    a miss drops nothing."""
+    mesh, problem = _solved("uw")
+    mdle = mesh.ELEM_ORDER[-1]
+    held = poisson._stored(mesh, mdle, problem)
 
     def unused(other=problem):
-        assert poisson._kept_system(mesh, mdle, other) is None
-        assert mdle in mesh._dpg_systems[2]     # a miss pops nothing
+        assert poisson._stored(mesh, mdle, other) is None
 
     unused(poisson.make_problem("uw", exact="smooth"))
     unused(poisson.Problem(**vars(problem)))    # equal fields, other object
     problem.dp = 2
     unused()
     problem.dp = 1
-    assert poisson._kept_system(mesh, mdle, problem) is kept[mdle]
+    assert all(map(_same_bits, poisson._stored(mesh, mdle, problem), held))
 
 
 def test_kept_systems_unused_after_h_refinement():
-    mesh, problem, kept = _solved("uw")
-    refine_element(mesh, mesh.ELEM_ORDER[0])
+    """An h-refined element's record serves no one and its sons have none
+    until a solve; the elements that keep their order vector keep theirs."""
+    mesh, problem = _solved("uw")
+    old = list(mesh.ELEM_ORDER)
+    refine_element(mesh, old[-1])
     close_mesh(mesh)
     cf.update_gdof(mesh)
-    for mdle in kept:
-        assert poisson._kept_system(mesh, mdle, problem) is None
+    sons = set(mesh.ELEM_ORDER) - set(old)
+    assert sons and not mesh.NODES[old[-1]].active
+    for mdle in [old[-1], *sons]:
+        assert poisson._stored(mesh, mdle, problem) is None
+    kept = [mdle for mdle in mesh.ELEM_ORDER if mdle in old]
+    assert kept and all(poisson._stored(mesh, mdle, problem) is not None
+                        for mdle in kept)
 
 
 def test_kept_systems_unused_after_p_refinement():
-    mesh, problem, kept = _solved("uw")
-    execute_pref(mesh, list(kept))
-    for mdle in kept:
-        assert poisson._kept_system(mesh, mdle, problem) is None
+    mesh, problem = _solved("uw")
+    execute_pref(mesh, list(mesh.ELEM_ORDER))
+    for mdle in mesh.ELEM_ORDER:
+        assert poisson._stored(mesh, mdle, problem) is None
 
 
-def test_threaded_solve_keeps_one_batch(monkeypatch):
-    """Four element threads, switching often: the slot holds exactly the
-    batch with the last element, the store holds every active element
-    with its fresh bits, and the threaded estimate has the serial bits."""
+def test_threaded_solve_stores_every_element(monkeypatch):
+    """Four element threads, switching often: the store holds every active
+    element with the bits of its fresh build and condensation, and the
+    threaded estimate has the serial bits."""
     batches, elems = [], poisson.Problem.elems
 
     def spy(self, mesh, mdles):
@@ -516,40 +575,72 @@ def test_threaded_solve_keeps_one_batch(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         poisson.solve_problem(mesh, problem, workers=4)
-        kept = set(mesh._dpg_systems[2])
         threaded, _ = poisson.residual_summary(mesh, problem, workers=4)
     finally:
         sys.setswitchinterval(interval)
-    assert len(batches) > 4 and kept in batches
-    assert mesh.ELEM_ORDER[-1] in kept
+    assert len(batches) > 4
     serial, _ = poisson.residual_summary(mesh, problem)
     assert np.array_equal(threaded, serial)
-    store = mesh._dpg_store[2]
-    assert set(store) == set(mesh.ELEM_ORDER)
-    for mdle, entry in store.items():
-        assert all(map(_same_bits, _unpacked(entry), _fresh(mesh, mdle, problem)))
+    assert set(mesh._dpg_store[2]) == set(mesh.ELEM_ORDER)
+    for mdle in mesh.ELEM_ORDER:
+        stored = _unpacked(poisson._stored(mesh, mdle, problem))
+        assert all(map(_same_bits, stored, _fresh(mesh, mdle, problem)))
 
 
 def test_adaptive_history_independent_of_workers():
     """A 4x1x1 ultraweak Dörfler run gives the same history rows, and ends
-    with the same stored condensed systems bit for bit, at `workers` 1
-    and 2."""
+    with the same records bit for bit, at `workers` 1 and 2."""
     def run(workers):
         problem = poisson.make_problem("uw", exact="boundary_layer")
         mesh = poisson.make_mesh(problem, grid_geometry(4, 1, 1), 1)
-        return mesh, adapt.adaptive_loop(
+        return mesh, problem, adapt.adaptive_loop(
             mesh, problem, adapt.MarkingConfig(adapt.DOERFLER, 0.5),
             tol=0.0, max_steps=3, workers=workers)
 
-    (mesh1, serial), (mesh2, threaded) = run(1), run(2)
+    (mesh1, problem1, serial), (mesh2, problem2, threaded) = run(1), run(2)
     assert len(serial) == 3
     assert [r.as_csv() for r in threaded] == [r.as_csv() for r in serial]
-    store1, store2 = mesh1._dpg_store[2], mesh2._dpg_store[2]
-    assert set(store1) == set(store2) == set(mesh1.ELEM_ORDER)
-    for mdle, (norder, upper, b) in store1.items():
-        assert store2[mdle][0] == norder
-        assert _same_bits(store2[mdle][1], upper)
-        assert _same_bits(store2[mdle][2], b)
+    assert set(mesh1._dpg_store[2]) == set(mesh2._dpg_store[2])
+    assert set(mesh1._dpg_store[2]) == set(mesh1.ELEM_ORDER)
+    for mdle in mesh1.ELEM_ORDER:
+        assert all(map(_same_bits, poisson._stored(mesh1, mdle, problem1),
+                       poisson._stored(mesh2, mdle, problem2)))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open files through /proc")
+def test_solve_and_estimate_leave_no_open_file(monkeypatch, tmp_path):
+    """30 solve + estimate rounds on fresh ultraweak meshes leave as many
+    open file descriptors as before: each store's file goes with its mesh.
+    The temporary directory never shows a file: each one is unlinked."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(30):
+        mesh, problem = make("uw", exact="smooth")
+        poisson.solve_problem(mesh, problem)
+        poisson.residual_summary(mesh, problem)
+        assert os.listdir(tmp_path) == []
+    del mesh, problem
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_scratch_file_errors_are_typed(monkeypatch, tmp_path):
+    """A read past a record's end, and a temporary directory that does not
+    exist, raise ScratchError naming the directory and the record size."""
+    records = poisson._Records()
+    (offset, shape), = records.append([np.ones(3)])
+    with pytest.raises(ScratchError, match="24-byte record"):
+        records.read([(offset + 8, shape)])
+    missing = tmp_path / "missing"
+    monkeypatch.setattr(tempfile, "tempdir", str(missing))
+    mesh, problem = make("uw", exact="smooth")
+    stiff_all, G = poisson._uw_system(mesh, 1, problem)
+    n = stiff_all.shape[1] - 1
+    nbytes = 8 * (n * (n + 1) // 2 + n) + stiff_all.nbytes + G.nbytes
+    with pytest.raises(ScratchError) as err:
+        poisson.solve_problem(mesh, problem)
+    assert str(missing) in str(err.value)
+    assert f"{nbytes}-byte record" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -561,18 +652,21 @@ def _same_bits(a, b):
 
 
 def _fresh(mesh, mdle, problem):
-    """An element's condensed (K, b) from a fresh build and condensation."""
-    cond = dpg.condense_dpg(*poisson._SYSTEMS[problem.kind](mesh, mdle, problem))
-    return cond[:-1, :-1], cond[:-1, -1]
+    """An element's (K, b, [B | Bhat | l], G) from a fresh build and
+    condensation."""
+    stiff_all, G = poisson._SYSTEMS[problem.kind](mesh, mdle, problem)
+    cond = dpg.condense_dpg(stiff_all, G)
+    return cond[:-1, :-1], cond[:-1, -1], stiff_all, G
 
 
-def _unpacked(entry):
-    """The full K and b of a store entry (K's upper triangle, row by row)."""
-    _, upper, b = entry
+def _unpacked(stored):
+    """The full K, b, [B | Bhat | l] and G of a record (K's upper triangle,
+    row by row)."""
+    upper, b, stiff_all, G = stored
     K = np.zeros((len(b), len(b)))
     i, j = np.triu_indices(len(b))
     K[i, j] = K[j, i] = upper
-    return K, b
+    return K, b, stiff_all, G
 
 
 def _norder(mesh, mdle):
@@ -594,8 +688,9 @@ def _count_condensations(monkeypatch):
 def test_store_holds_and_serves_fresh_bits_property(monkeypatch):
     """Short h and p sequences with a solve after each operation, ultraweak
     and primal: after each solve the store holds exactly the active
-    elements, each entry under the element's order vector and with its
-    freshly built and condensed (K, b) bit for bit; every (K, b) the DPG
+    elements, each record under the element's order vector and with its
+    freshly built (stiff_all, G) and condensed (K, b) bit for bit; every
+    (K, b) the DPG
     builders hand out has those bits too, so no inactive or re-ordered
     element is ever served; and every node's dofs equal, bit for bit,
     those of a twin run whose store is emptied before every solve."""
@@ -636,14 +731,13 @@ def test_store_holds_and_serves_fresh_bits_property(monkeypatch):
                         fresh[key] = _fresh(mesh, mdle, problem)
                     assert _same_bits(K[e], fresh[key][0])
                     assert _same_bits(b[e], fresh[key][1])
-            store = mesh._dpg_store[2]
-            assert set(store) == set(mesh.ELEM_ORDER)
-            for mdle, entry in store.items():
+            index = mesh._dpg_store[2]
+            assert set(index) == set(mesh.ELEM_ORDER)
+            for mdle, entry in index.items():
                 assert entry[0] == _norder(mesh, mdle)
-                K, b = _unpacked(entry)
-                assert _same_bits(K, fresh[mdle, entry[0]][0])
-                assert _same_bits(b, fresh[mdle, entry[0]][1])
-            twin._dpg_store = (None, None, {})
+                stored = _unpacked(poisson._stored(mesh, mdle, problem))
+                assert all(map(_same_bits, stored, fresh[mdle, entry[0]]))
+            twin._dpg_store = (None, None, {}, None)
             poisson.solve_problem(twin, problem)
             for node, other in zip(mesh.NODES[1:], twin.NODES[1:]):
                 assert (node.dofs or {}).keys() == (other.dofs or {}).keys()
@@ -711,38 +805,42 @@ def test_store_drops_elements_deactivated_by_refinement():
     assert not set(gone) & set(mesh._dpg_store[2])
 
 
-def test_kept_batch_holds_only_the_elements_the_solve_built(monkeypatch):
-    """A second solve of an unchanged mesh condenses nothing and keeps
-    nothing: every element is read from the store, and the estimate
-    rebuilds it with the first estimate's bits.  After an h-refinement of
-    the last element the kept batch holds exactly its new sons."""
+def test_solve_builds_only_the_elements_the_store_misses(monkeypatch):
+    """A second solve of an unchanged mesh builds nothing, and its estimate
+    has the first estimate's bits.  After an h-refinement of the last
+    element the solve builds exactly its new sons, and the estimate
+    nothing."""
+    builds = _count_builds(monkeypatch)
     mesh, problem = make("uw", exact="smooth", grid=(2, 1, 1))
     poisson.solve_problem(mesh, problem)
-    assert set(mesh._dpg_systems[2]) == set(mesh.ELEM_ORDER)
+    assert sorted(builds) == sorted(mesh.ELEM_ORDER)
     first, _ = poisson.residual_summary(mesh, problem)
-    condensed = _count_condensations(monkeypatch)
+    builds.clear()
     poisson.solve_problem(mesh, problem)
-    assert condensed == []
-    assert mesh._dpg_systems[2] == {}
+    assert builds == []
     second, _ = poisson.residual_summary(mesh, problem)
-    assert _same_bits(first, second)
+    assert _same_bits(first, second) and builds == []
     old = set(mesh.ELEM_ORDER)
     refine_element(mesh, mesh.ELEM_ORDER[-1])
     close_mesh(mesh)
     poisson.solve_problem(mesh, problem)
     sons = set(mesh.ELEM_ORDER) - old
-    last = next(set(m) for _, m in asm.solve_batches(mesh)
-                if mesh.ELEM_ORDER[-1] in m)
-    assert sons and set(mesh._dpg_systems[2]) == sons & last
+    assert sons and sorted(builds) == sorted(sons)
+    poisson.residual_summary(mesh, problem)
+    assert sorted(builds) == sorted(sons)
 
 
 def test_stored_arrays_are_read_only():
+    """A read hands out fresh arrays: writing into them leaves the record,
+    and so the next read, as it was."""
     mesh, problem = make("uw", exact="smooth", grid=(2, 1, 1))
     poisson.solve_problem(mesh, problem)
-    for _, upper, b in mesh._dpg_store[2].values():
-        assert not upper.flags.writeable and not b.flags.writeable
-        with pytest.raises(ValueError):
-            upper[0] = 0.0
+    for mdle in mesh.ELEM_ORDER:
+        read = poisson._stored(mesh, mdle, problem)
+        held = [a.copy() for a in read]
+        for a in read:
+            a[...] = 0.0
+        assert all(map(_same_bits, poisson._stored(mesh, mdle, problem), held))
 
 
 # ---------------------------------------------------------------------------
