@@ -470,9 +470,48 @@ def test_kept_systems_give_the_indicators_of_a_rebuild(kind):
 
 def test_summary_builds_nothing_after_a_solve(monkeypatch):
     """After a solve the estimate reads every element's record and builds
-    none, for any `workers`, also when the batch built last (the middle
-    element's order group) does not hold the last element; the records
-    stay for the next read."""
+    none, on a mesh with hanging nodes, for any `workers`."""
+    builds = _count_builds(monkeypatch)
+    mesh, problem = _solved("uw", workers=2)
+    assert sorted(builds) == sorted(mesh.ELEM_ORDER)
+    for workers in (1, 2):
+        builds.clear()
+        poisson.residual_summary(mesh, problem, workers=workers)
+        assert builds == []
+
+
+def test_kept_systems_are_read_only_and_emptied_by_the_summary(monkeypatch):
+    """A kept record is read-only to its readers: a read hands out fresh
+    arrays, and writing into them leaves the record.  A summary for the
+    same problem keeps every record with its bytes; a summary for another
+    problem object empties the first one's store and builds its own."""
+    builds = _count_builds(monkeypatch)
+    mesh, problem = _solved("uw")
+    held = {mdle: poisson._stored(mesh, mdle, problem)
+            for mdle in mesh.ELEM_ORDER}
+    for mdle in held:
+        for a in poisson._stored(mesh, mdle, problem):
+            a[...] = 0.0
+    builds.clear()
+    poisson.residual_summary(mesh, problem)
+    assert builds == []
+    for mdle, arrays in held.items():
+        assert all(map(_same_bits, poisson._stored(mesh, mdle, problem), arrays))
+    other = poisson.make_problem("uw", exact="smooth")
+    poisson.residual_summary(mesh, other)
+    assert sorted(builds) == sorted(mesh.ELEM_ORDER)
+    assert mesh._dpg_store[0] is other
+    assert set(mesh._dpg_store[2]) == set(mesh.ELEM_ORDER)
+    for mdle in mesh.ELEM_ORDER:
+        assert poisson._stored(mesh, mdle, problem) is None
+        assert poisson._stored(mesh, mdle, other) is not None
+
+
+def test_kept_batch_is_the_one_with_the_last_element(monkeypatch):
+    """The middle element's own order group is built last, and its batch
+    does not hold the last element in natural order; the solve still keeps
+    every batch's records, the last element's and the middle one's, and
+    the estimate reads them all and builds none."""
     builds = _count_builds(monkeypatch)
     mesh, problem = make("uw", exact="smooth", grid=(3, 1, 1), order=1)
     first, middle, last = mesh.ELEM_ORDER
@@ -481,12 +520,12 @@ def test_summary_builds_nothing_after_a_solve(monkeypatch):
     assert middle in batches[-1] and last not in batches[-1]
     poisson.solve_problem(mesh, problem, workers=2)
     assert sorted(builds) == sorted(mesh.ELEM_ORDER)
+    for mdle in mesh.ELEM_ORDER:
+        assert poisson._stored(mesh, mdle, problem) is not None
     for workers in (1, 2):
         builds.clear()
         poisson.residual_summary(mesh, problem, workers=workers)
         assert builds == []
-    for mdle in mesh.ELEM_ORDER:
-        assert poisson._stored(mesh, mdle, problem) is not None
 
 
 def test_record_reads_back_the_bytes_written():
